@@ -232,14 +232,18 @@ bool Channel::emit_data(PendingSend& p) {
   const Config& cfg = ctx_.config();
   const Nanos now = ctx_.engine().now();
   const std::uint32_t len = static_cast<std::uint32_t>(p.payload.size());
-  const bool large =
-      !tx_override_ && (len > cfg.small_msg_size || p.zc_block.valid());
   // pump_tx guarantees window space, so the push below lands on this seq.
   const Seq seq = swin_.next_seq();
 
-  WireHeader hdr;
+  TxEntry e;
+  if (p.zc_block.valid()) {
+    e.data_block = p.zc_block;
+  } else {
+    e.payload = p.payload;
+  }
+  WireHeader& hdr = e.hdr;
   hdr.version = proto_version_;
-  hdr.flags = p.flags | (large ? kFlagLarge : 0);
+  hdr.flags = p.flags;
   hdr.seq = seq;
   hdr.rpc_id = p.rpc_id;
   hdr.payload_len = len;
@@ -256,10 +260,8 @@ bool Channel::emit_data(PendingSend& p) {
   // Tracing: req-rsp mode traces everything; bare-data mode samples by
   // trace_sample_mask (0 = off). A message carrying a parent trace id (an
   // RPC response to a traced request) is always traced so chains complete.
-  const bool traced =
-      p.trace_hint != 0 || cfg.reqrsp_mode ||
-      (cfg.trace_sample_mask != 0 && (seq & cfg.trace_sample_mask) == 0);
-  if (traced) {
+  if (p.trace_hint != 0 || cfg.reqrsp_mode ||
+      (cfg.trace_sample_mask != 0 && (seq & cfg.trace_sample_mask) == 0)) {
     hdr.flags |= kFlagTraced;
     hdr.t_send = ctx_.local_time();
     // Fold in the context epoch: channel ids and seqs both restart per
@@ -269,50 +271,6 @@ bool Channel::emit_data(PendingSend& p) {
                        : ctx_.trace_epoch() ^ (id_ << 24) ^ seq;
   }
 
-  // Inline eligibility (IBV_SEND_INLINE): small eager payloads ride in the
-  // WQE itself — no MemCache staging block to allocate or copy into, and
-  // no tx DMA stage at the NIC. Bounded by both our policy knob and the
-  // NIC's inline capacity (the wire message includes the header).
-  const bool use_inline =
-      !tx_override_ && !large && cfg.inline_max > 0 && len <= cfg.inline_max &&
-      hdr.wire_size() + len <= ctx_.nic().config().max_inline_data;
-
-  // Allocate everything up front: a failed allocation must leave the
-  // message queued and the window/ack state untouched so the mem-retry
-  // timer can try again (the old path failed the whole channel here).
-  MemBlock payload_block;
-  MemBlock wire_block;
-  std::uint32_t wire_len = 0;
-  if (!tx_override_ && !use_inline) {
-    if (large) {
-      payload_block = p.zc_block;
-      if (!payload_block.valid()) {
-        payload_block = ctx_.data_cache_.alloc(len);
-        if (!payload_block.valid()) return false;
-      }
-      hdr.rv_addr = payload_block.addr;
-      hdr.rv_rkey = payload_block.rkey;
-    }
-    wire_len = hdr.wire_size() + (large ? 0 : len);
-    wire_block = ctx_.ctrl_cache_.alloc(wire_len);
-    if (!wire_block.valid()) {
-      if (payload_block.valid() && !p.zc_block.valid()) {
-        ctx_.data_cache_.free(payload_block);
-      }
-      return false;
-    }
-  }
-
-  // Point of no return: consume the window slot and the pending ack.
-  TxEntry entry;
-  entry.t_queued = now;
-  entry.flags = hdr.flags;
-  swin_.push(std::move(entry));
-  TxEntry* ent = swin_.find(seq);
-
-  hdr.ack = rwin_.ack_to_send();
-  rwin_.note_ack_sent();
-
   if (crc_on()) {
     // Whole-message payload CRC (not per-fragment): one value covers the
     // eager copy, the WQE-inline bytes and a rendezvous pull alike, so the
@@ -320,110 +278,158 @@ bool Channel::emit_data(PendingSend& p) {
     // payloads have no bytes to cover — the 0 sentinel tells the receiver
     // to skip payload verification (header integrity still applies).
     hdr.crc_present = true;
-    if (len > 0) {
-      const std::uint8_t* src = nullptr;
-      if (p.zc_block.valid()) {
-        src = ctx_.data_cache_.data(p.zc_block);
-      } else if (!p.payload.is_synthetic()) {
-        src = p.payload.data();
-      }
-      if (src) hdr.payload_crc = crc32c(src, len);
+    if (const std::uint8_t* src = payload_bytes(e); src && len > 0) {
+      hdr.payload_crc = crc32c(src, len);
     }
   }
 
-  ++stats_.msgs_tx;
-  stats_.bytes_tx += len;
-  last_tx_ = now;
-  if (ctx_.recorder().sample(stats_.msgs_tx)) {
-    record(analysis::RecEvent::msg_tx_sample, hdr.flags, seq, len);
-  }
-
-  if (traced && ctx_.span_sink()) {
-    SpanPostEvent ev;
-    ev.trace_id = hdr.trace_id;
-    ev.channel_id = id_;
-    ev.node = ctx_.node();
-    ev.peer = peer_;
-    ev.t_post = hdr.t_send;
-    // The WR reaches the NIC after the software send path; post_wire
-    // schedules it with exactly this cost (the mock path posts inline).
-    Nanos sw_cost = cfg.send_path_overhead;
-    if (cfg.reqrsp_mode) sw_cost += cfg.trace_overhead;
-    ev.t_wire = hdr.t_send + (tx_override_ ? 0 : sw_cost);
-    ev.bytes = len;
-    ev.is_rpc_req = (p.flags & kFlagRpcReq) != 0;
-    ev.is_rpc_rsp = (p.flags & kFlagRpcRsp) != 0;
-    ctx_.span_sink()->on_span_post(ev);
-  }
-
-  if (tx_override_) {
-    // Mock transport: whole message inline over the alternate stream. The
-    // entry keeps the header and payload so recovery can replay it over
-    // either transport.
-    ent->hdr = hdr;
-    ent->payload_block = p.zc_block;  // freed on ack, like the RDMA path
-    if (!p.zc_block.valid()) ent->inline_copy = p.payload;
-    Buffer wire = Buffer::make(hdr.wire_size() + len);
-    encode_stamped(hdr, wire.data());
-    if (len > 0) {
-      std::uint8_t* dst = wire.data() + hdr.wire_size();
-      if (p.zc_block.valid()) {
-        if (const std::uint8_t* src = ctx_.data_cache_.data(p.zc_block)) {
-          std::memcpy(dst, src, len);
-        }
-      } else if (p.payload.data()) {
-        std::memcpy(dst, p.payload.data(), len);
-      }
-    }
-    ++stats_.mock_tx;
-    tx_override_(std::move(wire));
-    return true;
-  }
-
-  if (!large) {
-    if (use_inline) {
-      ent->hdr = hdr;
-      ent->inline_copy = p.payload;  // retransmit source; no wire block
-      ++stats_.inline_sends;
-      ++stats_.eager_copies_avoided;
-      post_wire_inline(hdr, p.payload);
-      return true;
-    }
-    std::uint8_t* dst = ctx_.ctrl_cache_.data(wire_block);
-    encode_stamped(hdr, dst);
-    if (len > 0 && p.payload.data()) {
-      std::memcpy(dst + hdr.wire_size(), p.payload.data(), len);
-    }
-    ent->hdr = hdr;
-    ent->wire_block = wire_block;
-    ent->wire_len = wire_len;
-    post_wire(hdr, wire_block, wire_len);
-    return true;
-  }
-
-  // Rendezvous: park the payload in registered memory and send only the
-  // descriptor; the receiver pulls with RDMA Read (§IV-C).
-  ++stats_.large_msgs_tx;
-  if (!p.zc_block.valid()) {
-    if (std::uint8_t* dst = ctx_.data_cache_.data(payload_block);
-        dst && p.payload.data()) {
-      std::memcpy(dst, p.payload.data(), len);
-    }
-  }
-  encode_stamped(hdr, ctx_.ctrl_cache_.data(wire_block));
-  ent->hdr = hdr;
-  ent->wire_block = wire_block;
-  ent->payload_block = payload_block;
-  ent->wire_len = wire_len;
-  post_wire(hdr, wire_block, wire_len);
+  // Memory exhaustion leaves the message queued and the window and ack
+  // state untouched, so the mem-retry timer can try again.
+  if (!transmit(e, /*first=*/true)) return false;
+  swin_.push(std::move(e));
   return true;
 }
 
-void Channel::post_wire(const WireHeader& hdr, MemBlock block,
-                        std::uint32_t len) {
+// The shape rule, in order:
+//   1. stream      tx_override_ is set: the whole message rides the Mock
+//                  fallback (a descriptor is useless without a QP to pull
+//                  through);
+//   2. rendezvous  len > small_msg_size or the payload sits in a data block
+//                  (zero-copy or staged): the SEND carries a descriptor and
+//                  the receiver pulls with RDMA Read (§IV-C);
+//   3. re-stamp    the retained wire block exists: refresh its ack and CRC
+//                  in place and repost it;
+//   4. inline      small eager payloads ride in the WQE itself
+//                  (IBV_SEND_INLINE) — no staging block, no tx DMA stage —
+//                  bounded by our policy knob and the NIC's inline capacity;
+//   5. staged      header and payload are copied into a wire block.
+// Rendezvous descriptors and staged frames keep their wire block for the
+// next replay (rule 3); inline and stream frames are rebuilt each time.
+bool Channel::transmit(TxEntry& e, bool first) {
   const Config& cfg = ctx_.config();
+  WireHeader& hdr = e.hdr;
+  const std::uint32_t len = hdr.payload_len;
+  // Piggybacked ack (Algorithm 1). A replay takes it before staging, a
+  // first send only once staging succeeded: a first send that runs out of
+  // memory must leave unacked() — and so the standalone-ack timing — as is.
+  const auto take_ack = [&] {
+    hdr.ack = rwin_.ack_to_send();
+    rwin_.note_ack_sent();
+    last_tx_ = ctx_.engine().now();
+  };
+  if (!first) take_ack();
+
+  const bool stream = mocked();
+  const bool large =
+      !stream && (len > cfg.small_msg_size || e.data_block.valid());
+  const bool whole =
+      stream || (!large && !e.wire_block.valid() && cfg.inline_max > 0 &&
+                 len <= cfg.inline_max &&
+                 hdr.wire_size() + len <= ctx_.nic().config().max_inline_data);
+
+  // Stage the blocks this shape needs; the payload moves into them.
+  MemBlock staged_data;
+  if (large && !e.data_block.valid()) {
+    staged_data = ctx_.data_cache_.alloc(len);
+    if (!staged_data.valid()) return false;
+    copy_payload(e, ctx_.data_cache_.data(staged_data));
+    e.data_block = staged_data;
+    e.payload = Buffer{};
+  }
+  if (!whole && !e.wire_block.valid()) {
+    const MemBlock block =
+        ctx_.ctrl_cache_.alloc(hdr.wire_size() + (large ? 0 : len));
+    if (!block.valid()) {
+      // A first send retries later from its queued app buffer; a replay
+      // keeps the staged block, which now holds the only payload copy.
+      if (first && staged_data.valid()) ctx_.data_cache_.free(staged_data);
+      return false;
+    }
+    if (!large) copy_payload(e, ctx_.ctrl_cache_.data(block, hdr.wire_size()));
+    e.wire_block = block;
+    e.payload = Buffer{};
+  }
+  hdr.flags = static_cast<std::uint16_t>((hdr.flags & ~kFlagLarge) |
+                                         (large ? kFlagLarge : 0));
+  hdr.rv_addr = large ? e.data_block.addr : 0;
+  hdr.rv_rkey = large ? e.data_block.rkey : 0;
+
+  if (first) {
+    take_ack();
+    ++stats_.msgs_tx;
+    stats_.bytes_tx += len;
+    if (ctx_.recorder().sample(stats_.msgs_tx)) {
+      record(analysis::RecEvent::msg_tx_sample, hdr.flags, hdr.seq, len);
+    }
+    if (large) ++stats_.large_msgs_tx;
+    if (whole && !stream) ++stats_.eager_copies_avoided;
+    if (hdr.has(kFlagTraced) && ctx_.span_sink()) {
+      SpanPostEvent ev;
+      ev.trace_id = hdr.trace_id;
+      ev.channel_id = id_;
+      ev.node = ctx_.node();
+      ev.peer = peer_;
+      ev.t_post = hdr.t_send;
+      // The WR reaches the NIC after the software send path; post_wire
+      // schedules it with exactly this cost (the stream posts at once).
+      Nanos sw_cost = cfg.send_path_overhead;
+      if (cfg.reqrsp_mode) sw_cost += cfg.trace_overhead;
+      ev.t_wire = hdr.t_send + (stream ? 0 : sw_cost);
+      ev.bytes = len;
+      ev.is_rpc_req = hdr.has(kFlagRpcReq);
+      ev.is_rpc_rsp = hdr.has(kFlagRpcRsp);
+      ctx_.span_sink()->on_span_post(ev);
+    }
+  }
+
+  if (whole) {
+    // Stream and inline frames carry the whole message in one heap buffer.
+    Buffer wire = Buffer::make(hdr.wire_size() + len);
+    encode_stamped(hdr, wire.data());
+    copy_payload(e, wire.data() + hdr.wire_size());
+    if (stream) {
+      ++stats_.mock_tx;
+      tx_override_(std::move(wire));
+    } else {
+      ++stats_.inline_sends;
+      post_wire(hdr, MemBlock{}, std::move(wire));
+    }
+    return true;
+  }
+  // Staged frame or rendezvous descriptor, fresh or re-stamped: a replayed
+  // descriptor stays valid — its data block is only freed on ack, and MRs
+  // outlive the QP.
+  if (std::uint8_t* dst = ctx_.ctrl_cache_.data(e.wire_block)) {
+    encode_stamped(hdr, dst);
+  }
+  post_wire(hdr, e.wire_block, Buffer{});
+  return true;
+}
+
+const std::uint8_t* Channel::payload_bytes(TxEntry& e) {
+  if (e.data_block.valid()) return ctx_.data_cache_.data(e.data_block);
+  if (e.wire_block.valid()) {
+    return ctx_.ctrl_cache_.data(e.wire_block, e.hdr.wire_size());
+  }
+  return e.payload.data();
+}
+
+void Channel::copy_payload(TxEntry& e, std::uint8_t* dst) {
+  const std::uint8_t* src = payload_bytes(e);
+  if (dst && src && e.hdr.payload_len > 0) {
+    std::memcpy(dst, src, e.hdr.payload_len);
+  }
+}
+
+void Channel::post_wire(const WireHeader& hdr, MemBlock block, Buffer wqe) {
+  const Config& cfg = ctx_.config();
+  const bool in_wqe = !wqe.empty();
+  const std::uint32_t len =
+      hdr.wire_size() + (hdr.has(kFlagLarge) ? 0 : hdr.payload_len);
   // Egress fault injection (Filter, §VI-C). A dropped message stays in the
-  // send window — only a recovery replay can deliver it.
+  // send window — only a recovery replay can deliver it. The frame is
+  // already stamped, so injected corruption lands like a flip after a real
+  // NIC computed its CRC — which is what makes it detectable.
   Nanos extra = 0;
   MemBlock transient;  // corrupted egress copy; freed when its WC lands
   if (ctx_.egress_filter_) {
@@ -434,22 +440,22 @@ void Channel::post_wire(const WireHeader& hdr, MemBlock block,
     }
     if (d.action == Context::FilterAction::delay) extra = d.delay;
     if (d.action == Context::FilterAction::corrupt) {
-      // Corrupt a transient copy, never `block` itself: the send window
-      // retains that block as the retransmit template, so an in-place flip
-      // would make every recovery replay re-send the corrupted bytes.
-      if (const std::uint8_t* src = ctx_.ctrl_cache_.data(block);
-          src && len > 0) {
+      // The WQE bytes are this post's own copy. A staged block is not: the
+      // send window retains it as the replay template, so corrupt a
+      // transient copy, or every recovery replay would re-send the
+      // corrupted bytes. Allocation failure posts the clean block — the
+      // fault degrades to a no-op, deterministically.
+      std::uint8_t* bytes = wqe.data();
+      if (const std::uint8_t* src =
+              in_wqe ? nullptr : ctx_.ctrl_cache_.data(block)) {
         transient = ctx_.ctrl_cache_.alloc(len);
         if (transient.valid()) {
-          std::uint8_t* p = ctx_.ctrl_cache_.data(transient);
-          std::memcpy(p, src, len);
-          p[d.corrupt_seed % len] ^= 0x40;
+          bytes = ctx_.ctrl_cache_.data(transient);
+          std::memcpy(bytes, src, len);
           block = transient;
         }
-        // Allocation failure posts the clean block: the injected fault
-        // degrades to a no-op, deterministically, instead of mutating
-        // retained state.
       }
+      if (bytes) bytes[d.corrupt_seed % len] ^= 0x40;
     }
   }
   verbs::SendWr wr;
@@ -457,7 +463,9 @@ void Channel::post_wire(const WireHeader& hdr, MemBlock block,
       {Context::WrInfo::Kind::data_send, id_, 0, 0, transient, false});
   wr.opcode = verbs::Opcode::send_imm;  // imm carries the ACK low bits (§V-B)
   wr.imm = static_cast<std::uint32_t>(rwin_.last_ack_sent());
-  wr.local = {block.addr, len, block.lkey};
+  wr.local = {block.addr, len, block.lkey};  // no MR backs an inline WQE
+  wr.inline_data = in_wqe;
+  wr.inline_payload = std::move(wqe);
   // Software send-path cost (plus the tracing tax in req-rsp mode, plus the
   // CRC pass over the covered bytes — header and, when real, payload —
   // modeling a hardware-assisted CRC32C at ~16 bytes/ns).
@@ -466,58 +474,6 @@ void Channel::post_wire(const WireHeader& hdr, MemBlock block,
   if (hdr.crc_present) {
     cost += static_cast<Nanos>(
         (hdr.wire_size() + (hdr.payload_crc != 0 ? hdr.payload_len : 0)) / 16);
-    cost = crc_serialize(cost);
-  }
-  const std::uint64_t chan_id = id_;
-  ctx_.engine().schedule_after(cost + extra, [ctx = &ctx_, chan_id, wr] {
-    if (Channel* ch = ctx->channel_by_id(chan_id);
-        ch && (ch->state_ == State::established ||
-               ch->state_ == State::closing) &&
-        ch->qp_.valid()) {
-      ctx->accumulate_wr(*ch, wr);
-    }
-  });
-}
-
-void Channel::post_wire_inline(const WireHeader& hdr, const Buffer& payload) {
-  const Config& cfg = ctx_.config();
-  const std::uint32_t len = hdr.payload_len;
-  const std::uint32_t wire_len = hdr.wire_size() + len;
-  Buffer wire = Buffer::make(wire_len);
-  // Stamp before the egress filter below: injected corruption lands on
-  // already-stamped bytes, exactly like a flip after a real NIC computed
-  // its CRC — which is what makes it detectable at the receiver.
-  encode_stamped(hdr, wire.data());
-  if (len > 0 && payload.data() && !payload.is_synthetic()) {
-    std::memcpy(wire.data() + hdr.wire_size(), payload.data(), len);
-  }
-  // Egress fault injection mirrors post_wire; the wire bytes live in the
-  // WQE-carried buffer, so corruption mutates that copy directly.
-  Nanos extra = 0;
-  if (ctx_.egress_filter_) {
-    const auto d = ctx_.egress_filter_(*this, hdr);
-    if (d.action == Context::FilterAction::drop) {
-      ++stats_.egress_drops;
-      return;
-    }
-    if (d.action == Context::FilterAction::delay) extra = d.delay;
-    if (d.action == Context::FilterAction::corrupt) {
-      wire.data()[d.corrupt_seed % wire_len] ^= 0x40;
-    }
-  }
-  verbs::SendWr wr;
-  wr.wr_id = ctx_.register_wr(
-      {Context::WrInfo::Kind::data_send, id_, 0, 0, MemBlock{}, false});
-  wr.opcode = verbs::Opcode::send_imm;
-  wr.imm = static_cast<std::uint32_t>(rwin_.last_ack_sent());
-  wr.local = {0, wire_len, 0};  // length only; no MR backs an inline WQE
-  wr.inline_data = true;
-  wr.inline_payload = wire;
-  Nanos cost = cfg.send_path_overhead;
-  if (cfg.reqrsp_mode) cost += cfg.trace_overhead;
-  if (hdr.crc_present) {
-    cost += static_cast<Nanos>(
-        (hdr.wire_size() + (hdr.payload_crc != 0 ? len : 0)) / 16);
     cost = crc_serialize(cost);
   }
   const std::uint64_t chan_id = id_;
@@ -726,7 +682,7 @@ void Channel::on_integrity_nak(Seq seq) {
     ++stats_.integrity_retransmits;
     record(analysis::RecEvent::integrity_retransmit,
            static_cast<std::uint16_t>(e.integrity_retries), s);
-    retransmit_entry(s, e);
+    retransmit_entry(e);
   });
 }
 
@@ -1255,10 +1211,7 @@ void Channel::keepalive_fire() {
       // override first so handle_transport_fault cannot take its
       // running-on-the-fallback shortcut.
       ctx_.health().note_peer_dead(peer_, id_);
-      restoring_ = true;
-      ctx_.restore_fallback(*this);
-      restoring_ = false;
-      tx_override_ = nullptr;
+      leave_fallback();
       handle_transport_fault(Errc::peer_dead);
       return;
     }
@@ -1371,12 +1324,7 @@ void Channel::fail(Errc reason) {
   ctx_.trigger_dump(analysis::TrigReason::channel_death);
   keepalive_timer_->cancel();
   recovery_timer_->cancel();
-  if (tx_override_) {
-    restoring_ = true;
-    ctx_.restore_fallback(*this);
-    restoring_ = false;
-    tx_override_ = nullptr;
-  }
+  if (tx_override_) leave_fallback();
 
   abort_calls(reason);
   reclaim_windows();
@@ -1474,10 +1422,7 @@ void Channel::schedule_recovery_attempt() {
   // Circuit breaker: once the peer is declared dead, only the designated
   // half-open probers keep their ladder; everyone else fails fast onto the
   // fallback instead of burning CM timeouts.
-  if (!ctx_.health().may_attempt(peer_, id_)) {
-    ++stats_.breaker_fastfails;
-    record(analysis::RecEvent::breaker_fastfail, 0, recovery_attempt_);
-    ctx_.health().note_denied(peer_);
+  if (!breaker_admits()) {
     escalate_or_fail();
     return;
   }
@@ -1514,10 +1459,7 @@ void Channel::recovery_timer_fire() {
     // of them pass the schedule-time gate before any prober has been
     // designated. The first timer to fire claims the half-open slot inside
     // initiate_resume; the rest must fail fast here.
-    if (!ctx_.health().may_attempt(peer_, id_)) {
-      ++stats_.breaker_fastfails;
-      record(analysis::RecEvent::breaker_fastfail, 0, recovery_attempt_);
-      ctx_.health().note_denied(peer_);
+    if (!breaker_admits()) {
       escalate_or_fail();
       return;
     }
@@ -1531,10 +1473,7 @@ void Channel::recovery_timer_fire() {
   if (state_ == State::established && mocked() && connector_) {
     // Background RDMA probe while riding the fallback — also behind the
     // breaker gate: parked channels re-check on the next probe tick.
-    if (!ctx_.health().may_attempt(peer_, id_)) {
-      ++stats_.breaker_fastfails;
-      record(analysis::RecEvent::breaker_fastfail, 0, recovery_attempt_);
-      ctx_.health().note_denied(peer_);
+    if (!breaker_admits()) {
       arm_rdma_probe();
       return;
     }
@@ -1575,12 +1514,7 @@ void Channel::resume_adopt(verbs::Qp qp, rnic::QpNum peer_qp, Seq peer_rta) {
   }
   const bool was_recovering = state_ == State::recovering;
   const bool was_mocked = mocked();
-  if (was_mocked) {
-    restoring_ = true;
-    ctx_.restore_fallback(*this);
-    restoring_ = false;
-    tx_override_ = nullptr;
-  }
+  if (was_mocked) leave_fallback();
   if (qp_.valid()) {
     // Peer-initiated resume replacing a QP we still hold (its error just
     // hasn't surfaced here yet): drop ours first.
@@ -1651,6 +1585,21 @@ void Channel::escalate_or_fail() {
   fail(recovery_reason_);
 }
 
+void Channel::leave_fallback() {
+  restoring_ = true;  // on_fallback_lost: the teardown is deliberate
+  if (ctx_.fallback_restore_) ctx_.fallback_restore_(*this);
+  restoring_ = false;
+  tx_override_ = nullptr;
+}
+
+bool Channel::breaker_admits() {
+  if (ctx_.health().may_attempt(peer_, id_)) return true;
+  ++stats_.breaker_fastfails;
+  record(analysis::RecEvent::breaker_fastfail, 0, recovery_attempt_);
+  ctx_.health().note_denied(peer_);
+  return false;
+}
+
 void Channel::arm_rdma_probe() {
   const Config& cfg = ctx_.config();
   if (!cfg.fallback_auto || !connector_) return;
@@ -1707,12 +1656,11 @@ void Channel::on_fallback_lost() {
 }
 
 void Channel::retransmit_unacked() {
-  swin_.for_each_inflight(
-      [this](Seq s, TxEntry& e) { retransmit_entry(s, e); });
+  swin_.for_each_inflight([this](Seq, TxEntry& e) { retransmit_entry(e); });
 }
 
 void Channel::defer_retransmit() {
-  // Rebuild-for-RDMA hit pool exhaustion: park the whole replay and let
+  // A replay's staging hit pool exhaustion: park the whole replay and let
   // the mem-retry timer run retransmit_unacked() again — entries that did
   // go out are deduped by the receiver window, so the replay is idempotent.
   ++stats_.tx_mem_deferrals;
@@ -1720,112 +1668,10 @@ void Channel::defer_retransmit() {
   arm_mem_retry();
 }
 
-void Channel::retransmit_entry(Seq seq, TxEntry& e) {
+void Channel::retransmit_entry(TxEntry& e) {
   ++stats_.recovery_retransmits;
   ctx_.health().note_retransmit(peer_);
-  last_tx_ = ctx_.engine().now();
-  WireHeader hdr = e.hdr;
-  hdr.seq = seq;
-  hdr.ack = rwin_.ack_to_send();
-  rwin_.note_ack_sent();
-  const std::uint32_t len = hdr.payload_len;
-
-  if (tx_override_) {
-    // Replay inline over the fallback stream, whatever the original shape
-    // (a rendezvous descriptor is useless without a QP to read through).
-    hdr.flags &= static_cast<std::uint16_t>(~kFlagLarge);
-    hdr.rv_addr = 0;
-    hdr.rv_rkey = 0;
-    Buffer wire = Buffer::make(hdr.wire_size() + len);
-    encode_stamped(hdr, wire.data());
-    if (len > 0) {
-      std::uint8_t* dst = wire.data() + hdr.wire_size();
-      if (e.payload_block.valid()) {
-        if (const std::uint8_t* src = ctx_.data_cache_.data(e.payload_block)) {
-          std::memcpy(dst, src, len);
-        }
-      } else if (e.inline_copy.data() && e.inline_copy.size() >= len) {
-        std::memcpy(dst, e.inline_copy.data(), len);
-      } else if (e.wire_block.valid()) {
-        if (const std::uint8_t* src = ctx_.ctrl_cache_.data(e.wire_block)) {
-          std::memcpy(dst, src + e.hdr.wire_size(), len);
-        }
-      }
-    }
-    ++stats_.mock_tx;
-    tx_override_(std::move(wire));
-    return;
-  }
-
-  if (e.wire_block.valid()) {
-    // Original wire bytes survive in the control cache: refresh the ack
-    // (and CRC stamp) in place and repost (rendezvous descriptors stay
-    // valid — the payload block was never freed, and MRs outlive the QP).
-    if (std::uint8_t* dst = ctx_.ctrl_cache_.data(e.wire_block)) {
-      encode_stamped(hdr, dst);
-    }
-    e.hdr = hdr;
-    post_wire(hdr, e.wire_block, e.wire_len);
-    return;
-  }
-
-  const Config& cfg = ctx_.config();
-  // Inline-sent originally (wire bytes rode in the WQE, no staging block):
-  // replay down the same inline path instead of rebuilding a wire block.
-  if (!e.payload_block.valid() && len <= cfg.small_msg_size &&
-      cfg.inline_max > 0 && len <= cfg.inline_max &&
-      hdr.wire_size() + len <= ctx_.nic().config().max_inline_data) {
-    e.hdr = hdr;
-    ++stats_.inline_sends;
-    post_wire_inline(hdr, e.inline_copy);
-    return;
-  }
-
-  // Emitted over the fallback originally (no wire block): rebuild for RDMA.
-  if (len > cfg.small_msg_size && !e.payload_block.valid()) {
-    hdr.flags |= kFlagLarge;
-    MemBlock payload_block = ctx_.data_cache_.alloc(len);
-    if (!payload_block.valid()) {
-      defer_retransmit();
-      return;
-    }
-    if (std::uint8_t* dst = ctx_.data_cache_.data(payload_block);
-        dst && e.inline_copy.data()) {
-      std::memcpy(dst, e.inline_copy.data(), len);
-    }
-    e.payload_block = payload_block;
-  }
-  const bool large = e.payload_block.valid();
-  if (large) {
-    hdr.flags |= kFlagLarge;
-    hdr.rv_addr = e.payload_block.addr;
-    hdr.rv_rkey = e.payload_block.rkey;
-    MemBlock block = ctx_.ctrl_cache_.alloc(hdr.wire_size());
-    if (!block.valid()) {
-      defer_retransmit();
-      return;
-    }
-    encode_stamped(hdr, ctx_.ctrl_cache_.data(block));
-    e.hdr = hdr;
-    e.wire_block = block;
-    e.wire_len = hdr.wire_size();
-    post_wire(hdr, block, e.wire_len);
-    return;
-  }
-  MemBlock block = ctx_.ctrl_cache_.alloc(hdr.wire_size() + len);
-  if (!block.valid()) {
-    defer_retransmit();
-    return;
-  }
-  std::uint8_t* dst = ctx_.ctrl_cache_.data(block);
-  encode_stamped(hdr, dst);
-  if (len > 0 && e.inline_copy.data()) {
-    std::memcpy(dst + hdr.wire_size(), e.inline_copy.data(), len);
-  }
-  e.hdr = hdr;
-  e.wire_block = block;
-  e.wire_len = hdr.wire_size() + len;
-  post_wire(hdr, block, e.wire_len);
+  if (!transmit(e, /*first=*/false)) defer_retransmit();
 }
 
 void Channel::restart_pending_pulls() {
@@ -1854,10 +1700,9 @@ void Channel::release_qp(bool recycle) {
 
 void Channel::free_tx_entry(TxEntry& e) {
   if (e.wire_block.valid()) ctx_.ctrl_cache_.free(e.wire_block);
-  if (e.payload_block.valid()) ctx_.data_cache_.free(e.payload_block);
-  e.wire_block = MemBlock{};
-  e.payload_block = MemBlock{};
-  e.inline_copy = Buffer{};
+  if (e.data_block.valid()) ctx_.data_cache_.free(e.data_block);
+  e.wire_block = e.data_block = MemBlock{};
+  e.payload = Buffer{};
 }
 
 }  // namespace xrdma::core

@@ -130,7 +130,8 @@ class Channel {
 
   // --- Alternate transport (Mock, §VI-C) ------------------------------------
   /// When set, encoded messages bypass the QP and go through this hook
-  /// (the TCP fallback). Large messages are forced inline.
+  /// (the TCP fallback). Every message rides the stream whole: there is no
+  /// QP to pull a rendezvous payload through.
   void set_tx_override(std::function<Errc(Buffer)> f) {
     tx_override_ = std::move(f);
   }
@@ -159,14 +160,15 @@ class Channel {
     MemBlock zc_block;  // zero-copy payload (valid() when used)
   };
 
+  /// One unacked message: the template every replay rebuilds from. The
+  /// payload lives in exactly one place — the app buffer (inline and stream
+  /// sends), a zero-copy or staged rendezvous block, or the staged wire
+  /// block after the header — and moves into a block when a shape needs it.
   struct TxEntry {
-    MemBlock wire_block;     // the SEND bytes (header [+ inline payload])
-    MemBlock payload_block;  // rendezvous source (large messages)
-    WireHeader hdr;          // as emitted — the retransmit template
-    std::uint32_t wire_len = 0;
-    Buffer inline_copy;      // payload kept for entries with no wire block
-    Nanos t_queued = 0;
-    std::uint16_t flags = 0;
+    WireHeader hdr;        // as last emitted
+    Buffer payload;        // app bytes while no block holds them
+    MemBlock data_block;   // rendezvous source (zero-copy or staged)
+    MemBlock wire_block;   // staged SEND bytes: header [+ eager payload]
     std::uint16_t integrity_retries = 0;  // integrity-NAK replays so far
   };
 
@@ -203,11 +205,16 @@ class Channel {
   /// Emits the front pending send. Returns false on memory exhaustion,
   /// leaving `p` untouched (still queued) for the mem-retry timer.
   bool emit_data(PendingSend& p);
-  void post_wire(const WireHeader& hdr, MemBlock block, std::uint32_t len);
-  /// Inline-send variant of post_wire: the wire message (header + payload)
-  /// is built into a heap buffer that rides in the WQE itself — no
-  /// MemCache staging block, no tx DMA stage at the NIC.
-  void post_wire_inline(const WireHeader& hdr, const Buffer& payload);
+  /// The one tx frame path: builds `e`'s wire form for the current
+  /// transport and posts it, for first sends and every replay alike.
+  /// Returns false when a MemCache allocation fails.
+  bool transmit(TxEntry& e, bool first);
+  /// The entry's payload bytes, wherever they live (nullptr if synthetic).
+  const std::uint8_t* payload_bytes(TxEntry& e);
+  void copy_payload(TxEntry& e, std::uint8_t* dst);
+  /// Posts one data frame through the egress filter: `wqe` (the whole
+  /// message, carried in the WQE itself) when non-empty, else `block`.
+  void post_wire(const WireHeader& hdr, MemBlock block, Buffer wqe);
   /// Windowless control message. `aux_id`/`aux` ride in rpc_id/rv_addr
   /// (kFlagNak: the NAK'd seq and the retry-after hint in ns).
   void post_control(std::uint16_t flags, std::uint64_t aux_id = 0,
@@ -288,9 +295,15 @@ class Channel {
   void resume_attempt_failed(Errc reason);
   void resume_adopt(verbs::Qp qp, rnic::QpNum peer_qp, Seq peer_rta);
   void escalate_or_fail();
+  /// Deliberate fallback teardown: detach the stream (restore hook), then
+  /// drop the override.
+  void leave_fallback();
+  /// Circuit-breaker gate for one RDMA attempt. A denial is counted,
+  /// recorded and reported to the health plane.
+  bool breaker_admits();
   void arm_rdma_probe();
   void retransmit_unacked();
-  void retransmit_entry(Seq seq, TxEntry& e);
+  void retransmit_entry(TxEntry& e);
   void restart_pending_pulls();
 
   Context& ctx_;

@@ -450,14 +450,6 @@ void Context::purge_channel_wrs(std::uint64_t channel_id) {
   }
 }
 
-void Context::restore_fallback(Channel& ch) {
-  if (fallback_restore_) {
-    fallback_restore_(ch);
-  } else {
-    ch.set_tx_override(nullptr);
-  }
-}
-
 void Context::nudge_peer_probes(net::NodeId peer, std::uint64_t except_id) {
   for (auto& ch : channels_) {
     if (ch->peer_node() != peer || ch->id() == except_id) continue;

@@ -284,9 +284,6 @@ class Context {
   /// returning the flow-control credits they held (their WCs either sit in
   /// the CQ already — ignored once unregistered — or will never arrive).
   void purge_channel_wrs(std::uint64_t channel_id);
-  /// Detach `ch` from the alternate transport (restore hook or plain
-  /// tx_override clear).
-  void restore_fallback(Channel& ch);
   /// A half-open probe just re-admitted `peer` (breaker closed): wake the
   /// sibling channels parked on the fallback so they re-probe promptly
   /// instead of waiting out their long RDMA probe timers.

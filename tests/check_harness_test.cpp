@@ -152,6 +152,125 @@ TEST(Determinism, SameSeedReplayProducesBitIdenticalFlightDumps) {
   EXPECT_FALSE(dump.metrics.empty());
 }
 
+// Golden determinism table: one fixed seed per X-Check shape, with its
+// observables pinned across builds and commits. The in-process tests above
+// cannot catch a refactor that changes the model; this table can. A change
+// that alters the model on purpose updates the pinned values (the failure
+// message prints the replacement row) and names the change in CHANGES.md.
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+ScheduleParams golden_params(const std::string& shape) {
+  ScheduleParams p;  // the default 3-host, 110-op schedule
+  if (shape == "tx_queue_cap") {
+    p.window_depth = 2;
+    p.tx_queue_cap = 2;
+  } else if (shape == "incast") {
+    p.incast = true;
+  } else if (shape == "mem_budget_mb") {
+    p.incast = true;
+    p.mem_budget_mb = 2;
+  } else if (shape == "flap_cycles") {
+    p.num_faults = 6;
+    p.horizon = millis(120);
+    p.flap_cycles = 2;
+  } else if (shape == "brownout_delay_us") {
+    p.num_faults = 0;
+    p.brownout_delay_us = 3000;
+  } else if (shape == "drain_cycles") {
+    p.num_faults = 4;
+    p.horizon = millis(120);
+    p.drain_cycles = 2;
+  } else if (shape == "mixed_versions") {
+    p.mixed_versions = true;
+  } else if (shape == "batch_shape") {
+    p.batch_shape = 1;
+  } else if (shape == "corruption_shape") {
+    p.corruption_shape = 1;
+  }
+  return p;
+}
+
+struct GoldenRow {
+  const char* shape;
+  std::uint64_t seed;
+  std::uint64_t digest;
+  std::uint64_t events;
+  Nanos end_time;
+  std::vector<std::uint64_t> xrd_fnv;  // per node
+};
+
+std::string format_row(const char* shape, std::uint64_t seed,
+                       const RunReport& r) {
+  std::string row = strfmt("{\"%s\", %llu, 0x%016llxULL, %llu, %lld, {", shape,
+                           static_cast<unsigned long long>(seed),
+                           static_cast<unsigned long long>(r.digest),
+                           static_cast<unsigned long long>(r.events),
+                           static_cast<long long>(r.end_time));
+  for (std::size_t i = 0; i < r.dumps.size(); ++i) {
+    row += strfmt("%s0x%016llxULL", i ? ", " : "",
+                  static_cast<unsigned long long>(fnv1a(r.dumps[i])));
+  }
+  return row + "}},";
+}
+
+TEST(Determinism, GoldenTablePinsEveryShape) {
+  // {shape, seed, digest, events, end_time, {.xrd FNV-1a per node}}
+  const std::vector<GoldenRow> table = {
+      {"plain", 1, 0xdc4563f5916cb291ULL, 292819, 91000000,
+       {0x6624968696722703ULL, 0xeea8556bce0608b9ULL,
+        0x37b37c00f5781900ULL}},
+      {"tx_queue_cap", 2, 0x4ddb84832e158d05ULL, 294698, 91000000,
+       {0xdf325ae4519aca10ULL, 0x829985037fd47027ULL,
+        0xd71b8fe1ef2786d7ULL}},
+      {"incast", 3, 0x4154ff604a026989ULL, 258865, 83000000,
+       {0x27f525a4cf1b8fefULL, 0xc59033724105f857ULL,
+        0x0754997abfab7db5ULL}},
+      {"mem_budget_mb", 4, 0x9d5a0651af8209c6ULL, 331584, 107000000,
+       {0xc89716a76bd8b146ULL, 0xbcf08d6745032849ULL,
+        0xb682b7e5d54ae2b0ULL}},
+      {"flap_cycles", 5, 0x9d5ca9973d310a6dULL, 564065, 181000000,
+       {0x22068927c4156fd7ULL, 0x7fbb26f872de17a2ULL,
+        0x92ac90f2d519a7dcULL}},
+      {"brownout_delay_us", 6, 0xbe2b81dfa661d919ULL, 365206, 115000000,
+       {0x9c9fd8597f4e5634ULL, 0xb009d17443566d0aULL,
+        0x1578869a40ccfe05ULL}},
+      {"drain_cycles", 7, 0x9191d67e440a1fc2ULL, 534607, 173000000,
+       {0x47fbfbec7b650862ULL, 0x50dc6d6777676340ULL,
+        0xaad3737fecb1c45aULL}},
+      {"mixed_versions", 8, 0xb211e26278835684ULL, 267715, 83000000,
+       {0x7d631b01cbb5457dULL, 0xa61fc01049172d01ULL,
+        0x08c13493de03c37dULL}},
+      {"batch_shape", 9, 0x97a9eea065defbacULL, 288341, 91000000,
+       {0x77af1f5502f2f668ULL, 0x2500fa461d8bd770ULL,
+        0x9761c2e83d62967eULL}},
+      {"corruption_shape", 10, 0x9fa3f46af162b3a5ULL, 289347, 91000000,
+       {0x911a8c905f2876c8ULL, 0x14687d60f0c071eeULL,
+        0x918ca3866f093f7eULL}},
+  };
+  RunOptions opt = quiet();
+  opt.capture_dumps = true;
+  for (const GoldenRow& row : table) {
+    SCOPED_TRACE(row.shape);
+    const RunReport r =
+        run_schedule(generate_schedule(row.seed, golden_params(row.shape)), opt);
+    EXPECT_TRUE(r.passed()) << describe(r);
+    std::vector<std::uint64_t> hashes;
+    for (const auto& dump : r.dumps) hashes.push_back(fnv1a(dump));
+    const bool same = r.digest == row.digest && r.events == row.events &&
+                      r.end_time == row.end_time && hashes == row.xrd_fnv;
+    EXPECT_TRUE(same) << "model changed; pinned row is now:\n      "
+                      << format_row(row.shape, row.seed, r);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Smoke sweep: every oracle holds across N generated seeds. XCHECK_SEED /
 // XCHECK_SMOKE_COUNT select the seeds (see smoke_seeds).

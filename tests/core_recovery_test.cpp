@@ -315,6 +315,155 @@ TEST(Recovery, SustainedLoadAcrossFallbackAndRestore) {
   EXPECT_LE(worst_gap, cfg.keepalive_intv + 2 * cfg.keepalive_timeout);
 }
 
+// Tx shape x replay transport matrix. One message of every payload shape
+// the tx path builds (WQE-inline, staged eager, rendezvous, zero-copy) is
+// replayed over every transport a replay can take: RDMA after a QP kill,
+// the Mock fallback stream, and RDMA again after a fallback first send.
+// Each cell pins exactly-once, byte-exact delivery plus the sender's
+// frame-shape counters and MemCache allocation counts, so any change to
+// how a wire form is built or replayed shows up here.
+
+enum class Replay { qp_kill, fallback, restore };
+
+struct TxCounters {
+  std::uint64_t inline_sends = 0;
+  std::uint64_t mock_tx = 0;
+  std::uint64_t large_msgs_tx = 0;
+  std::uint64_t recovery_retransmits = 0;
+  std::uint64_t crc_stamped_tx = 0;
+  std::uint64_t ctrl_allocs = 0;
+  std::uint64_t data_allocs = 0;
+  bool operator==(const TxCounters&) const = default;
+};
+
+std::string format_counters(const TxCounters& c) {
+  return std::to_string(c.inline_sends) + ", " + std::to_string(c.mock_tx) +
+         ", " + std::to_string(c.large_msgs_tx) + ", " +
+         std::to_string(c.recovery_retransmits) + ", " +
+         std::to_string(c.crc_stamped_tx) + ", " +
+         std::to_string(c.ctrl_allocs) + ", " + std::to_string(c.data_allocs);
+}
+
+TxCounters run_tx_cell(const std::string& shape, Replay replay) {
+  Pair t;
+  t.establish();
+  MockFallback server_mock(t.server, t.cluster.host(1).tcp(), 9500);
+  MockFallback::enable_auto(t.client, t.cluster.host(0).tcp(), 9500);
+  // The CM fault hook is cluster-wide and the last Filter built owns it:
+  // build the client's (which carries the cm rule) second.
+  Filter server_filter(t.server, /*seed=*/43);
+  Filter client_filter(t.client, /*seed=*/41);
+  std::vector<Buffer> got;
+  t.server_ch->set_on_msg(
+      [&](Channel&, Msg&& m) { got.push_back(std::move(m.payload)); });
+  const auto run_until = [&](const auto& done, Nanos limit) {
+    for (Nanos ran = 0; ran < limit && !done(); ran += micros(250)) {
+      t.run(micros(250));
+    }
+  };
+
+  const Config& cfg = t.client.config();
+  const std::uint32_t len = shape == "empty"        ? 0
+                            : shape == "inline_max" ? cfg.inline_max
+                            : shape == "staged"     ? cfg.inline_max + 1
+                            : shape == "rendezvous" ? cfg.small_msg_size + 1
+                                                    : 512;  // zero_copy
+  const auto pattern = [len] {
+    Buffer b = Buffer::make(len);
+    fill_pattern(b, len + 7);
+    return b;
+  };
+  const Buffer want = pattern();
+
+  std::size_t cm_rule = 0;
+  if (replay != Replay::qp_kill) {
+    cm_rule = client_filter.add_rule({FaultKind::cm_timeout, 1.0, 0, -1, 0});
+  }
+  if (replay == Replay::restore) {
+    // Ride onto the fallback with nothing in flight, then lose the first
+    // stream-delivered frame at the server: only a replay over the restored
+    // QP can deliver the message.
+    client_filter.kill_qp(*t.client_ch);
+    run_until([&] { return t.client_ch->mocked(); }, millis(150));
+    EXPECT_TRUE(t.client_ch->mocked());
+    server_filter.add_rule(
+        {FaultKind::ingress_drop, 1.0, t.server_ch->id(), 1, 0});
+  }
+  if (shape == "zero_copy") {
+    const MemBlock block = t.client.reg_mem(len);
+    std::memcpy(t.client.mem_ptr(block), want.data(), len);
+    EXPECT_EQ(t.client_ch->send_msg(block, len), Errc::ok);
+  } else {
+    EXPECT_EQ(t.client_ch->send_msg(pattern()), Errc::ok);
+  }
+  if (replay == Replay::restore) {
+    t.run(millis(2));
+    EXPECT_TRUE(got.empty());
+  } else {
+    client_filter.kill_qp(*t.client_ch);
+    run_until([&] { return !got.empty(); }, millis(150));
+    EXPECT_EQ(t.client_ch->mocked(), replay == Replay::fallback);
+  }
+  if (replay != Replay::qp_kill) {
+    client_filter.remove_rule(cm_rule);
+    run_until([&] { return !t.client_ch->mocked() && !got.empty(); },
+              millis(300));
+  }
+  // A lone message is acked by the idle-scan NOP, not a standalone ack.
+  run_until([&] { return t.client_ch->inflight_msgs() == 0; }, millis(50));
+
+  EXPECT_FALSE(t.client_ch->mocked());
+  EXPECT_EQ(t.client_ch->state(), Channel::State::established);
+  EXPECT_EQ(server_filter.injected(FaultKind::ingress_drop),
+            replay == Replay::restore ? 1u : 0u);
+  EXPECT_EQ(t.client_ch->inflight_msgs(), 0u);
+  EXPECT_EQ(got.size(), 1u);
+  EXPECT_TRUE(!got.empty() && got.front() == want);
+  const ChannelStats& s = t.client_ch->stats();
+  return {s.inline_sends,
+          s.mock_tx,
+          s.large_msgs_tx,
+          s.recovery_retransmits,
+          s.crc_stamped_tx,
+          t.client.ctrl_cache().stats().alloc_calls,
+          t.client.data_cache().stats().alloc_calls};
+}
+
+TEST(Recovery, TxShapeByReplayTransportMatrix) {
+  struct Cell {
+    const char* shape;
+    Replay replay;
+    TxCounters want;
+  };
+  // want: {inline_sends, mock_tx, large_msgs_tx, recovery_retransmits,
+  //        crc_stamped_tx, ctrl alloc_calls, data alloc_calls}
+  const std::vector<Cell> cells = {
+      {"empty", Replay::qp_kill, {2, 0, 0, 1, 2, 272, 0}},
+      {"empty", Replay::fallback, {1, 1, 0, 1, 3, 272, 0}},
+      {"empty", Replay::restore, {1, 1, 0, 1, 2, 272, 0}},
+      {"inline_max", Replay::qp_kill, {2, 0, 0, 1, 2, 272, 0}},
+      {"inline_max", Replay::fallback, {1, 1, 0, 1, 3, 272, 0}},
+      {"inline_max", Replay::restore, {1, 1, 0, 1, 2, 272, 0}},
+      {"staged", Replay::qp_kill, {0, 0, 0, 1, 2, 273, 0}},
+      {"staged", Replay::fallback, {0, 1, 0, 1, 3, 273, 0}},
+      {"staged", Replay::restore, {0, 1, 0, 1, 2, 273, 0}},
+      {"rendezvous", Replay::qp_kill, {0, 0, 1, 1, 2, 273, 1}},
+      {"rendezvous", Replay::fallback, {0, 1, 1, 1, 3, 273, 1}},
+      {"rendezvous", Replay::restore, {0, 1, 0, 1, 2, 273, 1}},
+      {"zero_copy", Replay::qp_kill, {0, 0, 1, 1, 2, 273, 1}},
+      {"zero_copy", Replay::fallback, {0, 1, 1, 1, 3, 273, 1}},
+      {"zero_copy", Replay::restore, {0, 1, 0, 1, 2, 273, 1}},
+  };
+  const char* names[] = {"qp_kill", "fallback", "restore"};
+  for (const Cell& c : cells) {
+    const char* replay = names[static_cast<int>(c.replay)];
+    SCOPED_TRACE(std::string(c.shape) + " x " + replay);
+    const TxCounters got = run_tx_cell(c.shape, c.replay);
+    EXPECT_EQ(got, c.want) << "{\"" << c.shape << "\", Replay::" << replay
+                           << ", {" << format_counters(got) << "}},";
+  }
+}
+
 TEST(Recovery, CountersVisibleInXrStat) {
   Pair t;
   t.establish();
