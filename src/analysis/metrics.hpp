@@ -9,18 +9,20 @@
 // snapshot-and-delta semantics the Monitor's periodic sampling and the
 // benches' phase boundaries need.
 //
-// ContextMetrics bridges a core::Context into a registry: it aggregates
-// ChannelStats across all channels plus the ContextStats counters under
-// stable names, refreshing at most once per simulated timestamp so many
+// ContextMetrics bridges a core::Context into a registry: it exports every
+// counter named in the core/stats.hpp lists (ChannelStats summed across all
+// channels, ContextStats, HealthStats) plus a few derived gauges and the
+// histograms, refreshing at most once per simulated timestamp so many
 // samplers can share one bridge.
 //
 // Naming convention (locked by analysis_exposition_test): every metric is
 // `<plane>.<name>` with an optional `<plane>.peer.<node>.<name>` per-peer
 // form. Planes: `chan` (data-path aggregates), `ctx` (poll loop + lifecycle),
 // `recovery` (retry ladder + fallback), `overload` (backpressure + shedding),
-// `mem` (MR pools), `health` (failure detector + breaker). Names are
-// lowercase [a-z0-9_]; gauges carry a unit suffix (_us, _mb, _bytes) when
-// the unit is not obvious.
+// `mem` (MR pools), `health` (failure detector + breaker), `integrity`
+// (CRC32C stamping + integrity-NAK replay), `trace` (latency-decomposition
+// stages, from SpanCollector). Names are lowercase [a-z0-9_]; gauges carry
+// a unit suffix (_us, _mb, _bytes) when the unit is not obvious.
 #pragma once
 
 #include <cstdint>

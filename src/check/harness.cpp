@@ -780,30 +780,13 @@ void Runner::finish_report() {
   }
   rep_.faults_injected += host_faults_;
   for (auto& c : ctxs_) {
-    const auto& hs = c->health().stats();
-    rep_.dead_declarations += hs.dead_declarations;
-    rep_.breaker_opens += hs.breaker_opens;
-    rep_.health_flaps += hs.flaps;
-    rep_.crc_storms += hs.crc_storms;
-    rep_.drain_suppressions += hs.drain_suppressions;
-    rep_.drains_started += c->stats().drains_started;
-    rep_.drains_completed += c->stats().drains_completed;
-    rep_.lifecycle_rejects += c->stats().lifecycle_rejects;
+    rep_.chan += c->channel_stats();
+    rep_.ctx += c->stats();
+    rep_.health += c->health().stats();
     rep_.batch_accumulated += c->batch_accumulated();
     rep_.batch_posted += c->batch_posted();
     rep_.batch_deferred += c->batch_deferred();
     rep_.batch_dropped += c->batch_dropped();
-    for (core::Channel* ch : c->channels()) {
-      rep_.drain_recovery_parks += ch->stats().drain_recovery_parks;
-      rep_.inline_sends += ch->stats().inline_sends;
-      rep_.doorbells += ch->stats().doorbells;
-      rep_.doorbell_wrs += ch->stats().doorbell_wrs;
-      rep_.crc_stamped += ch->stats().crc_stamped_tx;
-      rep_.crc_failures += ch->stats().crc_failures_rx;
-      rep_.integrity_naks += ch->stats().integrity_naks_tx;
-      rep_.integrity_retransmits += ch->stats().integrity_retransmits;
-      rep_.integrity_exhausted += ch->stats().integrity_exhausted;
-    }
   }
 
   std::uint64_t d = 0xcbf29ce484222325ULL;
@@ -827,9 +810,9 @@ void Runner::finish_report() {
   fold64(d, rep_.rpcs_completed);
   fold64(d, rep_.rpcs_failed);
   fold64(d, rep_.faults_injected);
-  fold64(d, rep_.crc_failures);
-  fold64(d, rep_.integrity_naks);
-  fold64(d, rep_.integrity_retransmits);
+  fold64(d, rep_.chan.crc_failures_rx);
+  fold64(d, rep_.chan.integrity_naks_tx);
+  fold64(d, rep_.chan.integrity_retransmits);
   fold64(d, rep_.unprotected_anomalies);
   fold64(d, rep_.events);
   fold64(d, static_cast<std::uint64_t>(rep_.end_time));

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "check/schedule.hpp"
+#include "core/stats.hpp"
 
 namespace xrdma::check {
 
@@ -88,40 +89,20 @@ struct RunReport {
   std::uint64_t rpcs_completed = 0;
   std::uint64_t rpcs_failed = 0;  // timeouts / closed-channel aborts: legal
   std::uint64_t faults_injected = 0;
-  // Health-plane exercise counters (summed across all contexts): shape
-  // tests use these to prove a flap schedule actually drove the detector
-  // and breaker, not just that no oracle fired.
-  std::uint64_t dead_declarations = 0;
-  std::uint64_t breaker_opens = 0;
-  std::uint64_t health_flaps = 0;
-  // Lifecycle exercise counters: drain cycles actually entered/completed on
-  // the victim, peers whose dead/fault verdicts were suppressed by a drain
-  // announcement, and negotiated-version rejections (disjoint ranges).
-  std::uint64_t drains_started = 0;
-  std::uint64_t drains_completed = 0;
-  std::uint64_t drain_suppressions = 0;
-  std::uint64_t drain_recovery_parks = 0;
-  std::uint64_t lifecycle_rejects = 0;
-  // Batching exercise counters (summed across all contexts at quiesce):
-  // the batching shape asserts chains actually formed (accumulated > 0,
-  // wrs-per-doorbell > 1 somewhere) and inline sends actually fired —
-  // a green sweep that never exercised the fast path proves nothing.
+  // Plane exercise counters, summed across every context (and its channels)
+  // at quiesce. Shape tests use them to prove a schedule actually drove its
+  // plane — a flap schedule the detector and breaker, a drain shape the
+  // drain machine, the batching shape real chains and inline sends, a
+  // corruption shape CRC failures healed by integrity NAKs — not just that
+  // no oracle fired.
+  core::ChannelStats chan;
+  core::ContextStats ctx;
+  core::HealthStats health;
+  // The contexts' doorbell-batch ledgers (oracle 14), summed the same way.
   std::uint64_t batch_accumulated = 0;
   std::uint64_t batch_posted = 0;
   std::uint64_t batch_deferred = 0;
   std::uint64_t batch_dropped = 0;
-  std::uint64_t inline_sends = 0;
-  std::uint64_t doorbells = 0;
-  std::uint64_t doorbell_wrs = 0;
-  // Integrity-plane exercise counters (summed across all channels at
-  // quiesce): a corruption_shape sweep asserts CRC failures were actually
-  // caught and healed via integrity NAKs, not that no frame was corrupted.
-  std::uint64_t crc_stamped = 0;
-  std::uint64_t crc_failures = 0;
-  std::uint64_t integrity_naks = 0;
-  std::uint64_t integrity_retransmits = 0;
-  std::uint64_t integrity_exhausted = 0;
-  std::uint64_t crc_storms = 0;
   // Delivery anomalies observed on flows WITHOUT negotiated CRC protection
   // under corruption_shape — the legacy expected-fail class, tolerated and
   // counted instead of failing the run.

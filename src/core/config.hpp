@@ -7,8 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 
 #include "common/status.hpp"
@@ -190,18 +188,11 @@ struct Config {
   Nanos trace_overhead = nanos(50);   // extra per message in req-rsp mode
 };
 
-/// Dynamic-tuning surface: string-keyed access to the *online* parameters.
-/// Returns invalid_argument for unknown or offline keys.
-class ConfigRegistry {
- public:
-  explicit ConfigRegistry(Config& config);
-
-  Errc set_flag(const std::string& name, std::int64_t value);
-  Result<std::int64_t> get_flag(const std::string& name) const;
-  std::map<std::string, std::int64_t> snapshot() const;
-
- private:
-  Config& config_;
-};
+/// Dynamic-tuning surface: string-keyed access to the Table III keys.
+/// set_flag changes an online key (a nonzero value sets a bool; `_ms` and
+/// `_us` keys scale into Nanos), returns invalid_argument for an offline
+/// key and not_found for an unknown one. get_flag reads either kind.
+Errc set_flag(Config& config, const std::string& name, std::int64_t value);
+Result<std::int64_t> get_flag(const Config& config, const std::string& name);
 
 }  // namespace xrdma::core

@@ -125,7 +125,6 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
     : nic_(nic),
       cm_(cm),
       cfg_(config),
-      registry_(cfg_),
       recorder_(cfg_.recorder_capacity),
       health_(nic.engine(), cfg_),
       pd_(nic),
@@ -462,6 +461,12 @@ std::vector<Channel*> Context::channels() {
   out.reserve(channels_.size());
   for (auto& ch : channels_) out.push_back(ch.get());
   return out;
+}
+
+ChannelStats Context::channel_stats() const {
+  ChannelStats sum;
+  for (const auto& ch : channels_) sum += ch->stats();
+  return sum;
 }
 
 // ---------------------------------------------------------------------------

@@ -89,12 +89,11 @@ class Context {
   std::uint8_t* mem_ptr(const MemBlock& block) { return data_cache_.data(block); }
 
   Errc set_flag(const std::string& name, std::int64_t value) {
-    return registry_.set_flag(name, value);
+    return core::set_flag(cfg_, name, value);
   }
   Result<std::int64_t> get_flag(const std::string& name) const {
-    return registry_.get_flag(name);
+    return core::get_flag(cfg_, name);
   }
-  ConfigRegistry& config_registry() { return registry_; }
 
   TraceReport trace_request(const Msg& msg) const;
 
@@ -127,6 +126,9 @@ class Context {
   sim::Engine& engine() const { return nic_.engine(); }
   net::NodeId node() const { return nic_.node(); }
   ContextStats& stats() { return stats_; }
+  /// Every channel's ChannelStats summed: the aggregate the metrics
+  /// registry, xr_stat and the reporters read.
+  ChannelStats channel_stats() const;
   /// Peer health plane (φ-accrual suspicion, circuit breaker, flap
   /// hold-down) fed by every channel to the same remote node.
   HealthMonitor& health() { return health_; }
@@ -307,7 +309,6 @@ class Context {
   rnic::Rnic& nic_;
   verbs::cm::CmService& cm_;
   Config cfg_;
-  ConfigRegistry registry_;
   analysis::FlightRecorder recorder_;
   HealthMonitor health_;
 

@@ -1,7 +1,13 @@
 // Statistic component: the per-channel and per-context counters XR-Stat
 // exposes (§VI-B) and the monitor aggregates.
+//
+// Each counter is declared once, as an `X(field, "plane.metric")` entry in
+// one of the lists below. The lists generate the struct fields and their
+// sums, and ContextMetrics exports every entry under its metric name;
+// `nullptr` marks a counter that is summed but not exported.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/histogram.hpp"
@@ -9,114 +15,159 @@
 
 namespace xrdma::core {
 
-struct ChannelStats {
-  std::uint64_t msgs_tx = 0;
-  std::uint64_t msgs_rx = 0;
-  std::uint64_t bytes_tx = 0;  // payload bytes
-  std::uint64_t bytes_rx = 0;
-  std::uint64_t large_msgs_tx = 0;
-  std::uint64_t large_msgs_rx = 0;
-  std::uint64_t acks_tx = 0;  // standalone ACK messages
-  std::uint64_t acks_rx = 0;
-  std::uint64_t nops_tx = 0;
-  std::uint64_t nops_rx = 0;
-  std::uint64_t keepalive_probes = 0;
-  std::uint64_t window_stalls = 0;  // send_msg had to queue (window full)
-  std::uint64_t flowctl_queued = 0; // WRs deferred by the queuing policy
-  std::uint64_t reads_issued = 0;   // rendezvous pull fragments
-  std::uint64_t rpc_calls = 0;
-  std::uint64_t rpc_timeouts = 0;
-  std::uint64_t bad_messages = 0;   // framing / protocol anomalies
-  std::uint64_t filtered_drops = 0; // fault-injection ingress drops
-  std::uint64_t egress_drops = 0;   // fault-injection egress drops
-  std::uint64_t mock_tx = 0;        // messages sent over the TCP fallback
-  std::uint64_t dup_msgs_rx = 0;    // recovery retransmits already delivered
-  std::uint64_t recoveries_started = 0;
-  std::uint64_t recovery_attempts = 0;   // CM resume handshakes issued
-  std::uint64_t recoveries_completed = 0;
-  std::uint64_t recovery_retransmits = 0;  // window entries re-sent on resume
-  std::uint64_t fallback_switches = 0;  // escalations onto the TCP fallback
-  std::uint64_t fallback_restores = 0;  // returns from TCP to RDMA
-  std::uint64_t rpc_aborts = 0;  // RPCs completed channel_closed at close()
-  // Overload control.
-  std::uint64_t tx_would_block = 0;   // sends rejected at the queue cap
-  std::uint64_t writable_signals = 0; // on_writable edge firings
-  std::uint64_t naks_tx = 0;          // rendezvous pulls NAK'd (receiver)
-  std::uint64_t naks_rx = 0;          // NAKs received (sender)
-  std::uint64_t pulls_deferred = 0;   // pulls parked on memory pressure
-  std::uint64_t tx_mem_deferrals = 0; // emits/retransmits parked on alloc fail
-  std::uint64_t ctrl_alloc_failures = 0;  // control plane hit an empty pool
-  std::uint64_t tx_shed = 0;          // sends shed under hard mem pressure
-  // Health plane.
-  std::uint64_t breaker_fastfails = 0;  // retry ladders skipped (breaker open)
-  // Lifecycle plane.
-  std::uint64_t hdr_version_reject = 0; // decode refused out-of-range version
-  std::uint64_t hdr_tlv_skipped = 0;    // unknown header TLVs skipped by rule
-  std::uint64_t drains_tx = 0;          // DRAIN announcements sent
-  std::uint64_t drains_rx = 0;          // DRAIN announcements received
-  std::uint64_t drain_recovery_parks = 0;  // retry ladders parked: peer drains
-  // Batched hot path (doorbell coalescing + inline sends).
-  std::uint64_t doorbells = 0;          // doorbell rings for this channel
-  std::uint64_t doorbell_wrs = 0;       // WRs those doorbells carried
-  std::uint64_t inline_sends = 0;       // eager sends carried in the WQE
-  std::uint64_t eager_copies_avoided = 0;  // MemCache staging copies skipped
-  // End-to-end integrity plane (e2e_crc).
-  std::uint64_t crc_stamped_tx = 0;     // frames stamped with the CRC TLV
-  std::uint64_t crc_failures_rx = 0;    // frames dropped on CRC mismatch
-  std::uint64_t integrity_naks_tx = 0;  // integrity NAKs sent (receiver)
-  std::uint64_t integrity_naks_rx = 0;  // integrity NAKs received (sender)
-  std::uint64_t integrity_retransmits = 0;  // window entries re-sent on NAK
-  std::uint64_t integrity_exhausted = 0;    // retry budgets exhausted
-};
+#define XR_CHANNEL_STATS(X)                                                   \
+  X(msgs_tx, "chan.msgs_tx")                                                  \
+  X(msgs_rx, "chan.msgs_rx")                                                  \
+  X(bytes_tx, "chan.bytes_tx") /* payload bytes */                            \
+  X(bytes_rx, "chan.bytes_rx")                                                \
+  X(large_msgs_tx, "chan.large_msgs_tx")                                      \
+  X(large_msgs_rx, "chan.large_msgs_rx")                                      \
+  X(acks_tx, "chan.acks_tx") /* standalone ACK messages */                    \
+  X(acks_rx, nullptr)                                                         \
+  X(nops_tx, "chan.nops_tx")                                                  \
+  X(nops_rx, nullptr)                                                         \
+  X(keepalive_probes, "chan.keepalive_probes")                                \
+  X(window_stalls, "chan.window_stalls") /* send_msg had to queue */          \
+  X(flowctl_queued, "chan.flowctl_queued") /* WRs deferred by queuing */      \
+  X(reads_issued, "chan.reads_issued") /* rendezvous pull fragments */        \
+  X(rpc_calls, "chan.rpc_calls")                                              \
+  X(rpc_timeouts, "chan.rpc_timeouts")                                        \
+  X(bad_messages, "chan.bad_messages") /* framing / protocol anomalies */     \
+  X(filtered_drops, "chan.filtered_drops") /* fault-injection ingress */      \
+  X(egress_drops, "chan.egress_drops") /* fault-injection egress drops */     \
+  X(mock_tx, "chan.mock_tx") /* messages sent over the TCP fallback */        \
+  X(dup_msgs_rx, "chan.dup_msgs_rx") /* retransmits already delivered */      \
+  /* Recovery plane (retry ladder + TCP fallback). */                         \
+  X(recoveries_started, "recovery.started")                                   \
+  X(recovery_attempts, "recovery.attempts") /* CM resume handshakes */        \
+  X(recoveries_completed, "recovery.completed")                               \
+  X(recovery_retransmits, "recovery.retransmits") /* re-sent on resume */     \
+  X(fallback_switches, "recovery.fallback_switches") /* onto TCP */           \
+  X(fallback_restores, "recovery.fallback_restores") /* TCP to RDMA */        \
+  X(rpc_aborts, "chan.rpc_aborts") /* completed channel_closed at close() */  \
+  /* Overload control. */                                                     \
+  X(tx_would_block, "overload.tx_would_block") /* rejected at the cap */      \
+  X(writable_signals, "overload.writable_signals") /* on_writable edges */    \
+  X(naks_tx, "overload.naks_tx") /* rendezvous pulls NAK'd (receiver) */      \
+  X(naks_rx, "overload.naks_rx") /* NAKs received (sender) */                 \
+  X(pulls_deferred, "overload.pulls_deferred") /* parked on mem pressure */   \
+  /* Emits/retransmits parked on alloc fail. */                               \
+  X(tx_mem_deferrals, "overload.tx_mem_deferrals")                            \
+  /* Control plane hit an empty pool. */                                      \
+  X(ctrl_alloc_failures, "overload.ctrl_alloc_failures")                      \
+  X(tx_shed, "overload.tx_shed") /* sends shed under hard mem pressure */     \
+  /* Health plane: retry ladders skipped (breaker open). */                   \
+  X(breaker_fastfails, "health.breaker_fastfails")                            \
+  /* Lifecycle plane (graceful drain + protocol negotiation). */              \
+  /* Decode refused out-of-range version. */                                  \
+  X(hdr_version_reject, "chan.hdr_version_reject")                            \
+  X(hdr_tlv_skipped, "chan.hdr_tlv_skipped") /* unknown TLVs, by rule */      \
+  X(drains_tx, "chan.drains_tx") /* DRAIN announcements sent */               \
+  X(drains_rx, "chan.drains_rx") /* DRAIN announcements received */           \
+  X(drain_recovery_parks, "recovery.drain_parks") /* peer drains */           \
+  /* Batched hot path (doorbell coalescing + inline sends). */                \
+  X(doorbells, "chan.doorbells") /* doorbell rings for this channel */        \
+  X(doorbell_wrs, nullptr) /* WRs those doorbells carried */                  \
+  X(inline_sends, "chan.inline_sends") /* eager sends carried in the WQE */   \
+  /* MemCache staging copies skipped. */                                      \
+  X(eager_copies_avoided, "mem.eager_copies_avoided")                         \
+  /* End-to-end integrity plane (e2e_crc). */                                 \
+  X(crc_stamped_tx, "integrity.crc_stamped_tx") /* stamped with CRC TLV */    \
+  X(crc_failures_rx, "integrity.crc_failures_rx") /* CRC mismatch drops */    \
+  X(integrity_naks_tx, "integrity.naks_tx") /* sent (receiver) */             \
+  X(integrity_naks_rx, "integrity.naks_rx") /* received (sender) */           \
+  X(integrity_retransmits, "integrity.retransmits") /* re-sent on NAK */      \
+  X(integrity_exhausted, "integrity.exhausted") /* retry budgets exhausted */
 
 /// Context-wide health-plane counters (aggregated across peers by the
 /// HealthMonitor; X-Check oracles 11/12 read these).
+#define XR_HEALTH_STATS(X)                                                    \
+  /* Peers declared dead (breaker opens). */                                  \
+  X(dead_declarations, "health.dead_declarations")                            \
+  X(breaker_opens, "health.breaker_opens")                                    \
+  X(breaker_closes, "health.breaker_closes")                                  \
+  X(connects_allowed, "health.connects_allowed") /* admitted by the gate */   \
+  /* Ladders cut short by an open breaker. */                                 \
+  X(connects_denied, "health.connects_denied")                                \
+  X(breaker_violations, nullptr) /* attempts issued past a closed gate */     \
+  X(flaps, "health.flaps") /* restore-then-fail inside flap window */         \
+  X(holddown_escalations, "health.holddown_escalations")                      \
+  X(suspect_transitions, "health.suspect_transitions")                        \
+  X(degraded_transitions, "health.degraded_transitions")                      \
+  /* Lifecycle plane: peers graded draining instead of suspect/dead. */       \
+  X(draining_marks, "health.draining_marks") /* note_peer_draining calls */   \
+  /* Dead/suspect verdicts suppressed. */                                     \
+  X(drain_suppressions, "health.drain_suppressions")                          \
+  /* Grades that broke the draining contract (X-Check oracle 13). */          \
+  X(drain_violations, "health.drain_violations")                              \
+  /* Integrity plane: peers graded degraded by the corruption-storm */        \
+  /* detector. */                                                             \
+  X(crc_storms, "health.crc_storms")
+
+#define XR_CONTEXT_STATS(X)                                                   \
+  X(polls, "ctx.polls")                                                       \
+  X(empty_polls, "ctx.empty_polls")                                           \
+  X(slow_polls, "ctx.slow_polls") /* poll gap exceeded polling_warn_cycle */  \
+  /* Poll-gap watchdog trips. Tracks slow_polls today, but is the plane's */  \
+  /* own alarm counter: the trips also land in the flight recorder and */     \
+  /* the metrics registry (the satellite wiring slow polls used to lack). */  \
+  X(watchdog_trips, "ctx.watchdog_trips")                                     \
+  X(events_processed, "ctx.events_processed")                                 \
+  X(parks, "ctx.parks") /* hybrid poller switched to event mode */            \
+  X(wakeups, "ctx.wakeups")                                                   \
+  X(channels_opened, "ctx.channels_opened")                                   \
+  X(channels_closed, "ctx.channels_closed")                                   \
+  X(channel_errors, "ctx.channel_errors")                                     \
+  /* Recoveries brought back to service. */                                   \
+  X(channels_recovered, "ctx.channels_recovered")                             \
+  /* Ladder transitions into soft / into hard. */                             \
+  X(pressure_soft_events, "overload.pressure_soft_events")                    \
+  X(pressure_hard_events, "overload.pressure_hard_events")                    \
+  /* Lifecycle plane. */                                                      \
+  X(drains_started, "ctx.drains_started") /* active -> draining */            \
+  X(drains_completed, "ctx.drains_completed") /* draining -> drained */       \
+  /* Connects/accepts refused while draining (would_block surface). */        \
+  X(lifecycle_rejects, "ctx.lifecycle_rejects")
+
+#define XR_STAT_FIELD(field, name) std::uint64_t field = 0;
+#define XR_STAT_ADD(field, name) field += o.field;
+
+struct ChannelStats {
+  XR_CHANNEL_STATS(XR_STAT_FIELD)
+
+  ChannelStats& operator+=(const ChannelStats& o) {
+    XR_CHANNEL_STATS(XR_STAT_ADD)
+    return *this;
+  }
+};
+
 struct HealthStats {
-  std::uint64_t dead_declarations = 0;  // peers declared dead (breaker opens)
-  std::uint64_t breaker_opens = 0;
-  std::uint64_t breaker_closes = 0;
-  std::uint64_t connects_allowed = 0;   // CM attempts admitted by the gate
-  std::uint64_t connects_denied = 0;    // ladders cut short by an open breaker
-  std::uint64_t breaker_violations = 0; // attempts issued past a closed gate
-  std::uint64_t flaps = 0;              // restore-then-fail inside flap window
-  std::uint64_t holddown_escalations = 0;
-  std::uint64_t suspect_transitions = 0;
-  std::uint64_t degraded_transitions = 0;
-  // Lifecycle plane: peers graded draining instead of suspect/dead.
-  std::uint64_t draining_marks = 0;     // note_peer_draining announcements
-  std::uint64_t drain_suppressions = 0; // dead/suspect verdicts suppressed
-  std::uint64_t drain_violations = 0;   // grades that broke the draining
-                                        // contract (X-Check oracle 13)
-  // Integrity plane: peers graded degraded by the corruption-storm detector.
-  std::uint64_t crc_storms = 0;
+  XR_HEALTH_STATS(XR_STAT_FIELD)
+
+  HealthStats& operator+=(const HealthStats& o) {
+    XR_HEALTH_STATS(XR_STAT_ADD)
+    return *this;
+  }
 };
 
 struct ContextStats {
-  std::uint64_t polls = 0;
-  std::uint64_t empty_polls = 0;
-  std::uint64_t slow_polls = 0;  // poll gap exceeded polling_warn_cycle
-  // Poll-gap watchdog trips. Tracks slow_polls today, but is the plane's
-  // own alarm counter: the trips also land in the flight recorder and the
-  // metrics registry (the satellite wiring slow polls used to lack).
-  std::uint64_t watchdog_trips = 0;
+  XR_CONTEXT_STATS(XR_STAT_FIELD)
   Nanos worst_poll_gap = 0;
-  std::uint64_t events_processed = 0;
-  std::uint64_t parks = 0;       // hybrid poller switched to event mode
-  std::uint64_t wakeups = 0;
-  std::uint64_t channels_opened = 0;
-  std::uint64_t channels_closed = 0;
-  std::uint64_t channel_errors = 0;
-  std::uint64_t channels_recovered = 0;  // recoveries brought back to service
-  std::uint64_t pressure_soft_events = 0;  // ladder transitions into soft
-  std::uint64_t pressure_hard_events = 0;  // ladder transitions into hard
-  // Lifecycle plane.
-  std::uint64_t drains_started = 0;    // active -> draining transitions
-  std::uint64_t drains_completed = 0;  // draining -> drained transitions
-  std::uint64_t lifecycle_rejects = 0; // connects/accepts refused while
-                                       // draining (would_block surface)
   Histogram drain_latency;  // ns, begin_drain -> drained
   Histogram rpc_latency;  // ns, across all channels
   Histogram recovery_latency;  // ns, fault detection -> channel usable again
+
+  ContextStats& operator+=(const ContextStats& o) {
+    XR_CONTEXT_STATS(XR_STAT_ADD)
+    worst_poll_gap = std::max(worst_poll_gap, o.worst_poll_gap);
+    drain_latency.merge(o.drain_latency);
+    rpc_latency.merge(o.rpc_latency);
+    recovery_latency.merge(o.recovery_latency);
+    return *this;
+  }
 };
+
+#undef XR_STAT_ADD
+#undef XR_STAT_FIELD
 
 }  // namespace xrdma::core

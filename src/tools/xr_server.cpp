@@ -123,12 +123,11 @@ NodeReport StatsReporter::sample() {
   r.sent_at = ctx_.engine().now();
   r.qp_count = static_cast<std::uint32_t>(ctx_.nic().num_qps());
   r.channel_count = static_cast<std::uint32_t>(ctx_.num_channels());
-  for (core::Channel* ch : ctx_.channels()) {
-    r.bytes_tx += ch->stats().bytes_tx;
-    r.bytes_rx += ch->stats().bytes_rx;
-    r.msgs_tx += ch->stats().msgs_tx;
-    r.msgs_rx += ch->stats().msgs_rx;
-  }
+  const core::ChannelStats chan = ctx_.channel_stats();
+  r.bytes_tx = chan.bytes_tx;
+  r.bytes_rx = chan.bytes_rx;
+  r.msgs_tx = chan.msgs_tx;
+  r.msgs_rx = chan.msgs_rx;
   const auto& ns = ctx_.nic().stats();
   r.rnr_naks = ns.rnr_naks_sent;
   r.cnps_rx = ns.cnps_received;

@@ -126,24 +126,15 @@ std::string xr_stat_summary(core::Context& ctx) {
                static_cast<unsigned long long>(hs.holddown_escalations),
                static_cast<unsigned long long>(hs.suspect_transitions),
                static_cast<unsigned long long>(hs.degraded_transitions));
-  core::ChannelStats ichan;
-  for (core::Channel* ch : ctx.channels()) {
-    const auto& s = ch->stats();
-    ichan.crc_stamped_tx += s.crc_stamped_tx;
-    ichan.crc_failures_rx += s.crc_failures_rx;
-    ichan.integrity_naks_tx += s.integrity_naks_tx;
-    ichan.integrity_naks_rx += s.integrity_naks_rx;
-    ichan.integrity_retransmits += s.integrity_retransmits;
-    ichan.integrity_exhausted += s.integrity_exhausted;
-  }
+  const core::ChannelStats chan = ctx.channel_stats();
   os << strfmt("  integrity: stamped=%llu crc_fail=%llu naks=%llu/%llu "
                "retx=%llu exhausted=%llu storms=%llu\n",
-               static_cast<unsigned long long>(ichan.crc_stamped_tx),
-               static_cast<unsigned long long>(ichan.crc_failures_rx),
-               static_cast<unsigned long long>(ichan.integrity_naks_tx),
-               static_cast<unsigned long long>(ichan.integrity_naks_rx),
-               static_cast<unsigned long long>(ichan.integrity_retransmits),
-               static_cast<unsigned long long>(ichan.integrity_exhausted),
+               static_cast<unsigned long long>(chan.crc_stamped_tx),
+               static_cast<unsigned long long>(chan.crc_failures_rx),
+               static_cast<unsigned long long>(chan.integrity_naks_tx),
+               static_cast<unsigned long long>(chan.integrity_naks_rx),
+               static_cast<unsigned long long>(chan.integrity_retransmits),
+               static_cast<unsigned long long>(chan.integrity_exhausted),
                static_cast<unsigned long long>(hs.crc_storms));
   os << strfmt("  qp_cache: size=%zu hits=%llu misses=%llu\n",
                ctx.qp_cache().size(),

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "analysis/clock_sync.hpp"
+#include "analysis/exposition.hpp"
+#include "analysis/filter.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/mock.hpp"
 #include "analysis/monitor.hpp"
@@ -404,6 +406,74 @@ TEST(XrStat, JsonIsWellFormedAndCarriesChannelsAndMetrics) {
   EXPECT_EQ(brackets, 0);
   // Deterministic: two renders at the same sim time are identical.
   EXPECT_EQ(json, tools::xr_stat_json(t.client));
+}
+
+std::string fnv1a_hex(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return strfmt("%016llx", static_cast<unsigned long long>(h));
+}
+
+TEST(XrStat, OperatorOutputIsPinnedByteForByte) {
+  // Every operator text surface is an external interface (dashboards,
+  // scrape configs, runbooks): a refactor of the stats plumbing must not
+  // move a single byte. One deterministic pair carries eager, rendezvous
+  // and RPC traffic through one corrupted frame and one QP kill, so the
+  // recovery and integrity counters are nonzero too. A mismatch prints the
+  // new text; re-pin only for a deliberate format change.
+  Pair t;
+  t.server.set_trace_epoch(0x51);
+  t.client.set_trace_epoch(0xc1);
+  t.establish();
+  analysis::Filter rx_filter(t.server, /*seed=*/31);
+  rx_filter.add_rule(
+      {analysis::FaultKind::ingress_corrupt, 1.0, 0, /*budget=*/1, 0});
+  analysis::Filter tx_filter(t.client, /*seed=*/32);
+  t.server_ch->set_on_msg([](Channel& ch, Msg&& m) {
+    if (m.is_rpc_req) ch.reply(m.rpc_id, Buffer::from_string("ok"));
+  });
+  auto burst = [&] {
+    for (const std::size_t len : {64u, 200u, 2048u, 16384u}) {
+      ASSERT_EQ(t.client_ch->send_msg(Buffer::make(len)), Errc::ok);
+    }
+    t.client_ch->call(Buffer::from_string("req"), [](Result<Msg>) {});
+  };
+  burst();
+  t.run(millis(5));
+  tx_filter.kill_qp(*t.client_ch);
+  burst();
+  t.run(millis(50));
+  ASSERT_EQ(t.client_ch->state(), Channel::State::established);
+  ASSERT_EQ(t.server_ch->stats().crc_failures_rx, 1u);
+  ASSERT_GE(t.client_ch->stats().recoveries_completed, 1u);
+
+  analysis::ContextMetrics metrics(t.client);
+  const std::vector<std::pair<const char*, std::string>> surfaces = {
+      {"xr_stat client", tools::xr_stat(t.client)},
+      {"xr_stat server", tools::xr_stat(t.server)},
+      {"xr_stat_summary client", tools::xr_stat_summary(t.client)},
+      {"xr_stat_summary server", tools::xr_stat_summary(t.server)},
+      {"xr_stat_json client", tools::xr_stat_json(t.client)},
+      {"xr_stat_json server", tools::xr_stat_json(t.server)},
+      {"xr_stat_metrics client", tools::xr_stat_metrics(t.client)},
+      {"xr_stat_metrics server", tools::xr_stat_metrics(t.server)},
+      {"prometheus_render client",
+       analysis::prometheus_render(metrics.registry())},
+  };
+  const std::vector<std::string> pinned = {
+      "94954d7479234041", "4dc309c9e9eb4d2e", "0470016dc0e83f85",
+      "8ba2a6ed895556ef", "36ca814bdde93a3d", "2d439a5c73698f77",
+      "74d463b796147fb8", "4caa4bf93011648d", "45f7a6fbbf790743",
+  };
+  ASSERT_EQ(surfaces.size(), pinned.size());
+  for (std::size_t i = 0; i < surfaces.size(); ++i) {
+    EXPECT_EQ(fnv1a_hex(surfaces[i].second), pinned[i])
+        << surfaces[i].first << " changed; it now reads:\n"
+        << surfaces[i].second;
+  }
 }
 
 TEST(XrAdm, DumpAllWritesDecodableFlightDumps) {

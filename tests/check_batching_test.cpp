@@ -51,9 +51,9 @@ TEST(BatchingShapes, BatchingSeedsSatisfyAllOracles) {
     EXPECT_GT(r.msgs_delivered, 0u) << describe(r);
     accumulated += r.batch_accumulated;
     posted += r.batch_posted;
-    inlined += r.inline_sends;
-    doorbells += r.doorbells;
-    doorbell_wrs += r.doorbell_wrs;
+    inlined += r.chan.inline_sends;
+    doorbells += r.chan.doorbells;
+    doorbell_wrs += r.chan.doorbell_wrs;
   }
   // The shape exists to drive the batched fast path: across the sweep WRs
   // must actually have flowed through accumulators and out of them, inline
@@ -99,8 +99,8 @@ TEST(BatchingShapes, RunsAreDeterministicUnderBatching) {
   EXPECT_EQ(a.batch_posted, b.batch_posted);
   EXPECT_EQ(a.batch_deferred, b.batch_deferred);
   EXPECT_EQ(a.batch_dropped, b.batch_dropped);
-  EXPECT_EQ(a.inline_sends, b.inline_sends);
-  EXPECT_EQ(a.doorbells, b.doorbells);
+  EXPECT_EQ(a.chan.inline_sends, b.chan.inline_sends);
+  EXPECT_EQ(a.chan.doorbells, b.chan.doorbells);
   EXPECT_EQ(a.violations, b.violations);
   ASSERT_EQ(a.dumps.size(), b.dumps.size());
   for (std::size_t i = 0; i < a.dumps.size(); ++i) {

@@ -51,11 +51,11 @@ TEST(CorruptionShapes, CorruptionSeedsSatisfyAllOracles) {
     EXPECT_GT(r.msgs_delivered, 0u) << describe(r);
     // Exhaustion would fold a transient corruption into a channel teardown;
     // with one-shot faults and a retry budget of 3 it must never trigger.
-    EXPECT_EQ(r.integrity_exhausted, 0u) << describe(r);
-    stamped += r.crc_stamped;
-    failures += r.crc_failures;
-    naks += r.integrity_naks;
-    retransmits += r.integrity_retransmits;
+    EXPECT_EQ(r.chan.integrity_exhausted, 0u) << describe(r);
+    stamped += r.chan.crc_stamped_tx;
+    failures += r.chan.crc_failures_rx;
+    naks += r.chan.integrity_naks_tx;
+    retransmits += r.chan.integrity_retransmits;
     anomalies += r.unprotected_anomalies;
   }
   // The shape exists to drive the integrity plane: across the sweep frames
@@ -99,9 +99,9 @@ TEST(CorruptionShapes, RunsAreDeterministicUnderCorruption) {
   const RunReport a = run_schedule(s, opt);
   const RunReport b = run_schedule(s, opt);
   EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.crc_failures, b.crc_failures);
-  EXPECT_EQ(a.integrity_naks, b.integrity_naks);
-  EXPECT_EQ(a.integrity_retransmits, b.integrity_retransmits);
+  EXPECT_EQ(a.chan.crc_failures_rx, b.chan.crc_failures_rx);
+  EXPECT_EQ(a.chan.integrity_naks_tx, b.chan.integrity_naks_tx);
+  EXPECT_EQ(a.chan.integrity_retransmits, b.chan.integrity_retransmits);
   EXPECT_EQ(a.unprotected_anomalies, b.unprotected_anomalies);
   EXPECT_EQ(a.violations, b.violations);
   ASSERT_EQ(a.dumps.size(), b.dumps.size());
@@ -189,7 +189,7 @@ TEST(Soak, CorruptionSeedsUntilWallClockBudgetExpires) {
     }
     const RunReport r = check_seed(seed, corruption_params(), opt);
     ASSERT_TRUE(r.passed()) << describe(r);
-    failures += r.crc_failures;
+    failures += r.chan.crc_failures_rx;
     ++runs;
   }
   std::fprintf(stderr,

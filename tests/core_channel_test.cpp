@@ -402,16 +402,122 @@ TEST(Channel, ConnectToClosedPortFails) {
   EXPECT_EQ(err, Errc::connection_refused);
 }
 
+// Reads one Config field as a raw integer (Nanos fields in ns).
+#define FIELD(f) [](const Config& c) { return static_cast<std::int64_t>(c.f); }
+
 TEST(Channel, SetFlagTunesOnlineParametersOnly) {
+  // The pinned Table III key set. Online: set a non-default value, read it
+  // back through get_flag, and see the Config field move in the key's unit
+  // (`_ms` / `_us` keys scale into Nanos). Offline: refused, untouched,
+  // still readable.
+  struct Online {
+    const char* key;
+    std::int64_t value;
+    std::int64_t (*field)(const Config&);
+    std::int64_t expected;  // the field after set_flag(key, value)
+  };
+  const Online online[] = {
+      {"keepalive_intv_ms", 3, FIELD(keepalive_intv), millis(3)},
+      {"keepalive_timeout_ms", 70, FIELD(keepalive_timeout), millis(70)},
+      {"slow_threshold_us", 250, FIELD(slow_threshold), micros(250)},
+      {"polling_warn_cycle_us", 300, FIELD(polling_warn_cycle), micros(300)},
+      {"trace_sample_mask", 7, FIELD(trace_sample_mask), 7},
+      {"reqrsp_mode", 1, FIELD(reqrsp_mode), 1},
+      {"flowctl", 0, FIELD(flowctl), 0},
+      {"frag_size", 8192, FIELD(frag_size), 8192},
+      {"max_outstanding_wrs", 32, FIELD(max_outstanding_wrs), 32},
+      {"recovery_max_attempts", 6, FIELD(recovery_max_attempts), 6},
+      {"recovery_backoff_us", 750, FIELD(recovery_backoff), micros(750)},
+      {"fallback_auto", 0, FIELD(fallback_auto), 0},
+      {"tx_queue_max_msgs", 64, FIELD(tx_queue_max_msgs), 64},
+      {"tx_queue_max_bytes", 1 << 20, FIELD(tx_queue_max_bytes), 1 << 20},
+      {"ctx_tx_max_bytes", 1 << 24, FIELD(ctx_tx_max_bytes), 1 << 24},
+      {"tx_writable_pct", 25, FIELD(tx_writable_pct), 25},
+      {"mem_soft_pct", 70, FIELD(mem_soft_pct), 70},
+      {"mem_hard_pct", 90, FIELD(mem_hard_pct), 90},
+      {"mem_retry_interval_us", 40, FIELD(mem_retry_interval), micros(40)},
+      {"memcache_idle_shrink_ms", 5, FIELD(memcache_idle_shrink), millis(5)},
+      {"health_adaptive", 1, FIELD(health_adaptive), 1},
+      {"health_phi_suspect", 3, FIELD(health_phi_suspect), 3},
+      {"health_phi_dead", 12, FIELD(health_phi_dead), 12},
+      {"health_min_samples", 16, FIELD(health_min_samples), 16},
+      {"health_breaker", 0, FIELD(health_breaker), 0},
+      {"health_halfopen_probes", 2, FIELD(health_halfopen_probes), 2},
+      {"health_flap_window_ms", 250, FIELD(health_flap_window), millis(250)},
+      {"health_holddown_base_ms", 20, FIELD(health_holddown_base),
+       millis(20)},
+      {"health_holddown_max_ms", 800, FIELD(health_holddown_max),
+       millis(800)},
+      {"health_degraded_rtt_x", 6, FIELD(health_degraded_rtt_x), 6},
+      {"health_retx_degraded", 64, FIELD(health_retx_degraded), 64},
+      {"health_crc_degraded", 4, FIELD(health_crc_degraded), 4},
+      {"e2e_crc", 0, FIELD(e2e_crc), 0},
+      {"integrity_retry_max", 5, FIELD(integrity_retry_max), 5},
+      {"lifecycle_drain", 1, FIELD(lifecycle_drain), 1},
+      {"lifecycle_drain_timeout_ms", 150, FIELD(lifecycle_drain_timeout),
+       millis(150)},
+      {"lifecycle_retry_after_ms", 90, FIELD(lifecycle_retry_after),
+       millis(90)},
+      {"recorder_enabled", 0, FIELD(recorder_enabled), 0},
+      {"recorder_sample_mask", 15, FIELD(recorder_sample_mask), 15},
+      {"tx_batch_max_wrs", 1, FIELD(tx_batch_max_wrs), 1},
+      {"tx_batch_max_bytes", 4096, FIELD(tx_batch_max_bytes), 4096},
+      {"tx_batch_flush_on_poll_end", 0, FIELD(tx_batch_flush_on_poll_end), 0},
+      {"inline_max", 128, FIELD(inline_max), 128},
+  };
+  struct Offline {
+    const char* key;
+    std::int64_t (*field)(const Config&);
+  };
+  const Offline offline[] = {
+      {"use_srq", FIELD(use_srq)},
+      {"cq_size", FIELD(cq_size)},
+      {"srq_size", FIELD(srq_size)},
+      {"fork_safe", FIELD(fork_safe)},
+      {"ibqp_alloc_type", FIELD(ibqp_alloc_type)},
+      {"small_msg_size", FIELD(small_msg_size)},
+      {"window_depth", FIELD(window_depth)},
+      {"memcache_max_mrs", FIELD(memcache_max_mrs)},
+      {"memcache_ctrl_reserve", FIELD(memcache_ctrl_reserve)},
+      {"recorder_capacity", FIELD(recorder_capacity)},
+      {"proto_version_min", FIELD(proto_version_min)},
+      {"proto_version_max", FIELD(proto_version_max)},
+      {"proto_features", FIELD(proto_features)},
+  };
+  EXPECT_EQ(std::size(online), 43u);
+  EXPECT_EQ(std::size(offline), 13u);
+
   Pair t;
-  EXPECT_EQ(t.client.set_flag("keepalive_intv_ms", 3), Errc::ok);
-  EXPECT_EQ(t.client.config().keepalive_intv, millis(3));
-  EXPECT_EQ(t.client.set_flag("use_srq", 1), Errc::invalid_argument);
+  const Config& cfg = t.client.config();
+  for (const Online& k : online) {
+    SCOPED_TRACE(k.key);
+    ASSERT_NE(k.field(cfg), k.expected) << "pick a non-default value";
+    EXPECT_EQ(t.client.set_flag(k.key, k.value), Errc::ok);
+    EXPECT_EQ(k.field(cfg), k.expected);
+    const Result<std::int64_t> v = t.client.get_flag(k.key);
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(v.value(), k.value);
+  }
+  for (const Offline& k : offline) {
+    SCOPED_TRACE(k.key);
+    const std::int64_t before = k.field(cfg);
+    EXPECT_EQ(t.client.set_flag(k.key, before + 1), Errc::invalid_argument);
+    EXPECT_EQ(k.field(cfg), before);
+    const Result<std::int64_t> v = t.client.get_flag(k.key);
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(v.value(), before);
+  }
+  // Any nonzero value turns a bool knob on; it reads back as 1.
+  ASSERT_EQ(t.client.set_flag("reqrsp_mode", 0), Errc::ok);
+  EXPECT_EQ(t.client.set_flag("reqrsp_mode", 7), Errc::ok);
+  EXPECT_TRUE(cfg.reqrsp_mode);
+  EXPECT_EQ(t.client.get_flag("reqrsp_mode").value(), 1);
+
   EXPECT_EQ(t.client.set_flag("no_such_flag", 1), Errc::not_found);
-  auto v = t.client.get_flag("small_msg_size");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value(), 4096);
+  EXPECT_EQ(t.client.get_flag("no_such_flag").error(), Errc::not_found);
 }
+
+#undef FIELD
 
 TEST(Channel, TracedMessageCarriesTimestamps) {
   Config cfg;
