@@ -1,9 +1,13 @@
 // Microbenchmarks (google-benchmark) for the hot-path data structures: the
 // event engine, the seq-ack window, the memory-cache allocator, histogram
-// recording, and wire header encode/decode. These bound the simulator's
-// own throughput (events/sec) and the middleware's per-message CPU work.
+// recording, wire header encode/decode, and the CRC32C integrity checksum.
+// These bound the simulator's own throughput (events/sec) and the
+// middleware's per-message CPU work.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/crc32c.hpp"
 #include "common/histogram.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
@@ -115,6 +119,22 @@ void BM_WireHeaderEncodeDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WireHeaderEncodeDecode);
+
+void BM_Crc32c(benchmark::State& state) {
+  // The integrity plane's per-byte cost: one CRC32C over `range(0)` bytes,
+  // on whichever kernel crc32c() dispatched to on this host.
+  std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 131 + (i >> 9));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+  state.SetLabel(crc32c_hardware() ? "sse4.2" : "portable");
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(2048)->Arg(65536);
 
 void BM_EagerSmallSendTxPath(benchmark::State& state) {
   // Sender-side cost of one 64 B eager message with inline sends off

@@ -1,10 +1,13 @@
 // CRC32C (Castagnoli, reflected polynomial 0x82F63B78) — the checksum the
 // integrity plane stamps into the wire-v2 CRC TLV (see msg.hpp).
 //
-// Table-driven, byte-at-a-time. Real deployments would use SSE4.2 `crc32`
-// or ARMv8 CRC instructions (~16 GB/s); the simulation models that cost in
-// the send path (Config::send_path_overhead plus a per-covered-byte term)
-// and only needs the software reference here, so portability beats speed.
+// On x86-64 hosts with SSE4.2 (checked once, at run time), crc32c runs on
+// the `crc32` instruction: three interleaved lanes of 8 KiB (256 B for
+// shorter buffers) joined by precomputed shift-by-N-zero-bytes tables,
+// about 16 B/ns — the rate the simulation charges on the send path
+// (Config::send_path_overhead plus a per-covered-byte term). Everywhere
+// else it falls back to the byte-at-a-time table loop, which is also the
+// oracle the hardware kernel is tested against.
 #pragma once
 
 #include <cstddef>
@@ -20,5 +23,13 @@ std::uint32_t crc32c(const void* data, std::size_t len);
 /// the CRC field zeroed followed by the payload.
 std::uint32_t crc32c_extend(std::uint32_t crc, const void* data,
                             std::size_t len);
+
+/// The portable byte-wise table kernel, with crc32c_extend's contract.
+/// crc32c_extend uses it when the host has no CRC instruction.
+std::uint32_t crc32c_extend_portable(std::uint32_t crc, const void* data,
+                                     std::size_t len);
+
+/// True when crc32c_extend runs on the hardware kernel on this host.
+bool crc32c_hardware();
 
 }  // namespace xrdma

@@ -5,12 +5,18 @@
 // schedule order (a monotone sequence number breaks ties), so a given seed
 // always produces bit-identical results — the property every experiment in
 // EXPERIMENTS.md relies on.
+//
+// Event nodes come from an engine-owned slab with an intrusive free list,
+// and the queue is a binary heap of small {at, seq, node, gen} entries, so
+// scheduling allocates nothing once the slab has grown to the run's peak
+// depth (the std::function may still allocate for large captures).
+// Cancellation frees the node at once and bumps its generation; the stale
+// heap entry is dropped when it reaches the top.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/time.hpp"
@@ -21,17 +27,31 @@ class Engine {
  public:
   using Callback = std::function<void()>;
 
+ private:
+  struct Node {
+    Callback cb;
+    std::uint64_t gen = 0;  // bumped each time the node is freed
+    Node* next_free = nullptr;
+  };
+
+ public:
   /// Handle for cancellation. Default-constructed handles are inert.
+  ///
+  /// An EventId must not outlive the Engine that issued it: it points into
+  /// the engine's node slab. (The timers already require this, since their
+  /// destructors call Engine::cancel.) A node is reused once its event
+  /// fires or is cancelled; the generation check makes every older handle
+  /// to it read as not armed.
   class EventId {
    public:
     EventId() = default;
-    bool armed() const { return !node_.expired(); }
+    bool armed() const { return node_ && node_->gen == gen_; }
 
    private:
     friend class Engine;
-    struct Node;
-    explicit EventId(std::weak_ptr<Node> n) : node_(std::move(n)) {}
-    std::weak_ptr<Node> node_;
+    EventId(Node* n, std::uint64_t gen) : node_(n), gen_(gen) {}
+    Node* node_ = nullptr;
+    std::uint64_t gen_ = 0;
   };
 
   Engine() = default;
@@ -40,9 +60,10 @@ class Engine {
 
   Nanos now() const { return now_; }
 
+  /// An empty `cb` schedules nothing and returns an inert EventId.
   EventId schedule_at(Nanos at, Callback cb);
   EventId schedule_after(Nanos delay, Callback cb) {
-    return schedule_at(now_ + delay, cb ? std::move(cb) : Callback{});
+    return schedule_at(now_ + delay, std::move(cb));
   }
 
   /// Returns true if the event existed and had not fired.
@@ -68,21 +89,26 @@ class Engine {
   void set_post_event_hook(Callback hook) { post_hook_ = std::move(hook); }
 
  private:
-  struct EventId::Node {
+  struct Entry {
     Nanos at;
     std::uint64_t seq;
-    Callback cb;
+    Node* node;
+    std::uint64_t gen;  // stale once node->gen moves on
   };
-  using NodePtr = std::shared_ptr<EventId::Node>;
-
+  static_assert(sizeof(Entry) == 32, "heap entries stay 32 bytes");
+  /// Heap order: the top is the earliest (at, seq).
   struct Later {
-    bool operator()(const NodePtr& a, const NodePtr& b) const {
-      if (a->at != b->at) return a->at > b->at;
-      return a->seq > b->seq;
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.at != b.at) return a.at > b.at;
+      return a.seq > b.seq;
     }
   };
 
-  void fire(NodePtr node);
+  Node* acquire();
+  void release(Node* n);
+  /// Drop cancelled entries off the top; returns false if the heap empties.
+  bool settle_top();
+  void fire_top();
 
   Nanos now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -90,7 +116,9 @@ class Engine {
   std::size_t live_ = 0;  // scheduled and not yet fired/cancelled
   bool stopped_ = false;
   Callback post_hook_;
-  std::priority_queue<NodePtr, std::vector<NodePtr>, Later> queue_;
+  std::vector<Entry> heap_;
+  std::deque<Node> slab_;  // deque: growth never moves a node
+  Node* free_ = nullptr;
 };
 
 }  // namespace xrdma::sim

@@ -34,6 +34,96 @@ TEST(Crc32c, KnownVectorAndExtendComposition) {
   }
 }
 
+TEST(Crc32c, Rfc3720KnownAnswers) {
+  // RFC 3720 appendix B.4, through the dispatched and the portable kernel.
+  std::uint8_t zeros[32] = {};
+  std::uint8_t ones[32];
+  std::uint8_t up[32];
+  std::uint8_t down[32];
+  for (int i = 0; i < 32; ++i) {
+    ones[i] = 0xFF;
+    up[i] = static_cast<std::uint8_t>(i);
+    down[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  const std::pair<const std::uint8_t*, std::uint32_t> cases[] = {
+      {zeros, 0x8A9136AAu}, {ones, 0x62A8AB43u},
+      {up, 0x46DD794Eu},    {down, 0x113FDB5Cu}};
+  for (const auto& [data, want] : cases) {
+    EXPECT_EQ(crc32c(data, 32), want);
+    EXPECT_EQ(crc32c_extend_portable(0, data, 32), want);
+  }
+}
+
+// Seeded bytes, with 8 bytes of slack so every start alignment fits.
+std::vector<std::uint8_t> crc_test_bytes(std::size_t n) {
+  std::vector<std::uint8_t> v(n + 8);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (auto& b : v) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x);
+  }
+  return v;
+}
+
+TEST(Crc32c, DispatchedKernelMatchesPortableAtEveryLengthAndAlignment) {
+  // On a host with SSE4.2 this pits the 3-lane hardware kernel against the
+  // byte-wise table: every tail length, both lane widths at and around
+  // their 3-lane thresholds, and all 8 start alignments.
+  RecordProperty("crc32c_hardware", crc32c_hardware() ? 1 : 0);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 1024; ++n) lengths.push_back(n);
+  for (const std::size_t base : {std::size_t{3 * 256}, std::size_t{3 * 8192}}) {
+    for (const std::size_t d : {0, 1, 8}) {
+      lengths.push_back(base - d);
+      lengths.push_back(base + d);
+    }
+  }
+  lengths.push_back((64u << 10) - 1);
+  lengths.push_back((64u << 10) + 1);
+  lengths.push_back(256u << 10);
+  const auto buf = crc_test_bytes(256u << 10);
+  for (const std::size_t n : lengths) {
+    for (std::size_t off = 0; off < 8; ++off) {
+      const std::uint8_t* p = buf.data() + off;
+      ASSERT_EQ(crc32c_extend(0x1234u, p, n), crc32c_extend_portable(0x1234u, p, n))
+          << "len " << n << " offset " << off;
+      ASSERT_EQ(crc32c(p, n), crc32c_extend_portable(0, p, n))
+          << "len " << n << " offset " << off;
+    }
+  }
+}
+
+TEST(Crc32c, ExtendComposesAtEveryCutAndAtLaneBoundaries) {
+  const auto small = crc_test_bytes(3000);
+  const std::uint32_t whole = crc32c(small.data(), 3000);
+  for (std::size_t cut = 0; cut <= 3000; ++cut) {
+    const std::uint32_t head = crc32c(small.data(), cut);
+    ASSERT_EQ(crc32c_extend(head, small.data() + cut, 3000 - cut), whole)
+        << "cut " << cut;
+  }
+  // Cuts on either side of the 256 B and 8 KiB lane edges of a buffer long
+  // enough for both lane widths, as a two- and a three-piece split.
+  constexpr std::size_t n = 2 * 3 * 8192 + 3 * 256 + 13;
+  const auto big = crc_test_bytes(n);
+  const std::uint32_t big_whole = crc32c_extend_portable(0, big.data(), n);
+  for (const std::size_t edge :
+       {std::size_t{256}, std::size_t{3 * 256}, std::size_t{8192},
+        std::size_t{3 * 8192}, std::size_t{3 * 8192 + 3 * 256},
+        std::size_t{2 * 3 * 8192}}) {
+    for (const std::size_t cut : {edge - 8, edge - 1, edge, edge + 1, edge + 8}) {
+      const std::uint32_t head = crc32c(big.data(), cut);
+      EXPECT_EQ(crc32c_extend(head, big.data() + cut, n - cut), big_whole)
+          << "cut " << cut;
+      const std::size_t mid = cut + (n - cut) / 2;
+      std::uint32_t c = crc32c_extend(head, big.data() + cut, mid - cut);
+      c = crc32c_extend(c, big.data() + mid, n - mid);
+      EXPECT_EQ(c, big_whole) << "cuts " << cut << ", " << mid;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Wire format: the CRC TLV, stamping, and header verification.
 

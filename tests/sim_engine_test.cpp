@@ -2,8 +2,14 @@
 // determinism — everything the upper layers assume about time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "sim/timer.hpp"
@@ -203,6 +209,188 @@ TEST(Engine, DeterministicEventCount) {
     return sum;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(Engine, EmptyCallbackIsInert) {
+  // An empty callback schedules nothing in every build: it used to bump
+  // pending() for good when assert() was compiled out, because step()
+  // skipped the node without counting it down.
+  Engine eng;
+  auto at = eng.schedule_at(micros(5), Engine::Callback{});
+  auto after = eng.schedule_after(micros(5), nullptr);
+  EXPECT_FALSE(at.armed());
+  EXPECT_FALSE(after.armed());
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_FALSE(eng.cancel(at));
+  eng.run();
+  EXPECT_EQ(eng.events_processed(), 0u);
+  EXPECT_FALSE(eng.step());
+}
+
+TEST(Engine, StaleIdDoesNotArmAReusedNode) {
+  // Freed nodes are reused; the generation tag keeps a stale handle from
+  // reading (or cancelling) the node's next event.
+  Engine eng;
+  bool old_fired = false;
+  bool new_fired = false;
+  auto id = eng.schedule_after(micros(10), [&] { old_fired = true; });
+  const auto old = id;
+  EXPECT_TRUE(eng.cancel(id));
+  auto fresh = eng.schedule_after(micros(10), [&] { new_fired = true; });
+  EXPECT_TRUE(fresh.armed());
+  EXPECT_FALSE(old.armed());
+  auto old_copy = old;
+  EXPECT_FALSE(eng.cancel(old_copy));
+  EXPECT_TRUE(fresh.armed());
+  EXPECT_EQ(eng.pending(), 1u);
+  eng.run();
+  EXPECT_FALSE(old_fired);
+  EXPECT_TRUE(new_fired);
+  EXPECT_FALSE(fresh.armed());
+
+  // Same after a fire: the fired event's node carries the next event.
+  auto fired_id = eng.schedule_after(micros(1), [] {});
+  eng.run();
+  int later = 0;
+  auto next = eng.schedule_after(micros(1), [&] { ++later; });
+  EXPECT_FALSE(fired_id.armed());
+  EXPECT_FALSE(eng.cancel(fired_id));
+  EXPECT_TRUE(next.armed());
+  eng.run();
+  EXPECT_EQ(later, 1);
+}
+
+TEST(Engine, CallbackCancelsSameTimestampPeer) {
+  Engine eng;
+  std::vector<int> order;
+  Engine::EventId peer;
+  eng.schedule_at(micros(5), [&] {
+    order.push_back(1);
+    EXPECT_TRUE(eng.cancel(peer));
+    // A peer scheduled now for the same instant runs after the queued ones.
+    eng.schedule_at(micros(5), [&] { order.push_back(4); });
+  });
+  peer = eng.schedule_at(micros(5), [&] { order.push_back(2); });
+  eng.schedule_at(micros(5), [&] { order.push_back(3); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(eng.events_processed(), 3u);
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(eng.now(), micros(5));
+}
+
+TEST(Engine, MatchesReferenceModelUnderRandomOps) {
+  // Seeded random schedule / cancel / step / run_until, against a
+  // std::map keyed on (at, seq). Some events cancel another event or
+  // schedule a child from inside their callback.
+  using Key = std::pair<Nanos, std::uint64_t>;
+  constexpr std::size_t kNone = ~std::size_t{0};
+  struct Action {
+    std::size_t cancel = kNone;  // event to cancel when fired
+    std::size_t child = kNone;   // event to schedule when fired
+    Nanos child_delay = 0;
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Engine eng;
+    std::vector<Action> actions;  // per event id
+    std::vector<Engine::EventId> handles;
+    std::vector<std::size_t> fired;
+
+    std::map<Key, std::size_t> model;
+    std::vector<std::optional<Key>> live;  // model: pending key per id
+    std::vector<std::size_t> model_fired;
+    Nanos model_now = 0;
+    std::uint64_t model_seq = 0;
+    std::uint64_t model_processed = 0;
+
+    auto new_id = [&] {
+      actions.emplace_back();
+      handles.emplace_back();
+      live.emplace_back();
+      return handles.size() - 1;
+    };
+    std::function<void(std::size_t, Nanos)> engine_schedule =
+        [&](std::size_t id, Nanos at) {
+          handles[id] = eng.schedule_at(at, [&, id] {
+            fired.push_back(id);
+            const Action& a = actions[id];
+            if (a.cancel != kNone) eng.cancel(handles[a.cancel]);
+            if (a.child != kNone) {
+              engine_schedule(a.child, eng.now() + a.child_delay);
+            }
+          });
+        };
+    auto model_schedule = [&](std::size_t id, Nanos at) {
+      const Key k{std::max(at, model_now), model_seq++};
+      model[k] = id;
+      live[id] = k;
+    };
+    auto model_cancel = [&](std::size_t id) {
+      if (!live[id]) return false;
+      model.erase(*live[id]);
+      live[id].reset();
+      return true;
+    };
+    auto model_step = [&] {
+      const auto [k, id] = *model.begin();
+      model.erase(model.begin());
+      live[id].reset();
+      model_now = k.first;
+      ++model_processed;
+      model_fired.push_back(id);
+      const Action& a = actions[id];
+      if (a.cancel != kNone) model_cancel(a.cancel);
+      if (a.child != kNone) model_schedule(a.child, model_now + a.child_delay);
+    };
+    auto check = [&](bool all_handles) {
+      ASSERT_EQ(fired, model_fired);
+      ASSERT_EQ(eng.pending(), model.size());
+      ASSERT_EQ(eng.events_processed(), model_processed);
+      ASSERT_EQ(eng.now(), model_now);
+      if (!all_handles) return;
+      for (std::size_t i = 0; i < handles.size(); ++i) {
+        ASSERT_EQ(handles[i].armed(), live[i].has_value()) << "id " << i;
+      }
+    };
+
+    for (int op = 0; op < 3000; ++op) {
+      const auto roll = rng.next_below(10);
+      if (roll < 5) {  // schedule, sometimes into the past or a tie
+        const std::size_t id = new_id();
+        Action a;
+        if (id > 0 && rng.chance(0.2)) a.cancel = rng.next_below(id);
+        if (rng.chance(0.2)) {
+          a.child = new_id();
+          a.child_delay = rng.uniform(0, 3);
+        }
+        actions[id] = a;
+        const Nanos at = eng.now() + rng.uniform(-3, 40);
+        engine_schedule(id, at);
+        model_schedule(id, at);
+      } else if (roll < 7) {  // cancel any id, live or not
+        if (handles.empty()) continue;
+        const std::size_t id = rng.next_below(handles.size());
+        const bool expect = model_cancel(id);
+        ASSERT_EQ(eng.cancel(handles[id]), expect);
+      } else if (roll < 9) {
+        const bool expect = !model.empty();
+        if (expect) model_step();
+        ASSERT_EQ(eng.step(), expect);
+      } else {
+        const Nanos t = eng.now() + rng.uniform(0, 20);
+        while (!model.empty() && model.begin()->first.first <= t) model_step();
+        model_now = std::max(model_now, t);
+        eng.run_until(t);
+      }
+      check(op % 64 == 0);
+      if (HasFatalFailure()) return;
+    }
+    while (!model.empty()) model_step();
+    eng.run();
+    check(true);
+  }
 }
 
 }  // namespace
