@@ -6,7 +6,7 @@
 // (mixed eager / rendezvous / RPC traffic straddling the 4 KB cutoff and the
 // fragment boundaries, channel open/close churn) plus a randomized fault
 // schedule (drops, delays, QP kills, CM refusals, host flaps) — which
-// run_schedule() executes on the simulated testbed while checking twelve
+// run_schedule() executes on the simulated testbed while checking fifteen
 // invariant oracles:
 //
 //   1. exactly-once in-order delivery per channel (content-verified)

@@ -1,11 +1,9 @@
-// X-Check conformance harness: determinism, smoke sweep, oracle coverage,
-// replay round-trip and schedule shrinking. See TESTING.md for the design.
+// X-Check conformance harness: determinism, oracle coverage, replay
+// round-trip and schedule shrinking. The per-shape sweeps and the soak live
+// in check_shapes_test. See TESTING.md for the design.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdlib>
 #include <optional>
-#include <random>
 
 #include "analysis/filter.hpp"
 #include "analysis/recorder.hpp"
@@ -272,32 +270,6 @@ TEST(Determinism, GoldenTablePinsEveryShape) {
 }
 
 // ---------------------------------------------------------------------------
-// Smoke sweep: every oracle holds across N generated seeds. XCHECK_SEED /
-// XCHECK_SMOKE_COUNT select the seeds (see smoke_seeds).
-
-TEST(Smoke, GeneratedSeedsSatisfyAllOracles) {
-  for (const std::uint64_t seed : smoke_seeds(20)) {
-    SCOPED_TRACE(testing::Message() << "XCHECK_SEED=" << seed);
-    RunOptions opt;
-    opt.replay_path = testing::TempDir() + "xcheck_smoke_" +
-                      std::to_string(seed) + ".replay";
-    if (const char* dir = std::getenv("XCHECK_REPLAY_DIR")) {
-      opt.replay_path = std::string(dir) + "/xcheck_smoke_" +
-                        std::to_string(seed) + ".replay";
-      opt.dump_dir = dir;  // flight dumps ride the same artifact upload
-    }
-    const RunReport r = check_seed(seed, {}, opt);
-    EXPECT_TRUE(r.passed()) << describe(r);
-    // The run must actually exercise the machinery it claims to check.
-    EXPECT_GT(r.msgs_delivered, 0u) << describe(r);
-    EXPECT_GT(r.rpcs_issued, 0u) << describe(r);
-    EXPECT_GT(r.faults_injected, 0u) << describe(r);
-    EXPECT_GT(r.oracle_observations, 0u) << describe(r);
-    EXPECT_GT(r.span_posts, 0u) << describe(r);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Oracle 1 (delivery): a fault-free schedule must deliver everything it
 // accepted, exactly once, in order, content-verified.
 
@@ -462,52 +434,6 @@ TEST(ReplayAndShrink, OracleFailureFlushesTriageableFlightDumps) {
     EXPECT_NE(triage.value().timeline.find("DUMP TRIGGER: oracle_failure"),
               std::string::npos);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Wall-clock-bounded soak for the nightly job: explore fresh seeds until
-// the budget (XCHECK_SOAK_MS) expires. Skipped unless the env var is set.
-
-TEST(Soak, ExploresSeedsUntilWallClockBudgetExpires) {
-  const char* budget_env = std::getenv("XCHECK_SOAK_MS");
-  if (!budget_env) GTEST_SKIP() << "set XCHECK_SOAK_MS to enable";
-  const long budget_ms = std::strtol(budget_env, nullptr, 10);
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t base = 0x50a4b007ULL;
-  if (const char* env = std::getenv("XCHECK_SEED")) {
-    if (std::string(env) == "random") {
-      // Fresh territory each soak; the printed base (and the per-seed
-      // SCOPED_TRACE below) is all a failure needs to reproduce.
-      base = (static_cast<std::uint64_t>(std::random_device{}()) << 32) ^
-             std::random_device{}();
-      std::fprintf(stderr, "[xcheck] soak: random base %llu\n",
-                   static_cast<unsigned long long>(base));
-    } else {
-      base = std::strtoull(env, nullptr, 0);
-    }
-  }
-  std::uint64_t runs = 0;
-  while (std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now() - start)
-             .count() < budget_ms) {
-    const std::uint64_t seed = base + runs;
-    SCOPED_TRACE(testing::Message() << "XCHECK_SEED=" << seed);
-    RunOptions opt;
-    if (const char* dir = std::getenv("XCHECK_REPLAY_DIR")) {
-      opt.replay_path = std::string(dir) + "/xcheck_soak_" +
-                        std::to_string(seed) + ".replay";
-      opt.dump_dir = dir;
-    }
-    // Nightly ASan soak with the recorder exercised end-to-end: capture
-    // (trigger + snapshot + encode) every run, not just on failure.
-    opt.capture_dumps = std::getenv("XCHECK_CAPTURE_DUMPS") != nullptr;
-    const RunReport r = check_seed(seed, {}, opt);
-    ASSERT_TRUE(r.passed()) << describe(r);
-    ++runs;
-  }
-  std::fprintf(stderr, "[xcheck] soak: %llu seeds in %ld ms budget\n",
-               static_cast<unsigned long long>(runs), budget_ms);
-  EXPECT_GT(runs, 0u);
 }
 
 }  // namespace
