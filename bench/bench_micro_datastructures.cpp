@@ -16,6 +16,7 @@
 #include "core/context.hpp"
 #include "core/window.hpp"
 #include "sim/engine.hpp"
+#include "sim/timer.hpp"
 #include "testbed/cluster.hpp"
 
 namespace {
@@ -48,6 +49,21 @@ void BM_EngineDeepQueue(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EngineDeepQueue)->Arg(1000)->Arg(100000);
+
+void BM_EngineDeadlineChurn(benchmark::State& state) {
+  // The keepalive / MemCache pattern: one DeadlineTimer pushed back on every
+  // message while 3000 far-future events stay pending. Each re-arm cancels
+  // the previous deadline, leaving a stale heap entry for compaction.
+  sim::Engine eng;
+  std::uint64_t sink = 0;
+  for (int i = 0; i < 3000; ++i) {
+    eng.schedule_after(seconds(1) + i, [&sink] { ++sink; });
+  }
+  sim::DeadlineTimer timer(eng, [&sink] { ++sink; });
+  for (auto _ : state) timer.arm_after(millis(15));
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_EngineDeadlineChurn);
 
 void BM_RingBufferPushPop(benchmark::State& state) {
   RingBuffer<std::uint64_t> ring(64);

@@ -814,7 +814,6 @@ void Runner::finish_report() {
   fold64(d, rep_.chan.integrity_naks_tx);
   fold64(d, rep_.chan.integrity_retransmits);
   fold64(d, rep_.unprotected_anomalies);
-  fold64(d, rep_.events);
   fold64(d, static_cast<std::uint64_t>(rep_.end_time));
   spans_.fold(d);
   rep_.digest = d;

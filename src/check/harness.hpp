@@ -76,9 +76,11 @@ struct RunOptions {
 
 struct RunReport {
   std::uint64_t seed = 0;
-  /// FNV-1a fold of everything observable: per-flow delivery streams, RPC
-  /// and fault accounting, event count and end time. Two runs of the same
-  /// schedule must produce the same digest — the determinism contract.
+  /// FNV-1a fold of the model's observables: per-flow delivery streams,
+  /// RPC and fault accounting and end time. Two runs of the same schedule
+  /// must produce the same digest — the determinism contract. The engine's
+  /// event count is left out (see `events`), so removing redundant engine
+  /// events leaves the digest alone.
   std::uint64_t digest = 0;
   std::uint64_t violations = 0;
   std::vector<std::string> violation_samples;
@@ -110,6 +112,7 @@ struct RunReport {
   std::uint64_t span_posts = 0;
   std::uint64_t span_delivers = 0;
   std::uint64_t oracle_observations = 0;
+  /// Engine events fired; deterministic too, but not folded into `digest`.
   std::uint64_t events = 0;
   Nanos end_time = 0;
   /// Encoded per-context `.xrd` dumps (RunOptions::capture_dumps). Records

@@ -11,6 +11,19 @@ namespace {
 constexpr auto kLossless = net::TrafficClass::lossless;
 constexpr auto kLossy = net::TrafficClass::lossy;
 constexpr std::uint8_t kRnrRetryInfinite = 7;  // IB spec: 7 means "forever"
+
+/// Bounds-checked lookup in a dense id-indexed table; null when `id` was
+/// never issued or its object is gone.
+template <typename T>
+T* slot(const std::vector<std::unique_ptr<T>>& table, std::uint32_t id) {
+  return id < table.size() ? table[id].get() : nullptr;
+}
+
+template <typename T>
+void put(std::vector<T>& table, std::uint32_t id, T value) {
+  if (table.size() <= id) table.resize(id + 1);
+  table[id] = std::move(value);
+}
 }  // namespace
 
 Rnic::Rnic(sim::Engine& engine, net::Endpoint& endpoint, RnicConfig config)
@@ -33,30 +46,29 @@ MrInfo Rnic::reg_mr(std::uint64_t size, bool real_memory) {
   // (the memory-cache isolation scheme in §VI-C relies on this).
   next_addr_ += (size + 0xfffu + 0x1000u) & ~0xfffull;
   Mr* raw = mr.get();
-  mr_lkey_[raw->info.lkey] = raw;
-  mr_rkey_[raw->info.rkey] = raw;
+  put(mr_by_key_, raw->info.lkey, raw);
+  put(mr_by_key_, raw->info.rkey, raw);
   mrs_by_addr_[raw->info.addr] = std::move(mr);
   return raw->info;
 }
 
 bool Rnic::dereg_mr(std::uint32_t lkey) {
-  auto it = mr_lkey_.find(lkey);
-  if (it == mr_lkey_.end()) return false;
-  Mr* mr = it->second;
-  mr_rkey_.erase(mr->info.rkey);
-  mr_lkey_.erase(it);
+  Mr* mr = find_mr_by_lkey(lkey);
+  if (!mr) return false;
+  mr_by_key_[mr->info.lkey] = nullptr;
+  mr_by_key_[mr->info.rkey] = nullptr;
   mrs_by_addr_.erase(mr->info.addr);
   return true;
 }
 
 Rnic::Mr* Rnic::find_mr_by_lkey(std::uint32_t lkey) {
-  auto it = mr_lkey_.find(lkey);
-  return it == mr_lkey_.end() ? nullptr : it->second;
+  Mr* mr = lkey < mr_by_key_.size() ? mr_by_key_[lkey] : nullptr;
+  return mr && mr->info.lkey == lkey ? mr : nullptr;
 }
 
 Rnic::Mr* Rnic::find_mr_by_rkey(std::uint32_t rkey) {
-  auto it = mr_rkey_.find(rkey);
-  return it == mr_rkey_.end() ? nullptr : it->second;
+  Mr* mr = rkey < mr_by_key_.size() ? mr_by_key_[rkey] : nullptr;
+  return mr && mr->info.rkey == rkey ? mr : nullptr;
 }
 
 Rnic::Mr* Rnic::find_mr_by_addr(std::uint64_t addr, std::uint64_t len) {
@@ -83,16 +95,18 @@ CqId Rnic::create_cq(std::uint32_t depth) {
   auto cq = std::make_unique<Cq>();
   cq->depth = depth;
   const CqId id = next_cq_++;
-  cqs_[id] = std::move(cq);
+  put(cqs_, id, std::move(cq));
   return id;
 }
 
-void Rnic::destroy_cq(CqId cq) { cqs_.erase(cq); }
-
-Rnic::Cq* Rnic::find_cq(CqId cq) {
-  auto it = cqs_.find(cq);
-  return it == cqs_.end() ? nullptr : it->second.get();
+void Rnic::destroy_cq(CqId cq) {
+  if (cq < cqs_.size()) cqs_[cq].reset();
 }
+
+Rnic::Cq* Rnic::find_cq(CqId cq) { return slot(cqs_, cq); }
+const Rnic::Cq* Rnic::find_cq(CqId cq) const { return slot(cqs_, cq); }
+Rnic::Srq* Rnic::find_srq(SrqId srq) { return slot(srqs_, srq); }
+const Rnic::Srq* Rnic::find_srq(SrqId srq) const { return slot(srqs_, srq); }
 
 int Rnic::poll_cq(CqId cqid, Wc* out, int max) {
   Cq* cq = find_cq(cqid);
@@ -106,8 +120,8 @@ int Rnic::poll_cq(CqId cqid, Wc* out, int max) {
 }
 
 std::size_t Rnic::cq_depth_used(CqId cqid) const {
-  auto it = cqs_.find(cqid);
-  return it == cqs_.end() ? 0 : it->second->wcs.size();
+  const Cq* cq = find_cq(cqid);
+  return cq ? cq->wcs.size() : 0;
 }
 
 void Rnic::arm_cq(CqId cqid, std::function<void()> on_event) {
@@ -138,22 +152,21 @@ SrqId Rnic::create_srq(std::uint32_t depth) {
   auto srq = std::make_unique<Srq>();
   srq->depth = depth;
   const SrqId id = next_srq_++;
-  srqs_[id] = std::move(srq);
+  put(srqs_, id, std::move(srq));
   return id;
 }
 
 Errc Rnic::post_srq_recv(SrqId srqid, const RecvWr& wr) {
-  auto it = srqs_.find(srqid);
-  if (it == srqs_.end()) return Errc::not_found;
-  Srq& srq = *it->second;
-  if (srq.wqes.size() >= srq.depth) return Errc::resource_exhausted;
-  srq.wqes.push_back(wr);
+  Srq* srq = find_srq(srqid);
+  if (!srq) return Errc::not_found;
+  if (srq->wqes.size() >= srq->depth) return Errc::resource_exhausted;
+  srq->wqes.push_back(wr);
   return Errc::ok;
 }
 
 std::size_t Rnic::srq_outstanding(SrqId srqid) const {
-  auto it = srqs_.find(srqid);
-  return it == srqs_.end() ? 0 : it->second->wqes.size();
+  const Srq* srq = find_srq(srqid);
+  return srq ? srq->wqes.size() : 0;
 }
 
 // --------------------------------------------------------------------------
@@ -169,30 +182,21 @@ QpNum Rnic::create_qp(QpType type, CqId send_cq, CqId recv_cq, QpCaps caps,
   qp->srq = srq;
   qp->caps = caps;
   const QpNum num = qp->num;
-  qps_[num] = std::move(qp);
+  put(qps_, num, std::move(qp));
+  ++live_qps_;
   return num;
 }
 
 void Rnic::destroy_qp(QpNum qpn) {
-  auto it = qps_.find(qpn);
-  if (it == qps_.end()) return;
-  auto cache_it = qp_cache_pos_.find(qpn);
-  if (cache_it != qp_cache_pos_.end()) {
-    qp_cache_lru_.erase(cache_it->second);
-    qp_cache_pos_.erase(cache_it);
-  }
-  qps_.erase(it);
+  Qp* qp = find_qp(qpn);
+  if (!qp) return;
+  if (qp->cached) qp_cache_lru_.erase(qp->cache_pos);
+  qps_[qpn].reset();
+  --live_qps_;
 }
 
-Rnic::Qp* Rnic::find_qp(QpNum qpn) {
-  auto it = qps_.find(qpn);
-  return it == qps_.end() ? nullptr : it->second.get();
-}
-
-const Rnic::Qp* Rnic::find_qp(QpNum qpn) const {
-  auto it = qps_.find(qpn);
-  return it == qps_.end() ? nullptr : it->second.get();
-}
+Rnic::Qp* Rnic::find_qp(QpNum qpn) { return slot(qps_, qpn); }
+const Rnic::Qp* Rnic::find_qp(QpNum qpn) const { return slot(qps_, qpn); }
 
 QpState Rnic::qp_state(QpNum qpn) const {
   const Qp* qp = find_qp(qpn);
@@ -323,7 +327,7 @@ Errc Rnic::post_send(QpNum qpn, const SendWr* wrs, std::size_t count) {
   // opcode carries none. Consecutive posts on one QP serialize through the
   // same tx pipeline, so a chain's saved doorbells are real wins.
   Nanos at = std::max(engine_.now(), qp->tx_pipe_busy_until) +
-             config_.doorbell_overhead + touch_qp_cache(qpn);
+             config_.doorbell_overhead + touch_qp_cache(*qp);
   ++stats_.doorbells;
   for (std::size_t i = 0; i < count; ++i) {
     const SendWr& wr = wrs[i];
@@ -354,18 +358,19 @@ void Rnic::set_alive(bool alive) {
 // --------------------------------------------------------------------------
 // QP context cache (on-NIC SRAM model).
 
-Nanos Rnic::touch_qp_cache(QpNum qpn) {
-  auto it = qp_cache_pos_.find(qpn);
-  if (it != qp_cache_pos_.end()) {
-    qp_cache_lru_.splice(qp_cache_lru_.begin(), qp_cache_lru_, it->second);
+Nanos Rnic::touch_qp_cache(Qp& qp) {
+  if (qp.cached) {
+    qp_cache_lru_.splice(qp_cache_lru_.begin(), qp_cache_lru_, qp.cache_pos);
     ++stats_.qp_cache_hits;
     return 0;
   }
   ++stats_.qp_cache_misses;
-  qp_cache_lru_.push_front(qpn);
-  qp_cache_pos_[qpn] = qp_cache_lru_.begin();
+  qp_cache_lru_.push_front(qp.num);
+  qp.cache_pos = qp_cache_lru_.begin();
+  qp.cached = true;
   if (qp_cache_lru_.size() > config_.qp_cache_entries) {
-    qp_cache_pos_.erase(qp_cache_lru_.back());
+    // destroy_qp unlinks its entry, so every QP in the LRU is live.
+    find_qp(qp_cache_lru_.back())->cached = false;
     qp_cache_lru_.pop_back();
   }
   return config_.qp_cache_miss_penalty;
@@ -715,7 +720,8 @@ void Rnic::send_control(Qp& qp, PktType type, std::uint64_t ack_psn) {
 
 void Rnic::on_packet(net::Packet&& netpkt) {
   if (!alive_) return;  // crashed host: silence
-  auto pkt = std::static_pointer_cast<const RnicPacket>(netpkt.payload);
+  auto pkt =
+      std::static_pointer_cast<const RnicPacket>(std::move(netpkt.payload));
   const bool ce = netpkt.ecn_ce;
   const net::NodeId src = netpkt.src;
   ++stats_.rx_packets;
@@ -738,7 +744,7 @@ void Rnic::on_packet(net::Packet&& netpkt) {
     default:
       break;
   }
-  engine_.schedule_after(cost, [this, pkt, ce, src] {
+  engine_.schedule_after(cost, [this, pkt = std::move(pkt), ce, src] {
     if (!alive_) return;
     handle_packet(src, *pkt, ce);
   });
@@ -819,10 +825,10 @@ void Rnic::handle_packet(net::NodeId src_node, const RnicPacket& pkt,
 
 bool Rnic::consume_rqe(Qp& qp, RecvWr& out, bool& from_srq) {
   if (qp.srq != kInvalidId) {
-    auto it = srqs_.find(qp.srq);
-    if (it == srqs_.end() || it->second->wqes.empty()) return false;
-    out = it->second->wqes.front();
-    it->second->wqes.pop_front();
+    Srq* srq = find_srq(qp.srq);
+    if (!srq || srq->wqes.empty()) return false;
+    out = srq->wqes.front();
+    srq->wqes.pop_front();
     from_srq = true;
     return true;
   }
@@ -842,7 +848,7 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
   switch (pkt.type) {
     case PktType::data_send: {
       if (pkt.first) {
-        touch_qp_cache(qp.num);
+        touch_qp_cache(qp);
         RecvWr rqe;
         bool from_srq = false;
         if (!consume_rqe(qp, rqe, from_srq)) {
@@ -894,7 +900,7 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
       break;
     }
     case PktType::data_write: {
-      if (pkt.first) touch_qp_cache(qp.num);
+      if (pkt.first) touch_qp_cache(qp);
       if (pkt.data.size() > 0) {
         Mr* mr = find_mr_by_rkey(pkt.rkey);
         if (!mr || pkt.remote_addr < mr->info.addr ||
@@ -936,7 +942,7 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
       break;
     }
     case PktType::read_req: {
-      touch_qp_cache(qp.num);
+      touch_qp_cache(qp);
       Mr* mr = find_mr_by_rkey(pkt.rkey);
       if (pkt.read_len > 0 &&
           (!mr || pkt.remote_addr < mr->info.addr ||
@@ -956,7 +962,7 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
       break;
     }
     case PktType::atomic_req: {
-      touch_qp_cache(qp.num);
+      touch_qp_cache(qp);
       Mr* mr = find_mr_by_rkey(pkt.rkey);
       if (!mr || pkt.remote_addr < mr->info.addr ||
           pkt.remote_addr + 8 > mr->info.addr + mr->info.size) {
@@ -1058,7 +1064,7 @@ void Rnic::requester_ack(Qp& qp, const RnicPacket& pkt) {
       break;
   }
   if (qp.inflight.empty() && qp.reads.empty() && qp.resend.empty()) {
-    qp.timer_armed = false;  // nothing outstanding; periodic check lapses
+    engine_.cancel(qp.timer_event);  // nothing outstanding; the check lapses
   }
   mark_ready(qp);
 }
@@ -1114,18 +1120,18 @@ void Rnic::handle_read_resp(Qp& qp, const RnicPacket& pkt) {
 // Retransmission / read timeout timer.
 
 void Rnic::arm_qp_timer(Qp& qp) {
-  if (qp.timer_armed) return;
-  qp.timer_armed = true;
+  if (qp.timer_event.armed()) return;
   qp.last_progress = engine_.now();
   const QpNum qpn = qp.num;
-  engine_.schedule_after(config_.retransmit_timeout,
-                         [this, qpn] { qp_timer_fired(qpn); });
+  qp.timer_event = engine_.schedule_after(
+      config_.retransmit_timeout, [this, qpn] { qp_timer_fired(qpn); });
 }
 
 void Rnic::qp_timer_fired(QpNum qpn) {
+  // The engine disarms a firing event, so timer_event.armed() is false
+  // here and the re-arm below starts the next period.
   Qp* qp = find_qp(qpn);
   if (!qp) return;
-  qp->timer_armed = false;
   if (!alive_ || qp->state == QpState::error || qp->state == QpState::reset) {
     return;
   }

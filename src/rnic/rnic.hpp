@@ -16,7 +16,6 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -77,7 +76,7 @@ class Rnic {
   void destroy_qp(QpNum qpn);
   Errc modify_qp(QpNum qpn, const QpAttr& attr);
   QpState qp_state(QpNum qpn) const;
-  std::size_t num_qps() const { return qps_.size(); }
+  std::size_t num_qps() const { return live_qps_; }
 
   Errc post_send(QpNum qpn, const SendWr& wr);
   /// Chained post: `count` WRs ring one doorbell and pay one QP-context
@@ -206,8 +205,13 @@ class Rnic {
     Nanos last_cnp_sent = -kNanosPerSec;
 
     bool in_ready_ring = false;
-    bool timer_armed = false;
+    // Retransmit/read-timeout timer: one chain per QP. Cancelled when the
+    // last outstanding packet or read is acked.
+    sim::Engine::EventId timer_event;
     Nanos last_progress = 0;
+    // Position in the QP-context cache LRU, valid while `cached`.
+    std::list<QpNum>::iterator cache_pos;
+    bool cached = false;
     // TX pipeline serialization point: WQE fetch + DMA setup for
     // consecutive posts on one QP go through the same engine, so a WR's
     // eligible_at starts where the previous one left off.
@@ -224,6 +228,9 @@ class Rnic {
   Qp* find_qp(QpNum qpn);
   const Qp* find_qp(QpNum qpn) const;
   Cq* find_cq(CqId cq);
+  const Cq* find_cq(CqId cq) const;
+  Srq* find_srq(SrqId srq);
+  const Srq* find_srq(SrqId srq) const;
 
   // Completion plumbing.
   void push_wc(CqId cq, Wc wc);
@@ -244,7 +251,7 @@ class Rnic {
   void transmit(Qp& qp, RnicPacketPtr pkt, std::uint32_t wire_bytes);
   void send_control(Qp& qp, PktType type, std::uint64_t ack_psn);
   std::uint32_t wire_size(const RnicPacket& pkt) const;
-  Nanos touch_qp_cache(QpNum qpn);
+  Nanos touch_qp_cache(Qp& qp);
 
   // RX path.
   void handle_packet(net::NodeId src_node, const RnicPacket& pkt, bool ecn_ce);
@@ -271,12 +278,16 @@ class Rnic {
   std::uint32_t next_srq_ = 1;
   std::uint32_t next_qpn_ = 1;
 
+  // Dense tables indexed by id. Ids come from the next_* counters and are
+  // never reused, so a destroyed object leaves a null slot behind and no
+  // generation check is needed. Every lookup is bounds-checked: ids (QP
+  // numbers and rkeys in particular) arrive off the wire.
   std::map<std::uint64_t, std::unique_ptr<Mr>> mrs_by_addr_;  // base -> Mr
-  std::unordered_map<std::uint32_t, Mr*> mr_lkey_;
-  std::unordered_map<std::uint32_t, Mr*> mr_rkey_;
-  std::unordered_map<CqId, std::unique_ptr<Cq>> cqs_;
-  std::unordered_map<SrqId, std::unique_ptr<Srq>> srqs_;
-  std::unordered_map<QpNum, std::unique_ptr<Qp>> qps_;
+  std::vector<Mr*> mr_by_key_;  // lkeys and rkeys share one key space
+  std::vector<std::unique_ptr<Cq>> cqs_;
+  std::vector<std::unique_ptr<Srq>> srqs_;
+  std::vector<std::unique_ptr<Qp>> qps_;
+  std::size_t live_qps_ = 0;
 
   // TX scheduler.
   std::deque<QpNum> ready_ring_;
@@ -285,7 +296,6 @@ class Rnic {
 
   // QP context cache (on-NIC SRAM): LRU over QP numbers.
   std::list<QpNum> qp_cache_lru_;
-  std::unordered_map<QpNum, std::list<QpNum>::iterator> qp_cache_pos_;
 
   std::vector<std::function<void(QpNum, Errc)>> qp_error_handlers_;
   RnicStats stats_;

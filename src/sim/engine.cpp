@@ -12,11 +12,11 @@ Engine::Node* Engine::acquire() {
   return n;
 }
 
-void Engine::release(Node* n) {
-  // The callback is destroyed last, once the node is consistent again: its
-  // captures' destructors may call back into the engine.
-  Callback dead = std::move(n->cb);
-  ++n->gen;
+void Engine::recycle(Node* n) {
+  // The caller has already bumped the generation: the capture's destructors
+  // may call back into the engine, and must see this node as neither armed
+  // nor free.
+  n->cb.reset();
   n->next_free = free_;
   free_ = n;
 }
@@ -36,8 +36,19 @@ bool Engine::cancel(EventId& id) {
   const EventId old = std::exchange(id, EventId{});
   if (!old.armed()) return false;
   --live_;
-  release(old.node_);  // its heap entry is now stale
+  ++stale_;  // its heap entry stays behind until popped or compacted
+  ++old.node_->gen;
+  recycle(old.node_);
+  maybe_compact();
   return true;
+}
+
+void Engine::maybe_compact() {
+  if (stale_ <= live_ + kCompactSlack) return;
+  const auto stale = [](const Entry& e) { return e.node->gen != e.gen; };
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), stale), heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  stale_ = 0;
 }
 
 bool Engine::settle_top() {
@@ -46,24 +57,26 @@ bool Engine::settle_top() {
     if (top.node->gen == top.gen) return true;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
+    --stale_;
   }
   return false;
 }
 
 void Engine::fire_top() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry e = heap_.back();
+  Node* n = heap_.back().node;
+  now_ = heap_.back().at;
   heap_.pop_back();
-  now_ = e.at;
   --live_;
   ++processed_;
-  // Free the node before invoking the callback: a firing event is no longer
-  // armed, so a handler that conditionally re-arms its own timer (keepalive,
-  // memory retry) sees armed() == false and re-arms. The callback may
-  // schedule into the freed node, so it runs from a local.
-  Callback cb = std::move(e.node->cb);
-  release(e.node);
-  cb();
+  maybe_compact();
+  // Disarm the node before invoking the callback: a firing event is no
+  // longer armed, so a handler that conditionally re-arms its own timer
+  // (keepalive, memory retry) sees armed() == false and re-arms. The
+  // callback runs in place; the node is freed only after it returns.
+  ++n->gen;
+  n->cb();
+  recycle(n);
   if (post_hook_) post_hook_();
 }
 

@@ -7,30 +7,41 @@
 // EXPERIMENTS.md relies on.
 //
 // Event nodes come from an engine-owned slab with an intrusive free list,
-// and the queue is a binary heap of small {at, seq, node, gen} entries, so
+// and the queue is a binary heap of small {at, seq, node, gen} entries.
+// Callbacks are InlineCallbacks: every capture lives inside the node, so
 // scheduling allocates nothing once the slab has grown to the run's peak
-// depth (the std::function may still allocate for large captures).
-// Cancellation frees the node at once and bumps its generation; the stale
-// heap entry is dropped when it reaches the top.
+// depth. A capture over InlineCallback::kInlineBytes (128 B) is a compile
+// error; box it explicitly (capture a unique_ptr/shared_ptr to the state).
+//
+// Cancellation frees the node at once and bumps its generation, which
+// leaves a stale entry in the heap. Once stale entries outnumber live ones
+// by more than kCompactSlack, one pass drops them all and re-heapifies, so
+// the heap never holds more than 2 * pending() + kCompactSlack entries and
+// the cost stays amortised O(1) per cancel. Pop order depends only on the
+// unique (at, seq) keys, never on the heap's layout, so compaction cannot
+// change which event fires next.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/time.hpp"
+#include "sim/inline_callback.hpp"
 
 namespace xrdma::sim {
 
 class Engine {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineCallback;
+  /// Stale heap entries tolerated beyond the live count before compaction.
+  static constexpr std::size_t kCompactSlack = 64;
 
  private:
   struct Node {
     Callback cb;
-    std::uint64_t gen = 0;  // bumped each time the node is freed
+    std::uint64_t gen = 0;  // bumped when its event fires or is cancelled
     Node* next_free = nullptr;
   };
 
@@ -80,6 +91,9 @@ class Engine {
   void stop() { stopped_ = true; }
 
   std::size_t pending() const { return live_; }
+  /// Heap entries, live plus not yet compacted stale ones; at most
+  /// 2 * pending() + kCompactSlack.
+  std::size_t queued_entries() const { return heap_.size(); }
   std::uint64_t events_processed() const { return processed_; }
 
   /// Conformance-harness hook (X-Check): invoked after every fired event,
@@ -105,7 +119,10 @@ class Engine {
   };
 
   Node* acquire();
-  void release(Node* n);
+  /// Destroys a disarmed node's callback and returns it to the free list.
+  void recycle(Node* n);
+  /// Drops every stale entry once they outnumber live ones by the slack.
+  void maybe_compact();
   /// Drop cancelled entries off the top; returns false if the heap empties.
   bool settle_top();
   void fire_top();
@@ -113,7 +130,8 @@ class Engine {
   Nanos now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::size_t live_ = 0;  // scheduled and not yet fired/cancelled
+  std::size_t live_ = 0;   // scheduled and not yet fired/cancelled
+  std::size_t stale_ = 0;  // heap entries whose event was cancelled
   bool stopped_ = false;
   Callback post_hook_;
   std::vector<Entry> heap_;

@@ -299,6 +299,7 @@ TEST_P(ShapeTest, SameSeedIsBitIdentical) {
   const RunReport a = run_schedule(s, opt);
   const RunReport b = run_schedule(s, opt);
   EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.violations, b.violations);
   EXPECT_EQ(a.msgs_rejected, b.msgs_rejected);
   EXPECT_EQ(a.batch_accumulated, b.batch_accumulated);

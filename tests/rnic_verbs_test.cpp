@@ -387,6 +387,68 @@ TEST(RcVerbs, DeadPeerTriggersTransportRetryExceeded) {
   EXPECT_GT(t.cluster.rnic(0).stats().timeouts, 0u);
 }
 
+// The retransmit timer is one chain per QP. An ack that drains the QP used
+// to clear an "armed" flag without cancelling the pending event, so every
+// post -> ack -> drain cycle left one orphaned timer event behind (each of
+// which re-armed itself whenever traffic was outstanding when it fired).
+
+TEST(RcVerbs, DrainedQpLeavesNoRetransmitTimerBehind) {
+  RcPair t;  // retransmit_timeout (8 ms) outlasts the whole loop
+  Mr smr = t.pd0.reg_mr(64);
+  Mr rmr = t.pd1.reg_mr(64);
+  const Nanos start = t.engine().now();
+  std::vector<Wc> swc;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    t.qp0.post_send({.wr_id = static_cast<std::uint64_t>(cycle),
+                     .opcode = Opcode::write,
+                     .local = {smr.addr(), 8, smr.lkey()},
+                     .remote_addr = rmr.addr(),
+                     .rkey = rmr.rkey()});
+    t.cluster.run_for(micros(5));  // post, ack, drain
+    RcPair::drain(t.scq0, swc);
+    ASSERT_EQ(swc.size(), static_cast<std::size_t>(cycle + 1));
+    ASSERT_LE(t.engine().pending(), 2u) << "cycle " << cycle;
+  }
+  EXPECT_LE(t.engine().now() - start, millis(1));
+  EXPECT_EQ(t.cluster.rnic(0).stats().timeouts, 0u);
+}
+
+TEST(RcVerbs, StaleRetransmitTimerCannotDeferTheLiveOne) {
+  // A drained QP's old timer event, still pending, used to fire into the
+  // next outstanding send: it cleared the live chain's armed state, armed a
+  // second chain and reset the progress clock. The two chains then kept
+  // deferring each other and a dead peer was never detected.
+  rnic::RnicConfig cfg;
+  cfg.retransmit_timeout = micros(200);
+  RcPair t(QpCaps{}, cfg);
+  Mr smr = t.pd0.reg_mr(64);
+  Mr rmr = t.pd1.reg_mr(64);
+  const rnic::SendWr write{.wr_id = 1,
+                           .opcode = Opcode::write,
+                           .local = {smr.addr(), 8, smr.lkey()},
+                           .remote_addr = rmr.addr(),
+                           .rkey = rmr.rkey()};
+  const Nanos t0 = t.engine().now();
+  t.qp0.post_send(write);  // armed ~t0 + 200 us, drained microseconds later
+  t.cluster.run_for(micros(150));
+  std::vector<Wc> swc;
+  RcPair::drain(t.scq0, swc);
+  ASSERT_EQ(swc.size(), 1u);
+
+  t.cluster.host(1).set_alive(false);
+  const Nanos t1 = t.engine().now();
+  t.qp0.post_send(write);  // outstanding when the old deadline passes
+  t.engine().run_until(t1 + micros(250));
+  auto& stats = t.cluster.rnic(0).stats();
+  EXPECT_EQ(stats.timeouts, 1u) << "first timeout one period after t1";
+  EXPECT_GT(t1 - t0, micros(100));
+
+  t.cluster.run_for(millis(50));
+  RcPair::drain(t.scq0, swc);
+  ASSERT_EQ(swc.size(), 2u);
+  EXPECT_EQ(swc[1].status, Errc::transport_retry_exceeded);
+}
+
 TEST(RcVerbs, CompletionsArriveInPostOrder) {
   RcPair t;
   Mr smr = t.pd0.reg_mr(256 * 1024);

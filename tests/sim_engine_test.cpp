@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -218,8 +220,15 @@ TEST(Engine, EmptyCallbackIsInert) {
   Engine eng;
   auto at = eng.schedule_at(micros(5), Engine::Callback{});
   auto after = eng.schedule_after(micros(5), nullptr);
+  // An empty std::function or null function pointer converts to an empty
+  // callback, as it would to an empty std::function.
+  auto none = eng.schedule_after(micros(5), std::function<void()>{});
+  void (*null_fn)() = nullptr;
+  auto null_ptr = eng.schedule_after(micros(5), null_fn);
   EXPECT_FALSE(at.armed());
   EXPECT_FALSE(after.armed());
+  EXPECT_FALSE(none.armed());
+  EXPECT_FALSE(null_ptr.armed());
   EXPECT_EQ(eng.pending(), 0u);
   EXPECT_FALSE(eng.cancel(at));
   eng.run();
@@ -391,6 +400,213 @@ TEST(Engine, MatchesReferenceModelUnderRandomOps) {
     eng.run();
     check(true);
   }
+}
+
+TEST(Engine, ChurnMatchesReferenceAndCompactsStaleEntries) {
+  // The keepalive / MemCache pattern: a fixed set of far-future timers,
+  // re-armed (cancel + schedule) over and over, while near-term events fire.
+  // Some callbacks cancel or re-arm another slot from inside. Checked against
+  // a std::map keyed on (at, seq): identical firing order, correct armed()
+  // across compactions, and a heap that never holds more than
+  // 2 * pending() + kCompactSlack entries.
+  using Key = std::pair<Nanos, std::uint64_t>;
+  constexpr std::size_t kSlots = 100;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Engine eng;
+    std::vector<Engine::EventId> handles(kSlots);
+    std::vector<std::size_t> fired;
+    std::size_t compactions = 0;
+
+    std::map<Key, std::size_t> model;
+    std::vector<std::optional<Key>> live(kSlots);
+    std::vector<std::size_t> model_fired;
+    Nanos model_now = 0;
+    std::uint64_t model_seq = 0;
+
+    // What slot `i`'s callback does to slot (i * 7 + 1) % kSlots: even slots
+    // cancel it, slots divisible by 3 re-arm it 50 ns out.
+    auto other = [](std::size_t i) { return (i * 7 + 1) % kSlots; };
+    std::function<void(std::size_t, Nanos)> engine_arm;
+    auto engine_cancel = [&](std::size_t i) {
+      const std::size_t before = eng.queued_entries();
+      const bool was = eng.cancel(handles[i]);
+      if (eng.queued_entries() + 1 < before) ++compactions;
+      return was;
+    };
+    engine_arm = [&](std::size_t i, Nanos at) {
+      engine_cancel(i);
+      handles[i] = eng.schedule_at(at, [&, i] {
+        fired.push_back(i);
+        if (i % 2 == 0) engine_cancel(other(i));
+        if (i % 3 == 0) engine_arm(other(i), eng.now() + 50);
+      });
+    };
+    auto model_cancel = [&](std::size_t i) {
+      if (!live[i]) return false;
+      model.erase(*live[i]);
+      live[i].reset();
+      return true;
+    };
+    auto model_arm = [&](std::size_t i, Nanos at) {
+      model_cancel(i);
+      const Key k{std::max(at, model_now), model_seq++};
+      model[k] = i;
+      live[i] = k;
+    };
+    auto model_step = [&] {
+      const auto [k, i] = *model.begin();
+      model.erase(model.begin());
+      live[i].reset();
+      model_now = k.first;
+      model_fired.push_back(i);
+      if (i % 2 == 0) model_cancel(other(i));
+      if (i % 3 == 0) model_arm(other(i), model_now + 50);
+    };
+    auto check = [&] {
+      ASSERT_EQ(fired, model_fired);
+      ASSERT_EQ(eng.pending(), model.size());
+      ASSERT_EQ(eng.now(), model_now);
+      ASSERT_LE(eng.queued_entries(),
+                2 * eng.pending() + Engine::kCompactSlack);
+      for (std::size_t i = 0; i < kSlots; ++i) {
+        ASSERT_EQ(handles[i].armed(), live[i].has_value()) << "slot " << i;
+      }
+    };
+
+    for (int op = 0; op < 20000; ++op) {
+      const auto roll = rng.next_below(20);
+      const std::size_t i = rng.next_below(kSlots);
+      if (roll < 12) {  // re-arm, mostly far out (a deferred deadline)
+        const Nanos at =
+            eng.now() + (rng.chance(0.8) ? rng.uniform(10'000, 15'000)
+                                         : rng.uniform(-5, 200));
+        engine_arm(i, at);
+        model_arm(i, at);
+      } else if (roll < 15) {
+        ASSERT_EQ(engine_cancel(i), model_cancel(i));
+      } else if (roll < 19) {
+        const bool expect = !model.empty();
+        if (expect) model_step();
+        ASSERT_EQ(eng.step(), expect);
+      } else {
+        const Nanos t = eng.now() + rng.uniform(0, 100);
+        while (!model.empty() && model.begin()->first.first <= t) model_step();
+        model_now = std::max(model_now, t);
+        eng.run_until(t);
+      }
+      if (op % 97 == 0) check();
+      if (HasFatalFailure()) return;
+    }
+    while (!model.empty()) model_step();
+    eng.run();
+    check();
+    EXPECT_GT(compactions, 10u) << "the churn must exercise compaction";
+    EXPECT_EQ(eng.queued_entries(), 0u);
+  }
+}
+
+TEST(Engine, DeadlineTimerChurnKeepsTheHeapSmall) {
+  // One timer deferred 10 000 times over 3 000 far-future events: without
+  // compaction every deferral would leave a stale entry behind.
+  Engine eng;
+  int sink = 0;
+  for (int i = 0; i < 3000; ++i) {
+    eng.schedule_after(seconds(1) + i, [&sink] { ++sink; });
+  }
+  DeadlineTimer timer(eng, [&sink] { ++sink; });
+  for (int i = 0; i < 10000; ++i) {
+    timer.arm_after(millis(15));
+    ASSERT_LE(eng.queued_entries(), 2 * eng.pending() + Engine::kCompactSlack);
+  }
+  EXPECT_EQ(eng.pending(), 3001u);
+  eng.run();
+  EXPECT_EQ(sink, 3001);
+}
+
+// Counts destructions of the one live copy; moved-from shells don't count.
+struct DestroyCounter {
+  int* destroyed;
+  int* calls;
+  bool owner = true;
+  DestroyCounter(int* d, int* c) : destroyed(d), calls(c) {}
+  DestroyCounter(DestroyCounter&& o) noexcept
+      : destroyed(o.destroyed),
+        calls(o.calls),
+        owner(std::exchange(o.owner, false)) {}
+  DestroyCounter(const DestroyCounter&) = delete;
+  ~DestroyCounter() {
+    if (owner) ++*destroyed;
+  }
+  void operator()() { ++*calls; }
+};
+
+struct Oversized {
+  char pad[InlineCallback::kInlineBytes + 1];
+  void operator()() {}
+};
+struct Fits {
+  char pad[InlineCallback::kInlineBytes];
+  void operator()() {}
+};
+// A capture that does not fit must not compile: there is no heap fallback.
+static_assert(!std::is_constructible_v<Engine::Callback, Oversized>);
+static_assert(std::is_constructible_v<Engine::Callback, Fits>);
+static_assert(!std::is_copy_constructible_v<Engine::Callback>);
+
+TEST(InlineCallback, HoldsMoveOnlyCaptures) {
+  Engine eng;
+  int got = 0;
+  auto box = std::make_unique<int>(41);
+  eng.schedule_after(micros(1), [&got, p = std::move(box)] { got = *p + 1; });
+  eng.run();
+  EXPECT_EQ(got, 42);
+
+  // Moving a callable moves its capture; the source is left empty.
+  Engine::Callback a = [&got, p = std::make_unique<int>(7)] { got = *p; };
+  Engine::Callback b = std::move(a);
+  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move)
+  ASSERT_TRUE(b);
+  b();
+  EXPECT_EQ(got, 7);
+}
+
+TEST(InlineCallback, CapturesAreDestroyedExactlyOnce) {
+  int destroyed = 0;
+  int calls = 0;
+  {  // on fire
+    Engine eng;
+    eng.schedule_after(micros(1), DestroyCounter(&destroyed, &calls));
+    EXPECT_EQ(destroyed, 0);
+    eng.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(destroyed, 1);
+  }
+  EXPECT_EQ(destroyed, 1);
+  {  // on cancel, including across a compaction of the heap
+    Engine eng;
+    auto id = eng.schedule_after(micros(1), DestroyCounter(&destroyed, &calls));
+    for (std::size_t i = 0; i < 4 * Engine::kCompactSlack; ++i) {
+      auto churn =
+          eng.schedule_after(micros(5), DestroyCounter(&destroyed, &calls));
+      eng.cancel(churn);
+    }
+    EXPECT_EQ(destroyed, 1 + 4 * static_cast<int>(Engine::kCompactSlack));
+    EXPECT_TRUE(eng.cancel(id));
+    EXPECT_EQ(destroyed, 2 + 4 * static_cast<int>(Engine::kCompactSlack));
+    eng.run();
+    EXPECT_EQ(calls, 1);
+  }
+  destroyed = 0;
+  {  // on engine destruction, still pending
+    Engine eng;
+    eng.schedule_after(micros(1), DestroyCounter(&destroyed, &calls));
+    eng.schedule_after(micros(2), DestroyCounter(&destroyed, &calls));
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_EQ(calls, 1);
 }
 
 }  // namespace
