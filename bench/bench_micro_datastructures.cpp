@@ -35,12 +35,14 @@ void BM_EngineScheduleFire(benchmark::State& state) {
 BENCHMARK(BM_EngineScheduleFire);
 
 void BM_EngineDeepQueue(benchmark::State& state) {
-  // Scheduling into a heap that already holds `depth` pending events.
+  // Scheduling into a queue that already holds `depth` pending events. They
+  // are parked ~28 sim hours out: at 100 ns per iteration no run reaches
+  // them, so the queue never drains mid-run.
   const int depth = static_cast<int>(state.range(0));
   sim::Engine eng;
   std::uint64_t sink = 0;
   for (int i = 0; i < depth; ++i) {
-    eng.schedule_after(seconds(1) + i, [&sink] { ++sink; });
+    eng.schedule_after(seconds(100'000) + i, [&sink] { ++sink; });
   }
   for (auto _ : state) {
     eng.schedule_after(100, [&sink] { ++sink; });
@@ -49,6 +51,60 @@ void BM_EngineDeepQueue(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EngineDeepQueue)->Arg(1000)->Arg(100000);
+
+void BM_EngineHold(benchmark::State& state) {
+  // The hold model at perfbench's measured mean queue depths (15 events on
+  // eager_flood, 71 on rpc_fanin), with delays drawn from the simulator's
+  // own schedule_at census: 50% a 100 ns busy poll, 25% a 250-650 ns link
+  // hop or RNIC overhead, 22% a 0.6-2 us frame; the other 3% re-arm one of
+  // four ms-scale timers (keepalive, MemCache, retransmit), which are
+  // pushed back long before they fire. A near draw fires the earliest event
+  // and schedules its replacement, so the depth stays fixed. Draws are
+  // precomputed, so the RNG stays out of the timing.
+  constexpr int kTimers = 4;
+  const int depth = static_cast<int>(state.range(0));
+  struct Draw {
+    Nanos delay;
+    int timer;  // -1: a near event
+  };
+  Rng rng(1);
+  std::vector<Draw> draws(4096);
+  for (Draw& d : draws) {
+    const auto r = rng.next_below(100);
+    if (r < 50) {
+      d = {100, -1};
+    } else if (r < 75) {
+      d = {rng.uniform(250, 650), -1};
+    } else if (r < 97) {
+      d = {rng.uniform(600, 2000), -1};
+    } else {
+      d = {rng.uniform(millis(1), millis(15)),
+           static_cast<int>(rng.next_below(kTimers))};
+    }
+  }
+  sim::Engine eng;
+  std::uint64_t sink = 0;
+  const auto cb = [&sink] { ++sink; };
+  std::vector<sim::Engine::EventId> timers(kTimers);
+  for (auto& t : timers) t = eng.schedule_after(millis(15), cb);
+  for (int i = kTimers; i < depth; ++i) {
+    eng.schedule_after(draws[static_cast<std::size_t>(i)].delay, cb);
+  }
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const Draw& d = draws[k++ % draws.size()];
+    if (d.timer < 0) {
+      eng.step();
+      eng.schedule_after(d.delay, cb);
+    } else {
+      auto& t = timers[static_cast<std::size_t>(d.timer)];
+      eng.cancel(t);
+      t = eng.schedule_after(d.delay, cb);
+    }
+  }
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_EngineHold)->Arg(15)->Arg(71);
 
 void BM_EngineDeadlineChurn(benchmark::State& state) {
   // The keepalive / MemCache pattern: one DeadlineTimer pushed back on every

@@ -182,7 +182,7 @@ constexpr char kMagic[4] = {'X', 'R', 'D', '1'};
 std::vector<std::uint8_t> encode_xrd(const Dump& dump) {
   std::vector<std::uint8_t> b;
   b.reserve(64 + dump.records.size() * sizeof(Rec));
-  b.insert(b.end(), kMagic, kMagic + 4);
+  for (const char c : kMagic) b.push_back(static_cast<std::uint8_t>(c));
   put_u32(b, dump.version);
   put_u32(b, dump.node);
   put_u64(b, static_cast<std::uint64_t>(dump.dumped_at));

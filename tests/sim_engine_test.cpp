@@ -15,6 +15,7 @@
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "sim/timer.hpp"
+#include "test_seed.hpp"
 
 namespace xrdma::sim {
 namespace {
@@ -408,10 +409,21 @@ TEST(Engine, ChurnMatchesReferenceAndCompactsStaleEntries) {
   // Some callbacks cancel or re-arm another slot from inside. Checked against
   // a std::map keyed on (at, seq): identical firing order, correct armed()
   // across compactions, and a heap that never holds more than
-  // 2 * pending() + kCompactSlack entries.
+  // 2 * pending() + kCompactSlack entries. The far band lies well past the
+  // wheel's horizon, so deferred deadlines are cancelled while they sit in
+  // the heap; a second band straddles the horizon, so events migrate from
+  // the heap into the wheel while near-term events join the same slots.
   using Key = std::pair<Nanos, std::uint64_t>;
   constexpr std::size_t kSlots = 100;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+  // A non-zero XRDMA_TEST_SEED base adds four seeds derived from the case's.
+  XRDMA_CASE_SEED(case_seed);
+  std::vector<std::uint64_t> seeds{1, 2, 3, 4};
+  if (::xrdma::testing::test_seed_base() != 0) {
+    for (std::uint64_t k = 1; k <= 4; ++k) {
+      seeds.push_back(case_seed ^ (k * 0x9e3779b97f4a7c15ULL));
+    }
+  }
+  for (const std::uint64_t seed : seeds) {
     SCOPED_TRACE(seed);
     Rng rng(seed);
     Engine eng;
@@ -479,9 +491,13 @@ TEST(Engine, ChurnMatchesReferenceAndCompactsStaleEntries) {
       const auto roll = rng.next_below(20);
       const std::size_t i = rng.next_below(kSlots);
       if (roll < 12) {  // re-arm, mostly far out (a deferred deadline)
+        const double band = rng.next_double();
         const Nanos at =
-            eng.now() + (rng.chance(0.8) ? rng.uniform(10'000, 15'000)
-                                         : rng.uniform(-5, 200));
+            eng.now() +
+            (band < 0.7   ? rng.uniform(100'000, 150'000)
+             : band < 0.8 ? rng.uniform(Engine::kHorizon - 2,
+                                        Engine::kHorizon + 2)
+                          : rng.uniform(-5, 200));
         engine_arm(i, at);
         model_arm(i, at);
       } else if (roll < 15) {
@@ -523,6 +539,149 @@ TEST(Engine, DeadlineTimerChurnKeepsTheHeapSmall) {
   EXPECT_EQ(eng.pending(), 3001u);
   eng.run();
   EXPECT_EQ(sink, 3001);
+}
+
+// Timing-wheel edges. Each test reaches its critical instant by a jump of
+// now() (run_until, or a fire that crosses a far event's horizon), so a
+// wheel that moved heap events in lazily rather than whenever now()
+// advances fires them out of (at, seq) order or at the wrong time.
+constexpr Nanos kH = Engine::kHorizon;
+using Fired = std::vector<std::pair<int, Nanos>>;
+
+/// Records (tag, now()) for every event it labels.
+struct FireLog {
+  explicit FireLog(Engine& e) : eng(e) {}
+  Engine& eng;
+  Fired fired;
+  auto operator()(int tag) {
+    return [this, tag] { fired.emplace_back(tag, eng.now()); };
+  }
+};
+
+TEST(EngineWheel, FarEventFiresBeforeALaterDirectInsertForItsInstant) {
+  Engine eng;
+  FireLog log(eng);
+  // Reached by run_until: the far event migrates at the end of the jump,
+  // before the direct insert for the same instant.
+  const Nanos t1 = 10 * kH + 7;
+  eng.schedule_at(t1, log(0));
+  eng.run_until(t1 - kH + 1);
+  eng.schedule_at(t1, log(1));
+  // Reached by firing: the event at t2 - kH + 1 moves now() past the far
+  // event's horizon, so it joins its slot before the callback's insert.
+  const Nanos t2 = 30 * kH + 11;
+  eng.schedule_at(t2, log(2));
+  eng.schedule_at(t2 - kH + 1, [&] { eng.schedule_at(t2, log(3)); });
+  eng.run();
+  EXPECT_EQ(log.fired, (Fired{{0, t1}, {1, t1}, {2, t2}, {3, t2}}));
+}
+
+TEST(EngineWheel, RunUntilJumpsManyHorizonsOverHeapEvents) {
+  Engine eng;
+  FireLog log(eng);
+  const Nanos end = 15 * kH;
+  eng.schedule_at(kH / 2, log(0));
+  eng.schedule_at(3 * kH + 1, log(1));
+  eng.schedule_at(3 * kH + 1, log(2));
+  eng.schedule_at(7 * kH - 1, log(3));
+  eng.schedule_at(7 * kH, log(4));
+  eng.schedule_at(12 * kH + 5, log(5));
+  // Within one horizon of `end`: these migrate when the jump ends, so they
+  // precede the later direct inserts for their instants.
+  eng.schedule_at(end + kH - 1, log(6));
+  eng.schedule_at(end + 1, log(7));
+  eng.run_until(end);
+  EXPECT_EQ(eng.now(), end);
+  EXPECT_EQ(log.fired, (Fired{{0, kH / 2},
+                              {1, 3 * kH + 1},
+                              {2, 3 * kH + 1},
+                              {3, 7 * kH - 1},
+                              {4, 7 * kH},
+                              {5, 12 * kH + 5}}));
+  log.fired.clear();
+  eng.schedule_at(end + kH - 1, log(8));
+  eng.schedule_at(end + 1, log(9));
+  EXPECT_EQ(eng.pending(), 4u);
+  eng.run();
+  EXPECT_EQ(log.fired, (Fired{{7, end + 1},
+                              {9, end + 1},
+                              {6, end + kH - 1},
+                              {8, end + kH - 1}}));
+}
+
+TEST(EngineWheel, CancelHeadMiddleAndTailOfOneSlot) {
+  Engine eng;
+  FireLog log(eng);
+  const Nanos t = 5 * kH + 3;
+  std::vector<Engine::EventId> ids;
+  // Two far events migrate into t's slot, then four direct inserts join.
+  ids.push_back(eng.schedule_at(t, log(0)));
+  ids.push_back(eng.schedule_at(t, log(1)));
+  eng.run_until(t - kH + 1);
+  for (int i = 2; i < 6; ++i) ids.push_back(eng.schedule_at(t, log(i)));
+  EXPECT_TRUE(eng.cancel(ids[0]));  // head
+  EXPECT_TRUE(eng.cancel(ids[3]));  // middle
+  EXPECT_TRUE(eng.cancel(ids[5]));  // tail
+  EXPECT_FALSE(eng.cancel(ids[5]));
+  EXPECT_EQ(eng.pending(), 3u);
+  EXPECT_EQ(eng.queued_entries(), 0u);  // a wheel cancel leaves nothing
+  // A new tail after the cancelled one still fires last.
+  eng.schedule_at(t, log(6));
+  eng.run();
+  EXPECT_EQ(log.fired, (Fired{{1, t}, {2, t}, {4, t}, {6, t}}));
+
+  // Emptying a slot by cancels clears it: later events still fire, and a
+  // fresh insert into the same slot one lap later is alone in it.
+  log.fired.clear();
+  auto a = eng.schedule_at(t + 10, log(7));
+  auto b = eng.schedule_at(t + 10, log(8));
+  eng.schedule_at(t + 20, log(9));
+  EXPECT_TRUE(eng.cancel(b));
+  EXPECT_TRUE(eng.cancel(a));
+  eng.schedule_at(t + 10 + kH, log(10));
+  eng.run();
+  EXPECT_EQ(log.fired, (Fired{{9, t + 20}, {10, t + 10 + kH}}));
+}
+
+TEST(EngineWheel, SlotIndicesWrapAroundTheWheel) {
+  Engine eng;
+  FireLog log(eng);
+  const Nanos base = 3 * kH + (kH - 2);  // now % kH == kH - 2 after the jump
+  eng.schedule_at(base + 1, log(0));    // far: slot kH - 1
+  eng.schedule_at(base + 2, log(1));    // far: slot 0, after the wrap
+  eng.run_until(base);
+  // Direct inserts in reverse time order, spanning the wrap.
+  eng.schedule_at(base + kH - 1, log(2));  // slot kH - 3, a lap ahead
+  eng.schedule_at(base + 66, log(3));      // slot 64: the next bitmap word
+  eng.schedule_at(base + 2, log(4));
+  eng.schedule_at(base + 1, log(5));
+  eng.schedule_at(base, log(6));
+  eng.run();
+  EXPECT_EQ(log.fired, (Fired{{6, base},
+                              {0, base + 1},
+                              {5, base + 1},
+                              {1, base + 2},
+                              {4, base + 2},
+                              {3, base + 66},
+                              {2, base + kH - 1}}));
+}
+
+TEST(EngineWheel, PastTimeScheduleClampsToNowBehindQueuedPeers) {
+  Engine eng;
+  FireLog log(eng);
+  const Nanos t = 8 * kH + 9;
+  // Far events for t; the second one schedules into the past from inside
+  // its callback, which clamps to t behind everything queued for t.
+  eng.schedule_at(t, log(0));
+  eng.schedule_at(t, [&] { eng.schedule_at(t - 1000, log(1)); });
+  eng.schedule_at(t, log(2));
+  eng.run_until(t - 1);
+  eng.schedule_at(t, log(3));
+  // From outside a callback: clamps to now() = t - 1, ahead of them all.
+  auto past = eng.schedule_at(0, log(4));
+  EXPECT_TRUE(past.armed());
+  eng.run();
+  EXPECT_EQ(log.fired, (Fired{{4, t - 1}, {0, t}, {2, t}, {3, t}, {1, t}}));
 }
 
 // Counts destructions of the one live copy; moved-from shells don't count.
