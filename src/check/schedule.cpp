@@ -5,7 +5,10 @@
 #include <map>
 #include <sstream>
 #include <tuple>
+#include <type_traits>
+#include <variant>
 
+#include "common/field_range.hpp"
 #include "common/rng.hpp"
 
 namespace xrdma::check {
@@ -19,6 +22,65 @@ std::optional<OpKind> op_kind_from_string(std::string_view name) {
     if (name == kOpNames[i]) return static_cast<OpKind>(i);
   }
   return std::nullopt;
+}
+
+// The replay `params` keys in serialization order, each naming the
+// ScheduleParams field it carries. The printer and the parser both loop over
+// this table; a key missing from a file keeps the field's default, which is
+// how files written before the post-v1 keys (txcap onwards) still load.
+struct ParamKey {
+  const char* key;
+  std::variant<std::uint32_t ScheduleParams::*, Nanos ScheduleParams::*,
+               bool ScheduleParams::*>
+      field;
+};
+
+constexpr ParamKey kParamKeys[] = {
+    {"hosts", &ScheduleParams::num_hosts},
+    {"slots", &ScheduleParams::slots_per_pair},
+    {"numops", &ScheduleParams::num_ops},
+    {"numfaults", &ScheduleParams::num_faults},
+    {"horizon", &ScheduleParams::horizon},
+    {"corrupt", &ScheduleParams::with_corruption},
+    {"window", &ScheduleParams::window_depth},
+    {"wrs", &ScheduleParams::max_outstanding_wrs},
+    {"mask", &ScheduleParams::trace_sample_mask},
+    {"frag", &ScheduleParams::frag_size},
+    {"txcap", &ScheduleParams::tx_queue_cap},
+    {"incast", &ScheduleParams::incast},
+    {"membudget", &ScheduleParams::mem_budget_mb},
+    {"flap", &ScheduleParams::flap_cycles},
+    {"brownout", &ScheduleParams::brownout_delay_us},
+    {"adaptive", &ScheduleParams::health_adaptive},
+    {"drain", &ScheduleParams::drain_cycles},
+    {"mixedver", &ScheduleParams::mixed_versions},
+    {"batching", &ScheduleParams::batch_shape},
+    {"crcshape", &ScheduleParams::corruption_shape},
+};
+
+// Parses one `params` value into its field; false when the key is unknown
+// or the value does not fit the field (see fits_field).
+bool set_param(ScheduleParams& p, const std::string& key, std::int64_t value) {
+  for (const ParamKey& k : kParamKeys) {
+    if (key != k.key) continue;
+    return std::visit(
+        [&](auto field) {
+          using T = std::remove_reference_t<decltype(p.*field)>;
+          if (!fits_field<T>(value)) return false;
+          p.*field = static_cast<T>(value);
+          return true;
+        },
+        k.field);
+  }
+  return false;
+}
+
+// Reads one node/slot index of an op or fault line.
+bool read_index(std::istream& in, std::uint8_t& out) {
+  std::int64_t v = 0;
+  if (!(in >> v) || !fits_field<std::uint8_t>(v)) return false;
+  out = static_cast<std::uint8_t>(v);
+  return true;
 }
 
 struct SlotKey {
@@ -214,18 +276,13 @@ std::string serialize_schedule(const Schedule& s) {
   std::ostringstream out;
   out << "xcheck v1\n";
   out << "seed " << s.seed << "\n";
-  const ScheduleParams& p = s.params;
-  out << "params hosts " << p.num_hosts << " slots " << p.slots_per_pair
-      << " numops " << p.num_ops << " numfaults " << p.num_faults
-      << " horizon " << p.horizon << " corrupt " << (p.with_corruption ? 1 : 0)
-      << " window " << p.window_depth << " wrs " << p.max_outstanding_wrs
-      << " mask " << p.trace_sample_mask << " frag " << p.frag_size
-      << " txcap " << p.tx_queue_cap << " incast " << (p.incast ? 1 : 0)
-      << " membudget " << p.mem_budget_mb << " flap " << p.flap_cycles
-      << " brownout " << p.brownout_delay_us << " adaptive "
-      << (p.health_adaptive ? 1 : 0) << " drain " << p.drain_cycles
-      << " mixedver " << (p.mixed_versions ? 1 : 0) << " batching "
-      << p.batch_shape << " crcshape " << p.corruption_shape << "\n";
+  out << "params";
+  for (const ParamKey& k : kParamKeys) {
+    out << ' ' << k.key << ' ';
+    // A bool prints as 0 / 1.
+    std::visit([&](auto field) { out << s.params.*field; }, k.field);
+  }
+  out << "\n";
   for (const Op& op : s.ops) {
     out << "op " << op.at << " " << to_string(op.kind) << " "
         << unsigned{op.src} << " " << unsigned{op.dst} << " "
@@ -255,58 +312,35 @@ bool deserialize_schedule(const std::string& text, Schedule& out) {
     if (word == "seed") {
       ls >> s.seed;
     } else if (word == "params") {
-      ScheduleParams& p = s.params;
       std::string key;
-      std::uint64_t value = 0;
-      while (ls >> key >> value) {
-        if (key == "hosts") p.num_hosts = static_cast<std::uint32_t>(value);
-        else if (key == "slots") p.slots_per_pair = static_cast<std::uint32_t>(value);
-        else if (key == "numops") p.num_ops = static_cast<std::uint32_t>(value);
-        else if (key == "numfaults") p.num_faults = static_cast<std::uint32_t>(value);
-        else if (key == "horizon") p.horizon = static_cast<Nanos>(value);
-        else if (key == "corrupt") p.with_corruption = value != 0;
-        else if (key == "window") p.window_depth = static_cast<std::uint32_t>(value);
-        else if (key == "wrs") p.max_outstanding_wrs = static_cast<std::uint32_t>(value);
-        else if (key == "mask") p.trace_sample_mask = static_cast<std::uint32_t>(value);
-        else if (key == "frag") p.frag_size = static_cast<std::uint32_t>(value);
-        else if (key == "txcap") p.tx_queue_cap = static_cast<std::uint32_t>(value);
-        else if (key == "incast") p.incast = value != 0;
-        else if (key == "membudget") p.mem_budget_mb = static_cast<std::uint32_t>(value);
-        else if (key == "flap") p.flap_cycles = static_cast<std::uint32_t>(value);
-        else if (key == "brownout") p.brownout_delay_us = static_cast<std::uint32_t>(value);
-        else if (key == "adaptive") p.health_adaptive = value != 0;
-        else if (key == "drain") p.drain_cycles = static_cast<std::uint32_t>(value);
-        else if (key == "mixedver") p.mixed_versions = value != 0;
-        else if (key == "batching") p.batch_shape = static_cast<std::uint32_t>(value);
-        else if (key == "crcshape") p.corruption_shape = static_cast<std::uint32_t>(value);
-        else return false;
+      while (ls >> key) {
+        std::int64_t value = 0;
+        if (!(ls >> value) || !set_param(s.params, key, value)) return false;
       }
     } else if (word == "op") {
       Op op;
       std::string kind;
-      unsigned src = 0, dst = 0, slot = 0;
-      ls >> op.at >> kind >> src >> dst >> slot >> op.size >> op.tag;
-      if (!ls) return false;
+      ls >> op.at >> kind;
+      if (!read_index(ls, op.src) || !read_index(ls, op.dst) ||
+          !read_index(ls, op.slot) || !(ls >> op.size >> op.tag)) {
+        return false;
+      }
       const auto k = op_kind_from_string(kind);
       if (!k) return false;
       op.kind = *k;
-      op.src = static_cast<std::uint8_t>(src);
-      op.dst = static_cast<std::uint8_t>(dst);
-      op.slot = static_cast<std::uint8_t>(slot);
       s.ops.push_back(op);
     } else if (word == "fault") {
       FaultOp f;
       std::string kind;
-      unsigned node = 0, src = 0, dst = 0, slot = 0;
-      ls >> f.at >> kind >> node >> src >> dst >> slot >> f.delay;
-      if (!ls) return false;
+      ls >> f.at >> kind;
+      if (!read_index(ls, f.node) || !read_index(ls, f.src) ||
+          !read_index(ls, f.dst) || !read_index(ls, f.slot) ||
+          !(ls >> f.delay)) {
+        return false;
+      }
       const auto k = analysis::fault_kind_from_string(kind);
       if (!k) return false;
       f.kind = *k;
-      f.node = static_cast<std::uint8_t>(node);
-      f.src = static_cast<std::uint8_t>(src);
-      f.dst = static_cast<std::uint8_t>(dst);
-      f.slot = static_cast<std::uint8_t>(slot);
       s.faults.push_back(f);
     } else if (word == "end") {
       saw_end = true;
@@ -316,6 +350,13 @@ bool deserialize_schedule(const std::string& text, Schedule& out) {
     }
   }
   if (!saw_end) return false;
+  // An op naming a host the cluster does not have would index past the
+  // runner's contexts. (Faults are bounds-checked where they are injected.)
+  for (const Op& op : s.ops) {
+    if (op.src >= s.params.num_hosts || op.dst >= s.params.num_hosts) {
+      return false;
+    }
+  }
   out = std::move(s);
   return true;
 }

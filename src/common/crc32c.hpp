@@ -5,7 +5,8 @@
 // the `crc32` instruction: three interleaved lanes of 8 KiB (256 B for
 // shorter buffers) joined by precomputed shift-by-N-zero-bytes tables,
 // about 16 B/ns — the rate the simulation charges on the send path
-// (Config::send_path_overhead plus a per-covered-byte term). Everywhere
+// (kSendPathOverhead = 250 ns in core/channel.cpp, plus a per-covered-byte
+// term). Everywhere
 // else it falls back to the byte-at-a-time table loop, which is also the
 // oracle the hardware kernel is tested against.
 #pragma once

@@ -9,6 +9,27 @@
 #include "core/context.hpp"
 namespace xrdma::core {
 
+namespace {
+// A would_block sender is told writable again once every cap it hit has
+// drained to this low watermark (% of the cap).
+constexpr std::uint64_t kWritablePct = 50;
+// Retry cadence for memory-deferred work; also the retry-after hint a
+// receiver NAK carries back to the sender.
+constexpr Nanos kMemRetryInterval = micros(100);
+
+// Per-message cost of the X-RDMA send path (framing, window bookkeeping, WR
+// posting), calibrated in EXPERIMENTS.md, plus the tracing tax in req-rsp
+// mode. The receive path runs inline in polling() and its cost is carried
+// by the RNIC rx model.
+constexpr Nanos kSendPathOverhead = nanos(250);
+constexpr Nanos kTraceOverhead = nanos(50);
+
+Nanos send_path_cost(const Config& cfg) {
+  return cfg.reqrsp_mode ? kSendPathOverhead + kTraceOverhead
+                         : kSendPathOverhead;
+}
+}  // namespace
+
 Channel::Channel(Context& ctx, verbs::Qp qp, net::NodeId peer,
                  std::uint64_t id, std::uint32_t send_depth)
     : ctx_(ctx),
@@ -184,7 +205,7 @@ bool Channel::tx_writable() const {
   const Config& cfg = ctx_.config();
   if (ctx_.mem_pressure() == MemPressure::hard) return false;
   const auto below = [&](std::uint64_t cur, std::uint64_t cap) {
-    return cap == 0 || cur <= cap * cfg.tx_writable_pct / 100;
+    return cap == 0 || cur <= cap * kWritablePct / 100;
   };
   return below(pending_tx_.size(), cfg.tx_queue_max_msgs) &&
          below(pending_tx_bytes_, cfg.tx_queue_max_bytes) &&
@@ -372,9 +393,7 @@ bool Channel::transmit(TxEntry& e, bool first) {
       ev.t_post = hdr.t_send;
       // The WR reaches the NIC after the software send path; post_wire
       // schedules it with exactly this cost (the stream posts at once).
-      Nanos sw_cost = cfg.send_path_overhead;
-      if (cfg.reqrsp_mode) sw_cost += cfg.trace_overhead;
-      ev.t_wire = hdr.t_send + (stream ? 0 : sw_cost);
+      ev.t_wire = hdr.t_send + (stream ? 0 : send_path_cost(cfg));
       ev.bytes = len;
       ev.is_rpc_req = hdr.has(kFlagRpcReq);
       ev.is_rpc_rsp = hdr.has(kFlagRpcRsp);
@@ -469,8 +488,7 @@ void Channel::post_wire(const WireHeader& hdr, MemBlock block, Buffer wqe) {
   // Software send-path cost (plus the tracing tax in req-rsp mode, plus the
   // CRC pass over the covered bytes — header and, when real, payload —
   // modeling a hardware-assisted CRC32C at ~16 bytes/ns).
-  Nanos cost = cfg.send_path_overhead;
-  if (cfg.reqrsp_mode) cost += cfg.trace_overhead;
+  Nanos cost = send_path_cost(cfg);
   if (hdr.crc_present) {
     cost += static_cast<Nanos>(
         (hdr.wire_size() + (hdr.payload_crc != 0 ? hdr.payload_len : 0)) / 16);
@@ -975,8 +993,7 @@ void Channel::defer_rendezvous_pull(Seq seq, RxState& rx) {
            rx.hdr.payload_len);
     // Windowless NAK carrying the parked seq and a retry-after hint (ns),
     // so the sender reads the stall as flow control, not a dead peer.
-    post_control(kFlagNak, seq,
-                 static_cast<std::uint64_t>(ctx_.config().mem_retry_interval));
+    post_control(kFlagNak, seq, static_cast<std::uint64_t>(kMemRetryInterval));
   }
   arm_mem_retry();
 }
@@ -992,7 +1009,7 @@ void Channel::retry_deferred_pulls() {
 
 void Channel::arm_mem_retry() {
   if (!mem_retry_timer_->armed()) {
-    mem_retry_timer_->arm_after(ctx_.config().mem_retry_interval);
+    mem_retry_timer_->arm_after(kMemRetryInterval);
   }
 }
 

@@ -1,7 +1,10 @@
 #include "core/config.hpp"
 
+#include <limits>
 #include <type_traits>
 #include <utility>
+
+#include "common/field_range.hpp"
 
 namespace xrdma::core {
 
@@ -15,12 +18,13 @@ constexpr std::int64_t nanos_per(Unit u) {
 }
 
 // One Table III key. A bool field reads back as 0/1, and any nonzero value
-// sets it.
+// sets it. `set` stores nothing and returns false when the value is out of
+// range (see fits_field) or its unit scaling overflows.
 struct Param {
   const char* name;
   bool online;
   std::int64_t (*get)(const Config&);
-  void (*set)(Config&, std::int64_t);
+  bool (*set)(Config&, std::int64_t);
 };
 
 template <auto Field, Unit U = Unit::raw>
@@ -31,7 +35,13 @@ constexpr Param param(const char* name, bool online) {
             return static_cast<std::int64_t>(c.*Field) / nanos_per(U);
           },
           [](Config& c, std::int64_t v) {
-            c.*Field = static_cast<T>(v * nanos_per(U));
+            constexpr std::int64_t scale = nanos_per(U);
+            if (v < 0 || v > std::numeric_limits<std::int64_t>::max() / scale ||
+                !fits_field<T>(v * scale)) {
+              return false;
+            }
+            c.*Field = static_cast<T>(v * scale);
+            return true;
           }};
 }
 
@@ -57,28 +67,10 @@ constexpr Param kParams[] = {
     param<&Config::tx_queue_max_msgs>("tx_queue_max_msgs", kOnline),
     param<&Config::tx_queue_max_bytes>("tx_queue_max_bytes", kOnline),
     param<&Config::ctx_tx_max_bytes>("ctx_tx_max_bytes", kOnline),
-    param<&Config::tx_writable_pct>("tx_writable_pct", kOnline),
     param<&Config::mem_soft_pct>("mem_soft_pct", kOnline),
     param<&Config::mem_hard_pct>("mem_hard_pct", kOnline),
-    param<&Config::mem_retry_interval, Unit::us>("mem_retry_interval_us",
-                                                 kOnline),
-    param<&Config::memcache_idle_shrink, Unit::ms>("memcache_idle_shrink_ms",
-                                                   kOnline),
     param<&Config::health_adaptive>("health_adaptive", kOnline),
-    param<&Config::health_phi_suspect>("health_phi_suspect", kOnline),
-    param<&Config::health_phi_dead>("health_phi_dead", kOnline),
-    param<&Config::health_min_samples>("health_min_samples", kOnline),
     param<&Config::health_breaker>("health_breaker", kOnline),
-    param<&Config::health_halfopen_probes>("health_halfopen_probes", kOnline),
-    param<&Config::health_flap_window, Unit::ms>("health_flap_window_ms",
-                                                 kOnline),
-    param<&Config::health_holddown_base, Unit::ms>("health_holddown_base_ms",
-                                                   kOnline),
-    param<&Config::health_holddown_max, Unit::ms>("health_holddown_max_ms",
-                                                  kOnline),
-    param<&Config::health_degraded_rtt_x>("health_degraded_rtt_x", kOnline),
-    param<&Config::health_retx_degraded>("health_retx_degraded", kOnline),
-    param<&Config::health_crc_degraded>("health_crc_degraded", kOnline),
     param<&Config::e2e_crc>("e2e_crc", kOnline),
     param<&Config::integrity_retry_max>("integrity_retry_max", kOnline),
     param<&Config::lifecycle_drain>("lifecycle_drain", kOnline),
@@ -89,7 +81,6 @@ constexpr Param kParams[] = {
     param<&Config::recorder_enabled>("recorder_enabled", kOnline),
     param<&Config::recorder_sample_mask>("recorder_sample_mask", kOnline),
     param<&Config::tx_batch_max_wrs>("tx_batch_max_wrs", kOnline),
-    param<&Config::tx_batch_max_bytes>("tx_batch_max_bytes", kOnline),
     param<&Config::tx_batch_flush_on_poll_end>("tx_batch_flush_on_poll_end",
                                                kOnline),
     param<&Config::inline_max>("inline_max", kOnline),
@@ -119,8 +110,7 @@ const Param* find_param(const std::string& name) {
 Errc set_flag(Config& config, const std::string& name, std::int64_t value) {
   const Param* p = find_param(name);
   if (p == nullptr) return Errc::not_found;
-  if (!p->online) return Errc::invalid_argument;
-  p->set(config, value);
+  if (!p->online || !p->set(config, value)) return Errc::invalid_argument;
   return Errc::ok;
 }
 

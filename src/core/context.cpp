@@ -8,6 +8,19 @@
 namespace xrdma::core {
 
 namespace {
+// Ctrl-cache budget, deliberately separate from the data budget
+// (Config::memcache_max_mrs): shrinking the data pool to provoke the
+// pressure ladder must not also strangle the bounce-buffer / ACK pool the
+// control plane lives in.
+constexpr std::size_t kCtrlCacheMaxMrs = 4096;
+// Both caches shrink once they have seen no alloc/free for this long.
+constexpr Nanos kIdleShrink = millis(20);
+// Event-mode wakeup cost: epoll wake + context switch.
+constexpr Nanos kEventWakeupLatency = nanos(1500);
+// A channel's accumulated data-send chain also flushes once it carries this
+// many payload bytes (Config::tx_batch_max_wrs caps its WR count).
+constexpr std::uint64_t kTxBatchMaxBytes = 16 * 1024;
+
 constexpr std::uint32_t kHandshakeMagic = 0x5852434d;  // "XRCM"
 constexpr std::uint32_t kHsResume = 1u << 0;  // re-attach to a live channel
 constexpr std::uint32_t kHsVersioned = 1u << 1;  // 44-byte form with the
@@ -131,7 +144,7 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
       send_cq_(pd_.create_cq(cfg_.cq_size)),
       recv_cq_(pd_.create_cq(cfg_.cq_size)),
       ctrl_cache_(nic, MemCacheConfig{.mr_bytes = cfg_.memcache_mr_bytes,
-                                      .max_mrs = cfg_.memcache_ctrl_max_mrs,
+                                      .max_mrs = kCtrlCacheMaxMrs,
                                       .isolation = cfg_.memcache_isolation,
                                       .real_memory = true,
                                       .reserve_bytes = cfg_.memcache_ctrl_reserve}),
@@ -143,7 +156,7 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
       scan_timer_(nic.engine(), cfg_.deadlock_scan_period,
                   [this] { scan_tick(); }),
       event_fd_(nic.engine(), static_cast<int>(nic.node()) * 1000 + 3,
-                cfg_.event_wakeup_latency),
+                kEventWakeupLatency),
       event_fd_id_(static_cast<int>(nic.node()) * 1000 + 3) {
   trace_epoch_ = (static_cast<std::uint64_t>(nic.node()) << 56) ^
                  (next_context_instance() << 40);
@@ -171,11 +184,8 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
     auto it = by_qp_.find(qpn);
     if (it != by_qp_.end()) it->second->on_qp_error(reason);
   });
-  if (cfg_.memcache_idle_shrink > 0) {
-    ctrl_cache_.enable_idle_shrink(cfg_.memcache_idle_shrink);
-    data_cache_.enable_idle_shrink(cfg_.memcache_idle_shrink);
-  }
-  applied_idle_shrink_ = cfg_.memcache_idle_shrink;
+  ctrl_cache_.enable_idle_shrink(kIdleShrink);
+  data_cache_.enable_idle_shrink(kIdleShrink);
   scan_timer_.start();
 }
 
@@ -564,8 +574,7 @@ void Context::accumulate_wr(Channel& ch, verbs::SendWr wr) {
   ch.tx_batch_bytes_ += wr.local.length;
   ch.tx_batch_.push_back(std::move(wr));
   if (ch.tx_batch_.size() >= cfg_.tx_batch_max_wrs ||
-      (cfg_.tx_batch_max_bytes > 0 &&
-       ch.tx_batch_bytes_ >= cfg_.tx_batch_max_bytes)) {
+      ch.tx_batch_bytes_ >= kTxBatchMaxBytes) {
     flush_tx_batch(ch);
     return;
   }
@@ -953,17 +962,6 @@ void Context::scan_tick() {
   // zoom a hot node's ring without restart).
   recorder_.set_enabled(cfg_.recorder_enabled);
   recorder_.set_sample_mask(cfg_.recorder_sample_mask);
-  // Propagate online changes to the idle-shrink knob.
-  if (cfg_.memcache_idle_shrink != applied_idle_shrink_) {
-    applied_idle_shrink_ = cfg_.memcache_idle_shrink;
-    if (applied_idle_shrink_ > 0) {
-      ctrl_cache_.enable_idle_shrink(applied_idle_shrink_);
-      data_cache_.enable_idle_shrink(applied_idle_shrink_);
-    } else {
-      ctrl_cache_.disable_idle_shrink();
-      data_cache_.disable_idle_shrink();
-    }
-  }
 }
 
 const char* to_string(Lifecycle s) {

@@ -364,7 +364,6 @@ class Context {
 
   std::uint64_t queued_tx_bytes_ = 0;
   MemPressure last_pressure_ = MemPressure::normal;
-  Nanos applied_idle_shrink_ = 0;
 
   Lifecycle lifecycle_ = Lifecycle::active;
   Nanos drain_started_ = 0;

@@ -28,6 +28,26 @@ double normal_tail_inverse(double p) {
 
 constexpr double kPhiMax = 40.0;
 
+// φ at which a peer is graded suspect; a suspect peer gets the halved
+// recovery budget.
+constexpr double kPhiSuspect = 2.0;
+// Proof-of-life interval samples required before the adaptive bound is
+// trusted; below this the fixed keepalive_timeout applies.
+constexpr std::size_t kMinSamples = 8;
+// Flap suppression: a restore-then-fail cycle inside this window counts as a
+// flap and escalates the per-peer hold-down (base << level, capped).
+constexpr Nanos kFlapWindow = millis(1000);
+constexpr Nanos kHolddownBase = millis(50);
+constexpr Nanos kHolddownMax = millis(2000);
+// Degraded detectors: probe-RTT short/long EWMA inflation factor, and
+// retransmits per evaluation scan.
+constexpr double kDegradedRttX = 4.0;
+constexpr std::uint64_t kRetxDegraded = 32;
+// Corruption-storm detector: CRC failures per evaluation scan that grade the
+// peer degraded. Fed by the channel's receive-side integrity verification
+// (e2e_crc).
+constexpr std::uint64_t kCrcDegraded = 8;
+
 }  // namespace
 
 const char* to_string(PeerState state) {
@@ -135,7 +155,7 @@ void HealthMonitor::note_fault(net::NodeId peer) {
   // Faults caused by a peer tearing itself down on purpose are not flaps:
   // escalating the hold-down would punish the announced restart.
   if (rec.draining && now < rec.drain_until) return;
-  if (rec.last_restore > 0 && now - rec.last_restore <= cfg_.health_flap_window) {
+  if (rec.last_restore > 0 && now - rec.last_restore <= kFlapWindow) {
     // Restore-then-fail inside the flap window: escalate the hold-down.
     ++rec.flaps;
     ++stats_.flaps;
@@ -147,8 +167,7 @@ void HealthMonitor::note_fault(net::NodeId peer) {
       ++stats_.holddown_escalations;
     }
     const Nanos hd =
-        std::min(cfg_.health_holddown_base << (rec.holddown_level - 1),
-                 cfg_.health_holddown_max);
+        std::min(kHolddownBase << (rec.holddown_level - 1), kHolddownMax);
     rec.holddown_until = now + std::max<Nanos>(hd, 0);
     rec_log(analysis::RecEvent::holddown,
             static_cast<std::uint16_t>(rec.holddown_level),
@@ -237,10 +256,10 @@ bool HealthMonitor::may_attempt(net::NodeId peer,
                                 std::uint64_t channel_id) const {
   const PeerRecord* rec = find(peer);
   if (!rec || !rec->breaker_open) return true;
-  if (rec->halfopen_inflight >= cfg_.health_halfopen_probes) return false;
+  if (rec->halfopen_inflight >= kHalfOpenProbes) return false;
   const bool designated = std::find(rec->probers.begin(), rec->probers.end(),
                                     channel_id) != rec->probers.end();
-  return designated || rec->probers.size() < cfg_.health_halfopen_probes;
+  return designated || rec->probers.size() < kHalfOpenProbes;
 }
 
 void HealthMonitor::note_attempt(net::NodeId peer, std::uint64_t channel_id) {
@@ -306,11 +325,10 @@ double HealthMonitor::phi_of(const PeerRecord& rec, Nanos now) const {
 }
 
 Nanos HealthMonitor::bound_of(const PeerRecord& rec) const {
-  if (!cfg_.health_adaptive || rec.interval_count < cfg_.health_min_samples) {
+  if (!cfg_.health_adaptive || rec.interval_count < kMinSamples) {
     return cfg_.keepalive_timeout;
   }
-  const double z =
-      normal_tail_inverse(std::pow(10.0, -double(cfg_.health_phi_dead)));
+  const double z = normal_tail_inverse(std::pow(10.0, -kPhiDead));
   const double bound = interval_mean(rec) +
                        static_cast<double>(cfg_.keepalive_intv) +
                        z * interval_sigma(rec);
@@ -388,12 +406,9 @@ void HealthMonitor::evaluate(Nanos now) {
     } else {
       const bool rtt_inflated =
           rec.rtt_samples >= 4 &&
-          rec.rtt_short > double(cfg_.health_degraded_rtt_x) *
-                              std::max(rec.rtt_long, 1000.0);
-      const bool retx_storm = cfg_.health_retx_degraded > 0 &&
-                              rec.retx_in_scan >= cfg_.health_retx_degraded;
-      const bool crc_storm = cfg_.health_crc_degraded > 0 &&
-                             rec.crc_in_scan >= cfg_.health_crc_degraded;
+          rec.rtt_short > kDegradedRttX * std::max(rec.rtt_long, 1000.0);
+      const bool retx_storm = rec.retx_in_scan >= kRetxDegraded;
+      const bool crc_storm = rec.crc_in_scan >= kCrcDegraded;
       if (crc_storm) {
         ++stats_.crc_storms;
         rec_log(analysis::RecEvent::corruption_storm, 0,
@@ -402,7 +417,7 @@ void HealthMonitor::evaluate(Nanos now) {
       if (rtt_inflated || retx_storm || crc_storm) {
         next = PeerState::degraded;
       } else if (rec.last_proof > 0 &&
-                 phi_of(rec, now) >= double(cfg_.health_phi_suspect)) {
+                 phi_of(rec, now) >= kPhiSuspect) {
         next = PeerState::suspect;
       }
     }
@@ -415,7 +430,7 @@ void HealthMonitor::evaluate(Nanos now) {
     rec.crc_in_scan = 0;
     // A long quiet spell forgives past flapping.
     if (rec.holddown_level > 0 && rec.last_flap > 0 &&
-        now - rec.last_flap > 4 * cfg_.health_flap_window &&
+        now - rec.last_flap > 4 * kFlapWindow &&
         now >= rec.holddown_until) {
       rec.holddown_level = 0;
       rec.holddown_until = 0;

@@ -10,11 +10,11 @@
 // and, in adaptive mode, replaces the fixed keepalive_timeout cliff with a
 // bound derived from the observed proof-of-life cadence (mean + z_dead * σ,
 // with an Akka-style grace of one keepalive interval added to the mean).
-// On `dead` a circuit breaker opens: only `health_halfopen_probes`
-// designated channels may keep issuing CM connect attempts; everybody else
-// skips their retry ladder and parks on the fallback. Flap suppression adds
-// a per-peer hold-down that escalates exponentially while restore-then-fail
-// cycles land inside `health_flap_window`.
+// On `dead` a circuit breaker opens: only `kHalfOpenProbes` designated
+// channels may keep issuing CM connect attempts; everybody else skips their
+// retry ladder and parks on the fallback. Flap suppression adds a per-peer
+// hold-down that escalates exponentially while restore-then-fail cycles land
+// inside `kFlapWindow` (health.cpp).
 #pragma once
 
 #include <cstdint>
@@ -67,6 +67,12 @@ struct PeerHealthView {
 
 class HealthMonitor {
  public:
+  /// φ (= -log10 P(the peer is merely late)) that sizes the adaptive
+  /// silence bound: silence this unlikely means dead.
+  static constexpr double kPhiDead = 8.0;
+  /// Designated half-open probe channels per peer while its breaker is open.
+  static constexpr std::uint32_t kHalfOpenProbes = 1;
+
   HealthMonitor(sim::Engine& engine, const Config& config)
       : engine_(engine), cfg_(config) {}
 
@@ -82,7 +88,7 @@ class HealthMonitor {
   /// A window entry had to be re-sent after recovery (degraded detector).
   void note_retransmit(net::NodeId peer);
   /// A frame from the peer failed e2e CRC verification (corruption-storm
-  /// detector: health_crc_degraded failures in one scan grade it degraded).
+  /// detector: kCrcDegraded failures in one scan grade it degraded).
   void note_crc_failure(net::NodeId peer);
   /// A channel starts recovery against the peer; runs flap detection.
   void note_fault(net::NodeId peer);
@@ -120,7 +126,7 @@ class HealthMonitor {
   // -- Verdicts --
   /// Silence (beyond the last probe ack) that means dead: the fixed
   /// keepalive_timeout, or the φ-accrual bound in adaptive mode once
-  /// health_min_samples intervals are banked.
+  /// kMinSamples intervals are banked.
   Nanos silence_bound(net::NodeId peer) const;
   /// Suspicion level now: φ = -log10 P(the peer is merely late).
   double phi(net::NodeId peer, Nanos now) const;

@@ -163,11 +163,6 @@ void MemCache::enable_idle_shrink(Nanos idle) {
   idle_timer_->arm_after(idle_delay_);
 }
 
-void MemCache::disable_idle_shrink() {
-  idle_delay_ = 0;
-  if (idle_timer_) idle_timer_->cancel();
-}
-
 void MemCache::note_activity() {
   if (idle_timer_ && idle_delay_ > 0) idle_timer_->arm_after(idle_delay_);
 }

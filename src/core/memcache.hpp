@@ -90,7 +90,6 @@ class MemCache {
   /// for `idle` (paper §IV-E: idle MRs are deregistered). Each alloc/free
   /// pushes the deadline back; the timer fires at most once per idle spell.
   void enable_idle_shrink(Nanos idle);
-  void disable_idle_shrink();
 
   /// Total capacity this cache may ever register.
   std::uint64_t budget_bytes() const { return cfg_.max_mrs * cfg_.mr_bytes; }

@@ -352,6 +352,26 @@ TEST(Replay, LegacyFilesWithoutPostV1KeysStillLoad) {
   EXPECT_EQ(r.ctx.drains_started, 0u);
 }
 
+TEST(Replay, OutOfRangeOpsAndParamsAreRejected) {
+  // An op's src and dst index the runner's contexts: the parser refuses one
+  // naming a host past `hosts`, so it never reaches run_schedule. A value
+  // that does not fit its field is refused too, never wrapped.
+  const std::string head =
+      "xcheck v1\n"
+      "params hosts 2 slots 1 numops 4 numfaults 0 horizon 1000000\n";
+  Schedule s;
+  EXPECT_TRUE(deserialize_schedule(head + "op 1000 open 1 0 0 0 0\nend\n", s));
+  for (const char* bad : {"op 1000 open 7 1 0 0 0\n", "op 1000 open 0 2 0 0 0\n",
+                          "op 1000 open 256 1 0 0 0\n",  // would wrap to 0
+                          "fault 5 qp_kill 0 0 1 -1 0\n",
+                          "params hosts -1\n", "params frag 4294967296\n",
+                          "params corrupt -1\n", "params window\n"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(deserialize_schedule(head + bad + "end\n", s));
+  }
+  EXPECT_EQ(s.ops.size(), 1u);  // a refused parse leaves `out` untouched
+}
+
 // Wall-clock-bounded soak for the nightly job: seed base + k runs on row
 // k % rows until XCHECK_SOAK_MS expires. The base is smoke_seeds(1).front(),
 // so XCHECK_SEED=random explores fresh seeds (the base is printed) and

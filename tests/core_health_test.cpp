@@ -63,7 +63,7 @@ TEST(Health, PhiRampsWithSilenceAndAdaptiveBoundLearnsCadence) {
   EXPECT_LT(phi_fresh, 0.5);
   EXPECT_LT(phi_fresh, phi_mid);
   EXPECT_LT(phi_mid, phi_late);
-  EXPECT_GE(phi_late, static_cast<double>(cfg.health_phi_dead));
+  EXPECT_GE(phi_late, HealthMonitor::kPhiDead);
 
   // evaluate() grades the silence: suspect once phi crosses the knee.
   eng.run_for(millis(40));
@@ -125,8 +125,9 @@ TEST(Health, DegradedOnProbeRttInflation) {
 
 TEST(Health, BreakerGateAdmitsOnlyDesignatedProbers) {
   sim::Engine eng;
+  static_assert(HealthMonitor::kHalfOpenProbes == 1,
+                "the gate below admits exactly one designated prober");
   Config cfg = health_cfg();
-  cfg.health_halfopen_probes = 1;
   HealthMonitor hm(eng, cfg);
   for (int i = 0; i < 4; ++i) hm.register_channel(1);
   eng.run_for(millis(1));
@@ -223,7 +224,7 @@ TEST(Health, BreakerCapsResumeAttemptsAcrossPeerChannels) {
     if (ch->stats().recovery_attempts > 0) ++channels_with_attempts;
   }
   // Only the designated prober(s) ever reached the CM.
-  EXPECT_LE(channels_with_attempts, cfg.health_halfopen_probes);
+  EXPECT_LE(channels_with_attempts, HealthMonitor::kHalfOpenProbes);
   EXPECT_LE(total_attempts,
             static_cast<std::uint64_t>(cfg.recovery_max_attempts));
   EXPECT_GE(fastfails, 1u);
