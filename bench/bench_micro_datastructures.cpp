@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark) for the hot-path data structures: the
 // event engine, the seq-ack window, the memory-cache allocator, histogram
-// recording, wire header encode/decode, and the CRC32C integrity checksum.
+// recording, wire header encode/decode, the CRC32C integrity checksum,
+// payload buffer copies and the empty busy poll.
 // These bound the simulator's own throughput (events/sec) and the
 // middleware's per-message CPU work.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/crc32c.hpp"
@@ -207,6 +209,67 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetLabel(crc32c_hardware() ? "sse4.2" : "portable");
 }
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(2048)->Arg(65536);
+
+void BM_BufferCopyOf(benchmark::State& state) {
+  // One payload copy into a fresh buffer, as the RNIC's fragment fill and
+  // the channel's rx path make it: a pooled block, no zero-fill first.
+  std::vector<std::uint8_t> src(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    Buffer b = Buffer::copy_of(src.data(), src.size());
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_BufferCopyOf)->Arg(64)->Arg(4096);
+
+void BM_BufferMakeMemcpy(benchmark::State& state) {
+  // The same copy made as a zero-filled buffer and a memcpy over it: the
+  // baseline BM_BufferCopyOf is read against.
+  std::vector<std::uint8_t> src(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    Buffer b = Buffer::make(src.size());
+    std::memcpy(b.data(), src.data(), src.size());
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_BufferMakeMemcpy)->Arg(64)->Arg(4096);
+
+void BM_ContextEmptyPoll(benchmark::State& state) {
+  // Host cost of one busy poll that finds both CQs empty, on an idle
+  // connected context: most polls of the run-to-complete loop (§IV-B).
+  // Sim time stands still, so no poll gap trips the watchdog.
+  testbed::Cluster cluster;
+  core::Context server(cluster.rnic(1), cluster.cm());
+  core::Context client(cluster.rnic(0), cluster.cm());
+  bool connected = false;
+  server.listen(7000, [](core::Channel&) {});
+  client.connect(1, 7000,
+                 [&](Result<core::Channel*> r) { connected = r.ok(); });
+  cluster.engine().run_for(millis(30));
+  if (!connected) {
+    state.SkipWithError("connect failed");
+    return;
+  }
+  while (client.polling() > 0) {
+  }
+  const std::uint64_t empty_before = client.stats().empty_polls;
+  for (auto _ : state) benchmark::DoNotOptimize(client.polling());
+  state.counters["empty_share"] =
+      static_cast<double>(client.stats().empty_polls - empty_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ContextEmptyPoll);
 
 void BM_EagerSmallSendTxPath(benchmark::State& state) {
   // Sender-side cost of one 64 B eager message with inline sends off

@@ -14,9 +14,12 @@ Buffer envelope(MethodId method, std::uint32_t status, const Buffer& payload) {
   w.put_u32(method);
   w.put_u32(status);
   Buffer head = w.finish();
-  Buffer out = Buffer::make(head.size() + payload.size());
+  // A synthetic payload rides as zeros.
+  const std::size_t size = head.size() + payload.size();
+  Buffer out = payload.data() ? Buffer::make_for_overwrite(size)
+                              : Buffer::make(size);
   std::memcpy(out.data(), head.data(), head.size());
-  if (payload.size() > 0 && payload.data()) {
+  if (payload.data()) {
     std::memcpy(out.data() + head.size(), payload.data(), payload.size());
   }
   return out;
@@ -36,10 +39,7 @@ bool open_envelope(const Buffer& wire, MethodId& method, std::uint32_t& status,
   probe.put_u32(method);
   probe.put_u32(status);
   const std::size_t header = probe.size();
-  payload = Buffer::make(wire.size() - header);
-  if (payload.size() > 0) {
-    std::memcpy(payload.data(), wire.data() + header, payload.size());
-  }
+  payload = Buffer::copy_of(wire.data() + header, wire.size() - header);
   return true;
 }
 }  // namespace
@@ -61,9 +61,7 @@ void WireWriter::put_bytes(const std::uint8_t* data, std::size_t len) {
 }
 
 Buffer WireWriter::finish() const {
-  Buffer b = Buffer::make(bytes_.size());
-  if (!bytes_.empty()) std::memcpy(b.data(), bytes_.data(), bytes_.size());
-  return b;
+  return Buffer::copy_of(bytes_.data(), bytes_.size());
 }
 
 std::optional<std::uint64_t> WireReader::varint() {

@@ -10,7 +10,9 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
+#include <string_view>
+
+#include "common/pool.hpp"
 
 namespace xrdma {
 
@@ -18,18 +20,34 @@ class Buffer {
  public:
   Buffer() = default;
 
-  /// Real buffer with storage.
+  /// Real buffer with storage, zero-filled.
   static Buffer make(std::size_t size) {
+    Buffer b = make_for_overwrite(size);
+    if (size > 0) std::memset(b.data(), 0, size);
+    return b;
+  }
+
+  /// Real buffer holding a copy of `size` bytes at `src`.
+  static Buffer copy_of(const void* src, std::size_t size) {
+    Buffer b = make_for_overwrite(size);
+    if (size > 0) std::memcpy(b.data(), src, size);
+    return b;
+  }
+
+  /// Real buffer whose bytes are left unwritten: the caller writes all of
+  /// them before anyone reads.
+  static Buffer make_for_overwrite(std::size_t size) {
     Buffer b;
-    b.data_ = std::make_shared<std::vector<std::uint8_t>>(size);
+    if (size > 0) {
+      b.data_ = std::allocate_shared_for_overwrite<std::uint8_t[]>(
+          PoolAllocator<std::uint8_t>{}, size);
+    }
     b.size_ = size;
     return b;
   }
 
   static Buffer from_string(std::string_view s) {
-    Buffer b = make(s.size());
-    std::memcpy(b.data(), s.data(), s.size());
-    return b;
+    return copy_of(s.data(), s.size());
   }
 
   /// Length-only buffer: occupies wire bytes but no memory.
@@ -43,24 +61,18 @@ class Buffer {
   bool is_synthetic() const { return !data_ && size_ > 0; }
   bool empty() const { return size_ == 0; }
 
-  std::uint8_t* data() { return data_ ? data_->data() : nullptr; }
-  const std::uint8_t* data() const { return data_ ? data_->data() : nullptr; }
+  std::uint8_t* data() { return data_.get(); }
+  const std::uint8_t* data() const { return data_.get(); }
 
   std::string to_string() const {
     if (!data_) return std::string(size_, '\0');
-    return std::string(reinterpret_cast<const char*>(data_->data()), size_);
+    return std::string(reinterpret_cast<const char*>(data_.get()), size_);
   }
 
   /// Deep copy (synthetic stays synthetic).
   Buffer clone() const {
-    if (!data_) {
-      Buffer b;
-      b.size_ = size_;
-      return b;
-    }
-    Buffer b = make(size_);
-    std::memcpy(b.data(), data(), size_);
-    return b;
+    if (!data_) return synthetic(size_);
+    return copy_of(data(), size_);
   }
 
   bool operator==(const Buffer& o) const {
@@ -70,7 +82,9 @@ class Buffer {
   }
 
  private:
-  std::shared_ptr<std::vector<std::uint8_t>> data_;
+  // One block per buffer: the bytes and their refcount, drawn from the
+  // size-class pool. Null for synthetic and empty buffers.
+  std::shared_ptr<std::uint8_t[]> data_;
   std::size_t size_ = 0;
 };
 

@@ -641,7 +641,7 @@ bool Channel::verify_rx_integrity(const WireHeader& hdr,
         hdr.payload_crc != 0) {
       // Eager payload rides in this frame: verify it now. Rendezvous
       // payloads are verified after the pull (on_read_frag_done).
-      ok = hdr.wire_size() + hdr.payload_len <= len &&
+      ok = hdr.payload_len <= len - hdr.wire_size() &&
            crc32c(bytes + hdr.wire_size(), hdr.payload_len) ==
                hdr.payload_crc;
     }
@@ -797,8 +797,7 @@ void Channel::process_wire(const std::uint8_t* bytes, std::uint32_t len) {
       return;
     }
     if (decision.action == Context::FilterAction::corrupt && len > 0) {
-      corrupted = Buffer::make(len);
-      std::memcpy(corrupted.data(), bytes, len);
+      corrupted = Buffer::copy_of(bytes, len);
       corrupted.data()[decision.corrupt_seed % len] ^= 0x40;
       bytes = corrupted.data();
       if (!WireHeader::decode(bytes, len, hdr)) {
@@ -807,8 +806,7 @@ void Channel::process_wire(const std::uint8_t* bytes, std::uint32_t len) {
       }
     }
     if (decision.action == Context::FilterAction::delay) {
-      Buffer copy = Buffer::make(len);
-      std::memcpy(copy.data(), bytes, len);
+      Buffer copy = Buffer::copy_of(bytes, len);
       const std::uint64_t chan_id = id_;
       ctx_.engine().schedule_after(
           decision.delay, [ctx = &ctx_, chan_id, copy]() {
@@ -828,6 +826,14 @@ void Channel::process_wire(const std::uint8_t* bytes, std::uint32_t len) {
   // advances — a corrupted cumulative ack or control flag must never be
   // processed, and a corrupted frame is not proof of life.
   if (!verify_rx_integrity(hdr, bytes, len)) return;
+  // An eager payload must lie inside its frame. payload_len comes from the
+  // peer, unverified when CRC is off, so compare without the sum that can
+  // wrap, and drop a frame that fails like any other malformed one.
+  if (hdr.is_data() && !hdr.has(kFlagLarge) &&
+      hdr.payload_len > len - hdr.wire_size()) {
+    ++stats_.bad_messages;
+    return;
+  }
 
   last_rx_ = ctx_.engine().now();
   ctx_.health().note_proof_of_life(peer_);
@@ -884,12 +890,11 @@ void Channel::process_wire(const std::uint8_t* bytes, std::uint32_t len) {
     return;
   }
 
-  handle_data(hdr, bytes, len);
+  handle_data(hdr, bytes);
   maybe_standalone_ack();
 }
 
-void Channel::handle_data(const WireHeader& hdr, const std::uint8_t* bytes,
-                          std::uint32_t len) {
+void Channel::handle_data(const WireHeader& hdr, const std::uint8_t* bytes) {
   RxState* rx = rwin_.arrive(hdr.seq);
   if (!rx) {
     if (hdr.seq < rwin_.wta()) {
@@ -925,11 +930,8 @@ void Channel::handle_data(const WireHeader& hdr, const std::uint8_t* bytes,
           pending->payload_block = MemBlock{};
         }
         if (hdr.payload_len > 0) {
-          pending->payload = Buffer::make(hdr.payload_len);
-          if (hdr.wire_size() + hdr.payload_len <= len) {
-            std::memcpy(pending->payload.data(), bytes + hdr.wire_size(),
-                        hdr.payload_len);
-          }
+          pending->payload =
+              Buffer::copy_of(bytes + hdr.wire_size(), hdr.payload_len);
         }
         rwin_.complete(hdr.seq, [this](Seq s, RxState& r) { deliver(s, r); });
       }
@@ -947,11 +949,7 @@ void Channel::handle_data(const WireHeader& hdr, const std::uint8_t* bytes,
 
   if (!hdr.has(kFlagLarge)) {
     if (hdr.payload_len > 0) {
-      rx->payload = Buffer::make(hdr.payload_len);
-      if (hdr.wire_size() + hdr.payload_len <= len) {
-        std::memcpy(rx->payload.data(), bytes + hdr.wire_size(),
-                    hdr.payload_len);
-      }
+      rx->payload = Buffer::copy_of(bytes + hdr.wire_size(), hdr.payload_len);
     }
     rwin_.complete(hdr.seq, [this](Seq s, RxState& r) { deliver(s, r); });
     return;
@@ -1085,8 +1083,7 @@ void Channel::on_read_frag_done(Seq seq, Errc status) {
       send_integrity_nak(seq);
       return;
     }
-    rx->payload = Buffer::make(len);
-    std::memcpy(rx->payload.data(), src, len);
+    rx->payload = Buffer::copy_of(src, len);
   } else {
     rx->payload = Buffer::synthetic(len);
   }

@@ -256,8 +256,9 @@ class Channel {
   // RX path.
   void on_recv_wc(const verbs::Wc& wc);
   void process_wire(const std::uint8_t* bytes, std::uint32_t len);
-  void handle_data(const WireHeader& hdr, const std::uint8_t* bytes,
-                   std::uint32_t len);
+  /// `bytes` holds the whole frame; process_wire checked that an eager
+  /// payload lies inside it.
+  void handle_data(const WireHeader& hdr, const std::uint8_t* bytes);
   void start_rendezvous_pull(Seq seq, RxState& rx);
   void issue_pull_frags(Seq seq, RxState& rx);
   void on_read_frag_done(Seq seq, Errc status);

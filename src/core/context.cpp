@@ -745,20 +745,24 @@ int Context::polling(int budget) {
   last_poll_ = now;
 
   int processed = 0;
-  verbs::Wc wcs[32];
-  while (processed < budget) {
-    const int n = send_cq_.poll(
-        wcs, std::min<int>(32, budget - processed));
-    if (n <= 0) break;
-    for (int i = 0; i < n; ++i) dispatch_send_wc(wcs[i]);
-    processed += n;
-  }
-  while (processed < budget) {
-    const int n = recv_cq_.poll(
-        wcs, std::min<int>(32, budget - processed));
-    if (n <= 0) break;
-    for (int i = 0; i < n; ++i) dispatch_recv_wc(wcs[i]);
-    processed += n;
+  // Most busy polls find nothing: build the completion array, and call
+  // into the NIC, only when a CQ holds a completion.
+  if (!send_cq_.empty() || !recv_cq_.empty()) {
+    verbs::Wc wcs[32];
+    while (processed < budget) {
+      const int n = send_cq_.poll(
+          wcs, std::min<int>(32, budget - processed));
+      if (n <= 0) break;
+      for (int i = 0; i < n; ++i) dispatch_send_wc(wcs[i]);
+      processed += n;
+    }
+    while (processed < budget) {
+      const int n = recv_cq_.poll(
+          wcs, std::min<int>(32, budget - processed));
+      if (n <= 0) break;
+      for (int i = 0; i < n; ++i) dispatch_recv_wc(wcs[i]);
+      processed += n;
+    }
   }
   // Poll-end doorbell flush: anything the completion handlers accumulated
   // this iteration rings one chained doorbell per channel instead of

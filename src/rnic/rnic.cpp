@@ -478,7 +478,7 @@ RnicPacketPtr Rnic::next_packet(Qp& qp, std::uint32_t& wire_bytes) {
   // 2. Read/atomic responses (responder role).
   if (!qp.responses.empty()) {
     RespJob& job = qp.responses.front();
-    auto pkt = std::make_shared<RnicPacket>();
+    auto pkt = make_packet();
     pkt->src_qp = qp.num;
     pkt->dst_qp = qp.attr.dest_qp;
     pkt->msg_id = job.msg_id;
@@ -496,10 +496,8 @@ RnicPacketPtr Rnic::next_packet(Qp& qp, std::uint32_t& wire_bytes) {
       pkt->first = job.off == 0;
       Mr* mr = find_mr_by_addr(job.addr + job.off, frag);
       if (mr && mr->real && frag > 0) {
-        pkt->data = Buffer::make(frag);
-        std::memcpy(pkt->data.data(),
-                    mr->storage.data() + (job.addr + job.off - mr->info.addr),
-                    frag);
+        pkt->data = Buffer::copy_of(
+            mr->storage.data() + (job.addr + job.off - mr->info.addr), frag);
       } else {
         pkt->data = Buffer::synthetic(frag);
       }
@@ -519,7 +517,7 @@ RnicPacketPtr Rnic::next_packet(Qp& qp, std::uint32_t& wire_bytes) {
 RnicPacketPtr Rnic::segment_next(Qp& qp) {
   PendingWr& p = qp.sq.front();
   const SendWr& wr = p.wr;
-  auto pkt = std::make_shared<RnicPacket>();
+  auto pkt = make_packet();
   pkt->src_qp = qp.num;
   pkt->dst_qp = qp.type == QpType::ud ? wr.dest_qp : qp.attr.dest_qp;
   pkt->msg_id = p.msg_id;
@@ -532,8 +530,7 @@ RnicPacketPtr Rnic::segment_next(Qp& qp) {
       // Payload came in the WQE — no MR walk, no DMA fetch.
       if (frag > 0 && wr.inline_payload.data() &&
           !wr.inline_payload.is_synthetic()) {
-        pkt->data = Buffer::make(frag);
-        std::memcpy(pkt->data.data(), wr.inline_payload.data() + off, frag);
+        pkt->data = Buffer::copy_of(wr.inline_payload.data() + off, frag);
       } else {
         pkt->data = Buffer::synthetic(frag);
       }
@@ -541,10 +538,8 @@ RnicPacketPtr Rnic::segment_next(Qp& qp) {
     }
     Mr* mr = wr.local.length > 0 ? find_mr_by_lkey(wr.local.lkey) : nullptr;
     if (mr && mr->real && frag > 0) {
-      pkt->data = Buffer::make(frag);
-      std::memcpy(pkt->data.data(),
-                  mr->storage.data() + (wr.local.addr + off - mr->info.addr),
-                  frag);
+      pkt->data = Buffer::copy_of(
+          mr->storage.data() + (wr.local.addr + off - mr->info.addr), frag);
     } else {
       pkt->data = Buffer::synthetic(frag);
     }
@@ -693,7 +688,7 @@ void Rnic::transmit(Qp& qp, RnicPacketPtr pkt, std::uint32_t wire_bytes) {
 
 void Rnic::send_control(Qp& qp, PktType type, std::uint64_t ack_psn) {
   if (!alive_) return;
-  auto pkt = std::make_shared<RnicPacket>();
+  auto pkt = make_packet();
   pkt->type = type;
   pkt->src_qp = qp.num;
   pkt->dst_qp = qp.attr.dest_qp;
@@ -1165,7 +1160,7 @@ void Rnic::qp_timer_fired(QpNum qpn) {
       return;
     }
     ++stats_.timeouts;
-    auto pkt = std::make_shared<RnicPacket>();
+    auto pkt = make_packet();
     pkt->type = track.is_atomic ? PktType::atomic_req : PktType::read_req;
     pkt->src_qp = qp->num;
     pkt->dst_qp = qp->attr.dest_qp;

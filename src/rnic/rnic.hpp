@@ -60,6 +60,11 @@ class Rnic {
   CqId create_cq(std::uint32_t depth);
   void destroy_cq(CqId cq);
   int poll_cq(CqId cq, Wc* out, int max);
+  /// True when `cq` holds no completion (or does not exist): lets a busy
+  /// poller skip poll_cq on the common empty poll.
+  bool cq_empty(CqId cq) const {
+    return cq >= cqs_.size() || !cqs_[cq] || cqs_[cq]->wcs.empty();
+  }
   std::size_t cq_depth_used(CqId cq) const;
   /// Event-mode notification: fires once when the next WC arrives, then
   /// must be re-armed (mirrors ibv_req_notify_cq).

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/bytes.hpp"
+#include "common/pool.hpp"
 #include "net/packet.hpp"
 #include "rnic/types.hpp"
 
@@ -59,5 +60,10 @@ struct RnicPacket : net::PayloadBase {
 };
 
 using RnicPacketPtr = std::shared_ptr<RnicPacket>;
+
+/// A fresh packet, packet and refcount in one block from the size-class pool.
+inline RnicPacketPtr make_packet() {
+  return std::allocate_shared<RnicPacket>(PoolAllocator<RnicPacket>{});
+}
 
 }  // namespace xrdma::rnic

@@ -90,6 +90,8 @@ class Cq {
   bool valid() const { return nic_ != nullptr; }
   CqId id() const { return id_; }
   int poll(Wc* out, int max) { return nic_ ? nic_->poll_cq(id_, out, max) : -1; }
+  /// True when a poll would return no completion.
+  bool empty() const { return !nic_ || nic_->cq_empty(id_); }
   void arm(std::function<void()> on_event) {
     if (nic_) nic_->arm_cq(id_, std::move(on_event));
   }

@@ -1,12 +1,16 @@
-// Foundation utilities: histogram, rng, ring buffer, rate meters, buffers,
-// wire header codec, logging.
+// Foundation utilities: histogram, rng, ring buffer, rate meters, buffers
+// and their pool, wire header codec, logging.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/histogram.hpp"
 #include "common/logging.hpp"
+#include "common/pool.hpp"
 #include "common/rate.hpp"
 #include "common/ring_buffer.hpp"
 #include "common/rng.hpp"
@@ -241,6 +245,68 @@ TEST(Buffer, SyntheticCarriesOnlyLength) {
   Buffer c = b.clone();
   EXPECT_TRUE(c.is_synthetic());
   EXPECT_EQ(c.size(), b.size());
+}
+
+TEST(Buffer, MakeZeroFillsARecycledDirtyBlock) {
+  const std::vector<std::uint8_t> ones(100, 0xff);
+  std::uintptr_t dirty_block = 0;
+  {
+    const Buffer dirty = Buffer::copy_of(ones.data(), ones.size());
+    dirty_block = reinterpret_cast<std::uintptr_t>(dirty.data());
+  }
+  // Same size class, so the pool hands back the block just released.
+  const Buffer b = Buffer::make(ones.size());
+  ASSERT_EQ(reinterpret_cast<std::uintptr_t>(b.data()), dirty_block);
+  for (std::size_t i = 0; i < b.size(); ++i) ASSERT_EQ(b.data()[i], 0) << i;
+}
+
+TEST(Buffer, CopyOfKeepsSizeAndBytes) {
+  std::vector<std::uint8_t> src(4096);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  const Buffer b = Buffer::copy_of(src.data(), src.size());
+  ASSERT_EQ(b.size(), src.size());
+  EXPECT_FALSE(b.is_synthetic());
+  EXPECT_EQ(std::memcmp(b.data(), src.data(), src.size()), 0);
+  src[0] ^= 1;  // a copy, not a view
+  EXPECT_NE(b.data()[0], src[0]);
+  EXPECT_TRUE(Buffer::copy_of(src.data(), 0).empty());
+}
+
+TEST(Buffer, CloneOfSyntheticStaysSynthetic) {
+  const Buffer s = Buffer::synthetic(777);
+  const Buffer c = s.clone();
+  EXPECT_TRUE(c.is_synthetic());
+  EXPECT_EQ(c.size(), 777u);
+  EXPECT_EQ(c.data(), nullptr);
+  EXPECT_TRUE(c == s);
+  EXPECT_FALSE(c == Buffer::make(777));
+}
+
+TEST(Buffer, MakeZeroIsEmptyWithoutStorage) {
+  const Buffer b = Buffer::make(0);
+  EXPECT_EQ(b.data(), nullptr);
+  EXPECT_TRUE(b.empty());
+  EXPECT_FALSE(b.is_synthetic());
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(b.to_string(), "");
+  EXPECT_TRUE(b == Buffer{});
+  EXPECT_TRUE(b == Buffer::synthetic(0));
+  EXPECT_TRUE(b.clone() == b);
+}
+
+TEST(Buffer, OversizeBuffersBypassThePool) {
+  // One MTU of payload plus the refcount fits the largest class...
+  Buffer mtu = Buffer::make(4096);
+  const std::size_t parked = SizeClassPool::free_blocks();
+  mtu = Buffer{};
+  EXPECT_EQ(SizeClassPool::free_blocks(), parked + 1);
+  // ...anything larger goes back to operator delete, not to a free list.
+  Buffer big = Buffer::make(SizeClassPool::kMaxPooled);
+  const std::size_t parked_big = SizeClassPool::free_blocks();
+  big = Buffer{};
+  EXPECT_EQ(SizeClassPool::free_blocks(), parked_big);
 }
 
 TEST(Buffer, PatternFillAndCheck) {

@@ -379,6 +379,32 @@ TEST(Channel, FilterDelaySlowsButDelivers) {
   EXPECT_GT(delivered_at, sent_at + millis(2));
 }
 
+TEST(Channel, CorruptPayloadLengthDropsFrameInsteadOfZeroFilling) {
+  // Pinned repro: with CRC off, flipping byte 11 of a 100 B eager frame
+  // sets bit 30 of its payload_len. The receiver used to zero-fill and
+  // deliver a 1,073,741,924 B message; now the frame is a bad message.
+  Config cfg;
+  cfg.e2e_crc = false;
+  Pair t(cfg);
+  t.establish();
+  std::vector<std::size_t> sizes;
+  t.server_ch->set_on_msg(
+      [&](Channel&, Msg&& m) { sizes.push_back(m.payload.size()); });
+  t.server.set_filter([](Channel&, const WireHeader& hdr) {
+    Context::FilterDecision d;
+    if (hdr.payload_len == 100) {
+      d.action = Context::FilterAction::corrupt;
+      d.corrupt_seed = 11;
+    }
+    return d;
+  });
+  const std::uint64_t bad_before = t.server_ch->stats().bad_messages;
+  t.client_ch->send_msg(Buffer::make(100));
+  t.run(millis(2));
+  EXPECT_EQ(t.server_ch->stats().bad_messages, bad_before + 1);
+  for (const std::size_t s : sizes) EXPECT_EQ(s, 100u);
+}
+
 TEST(Channel, ZeroCopySendUsesRegisteredBlock) {
   Pair t;
   t.establish();

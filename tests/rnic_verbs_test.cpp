@@ -795,5 +795,19 @@ TEST(RcVerbs, QpResetClearsStateForReuse) {
   EXPECT_EQ(rwc[0].status, Errc::ok);
 }
 
+#if defined(__SANITIZE_ADDRESS__)
+// Packets and payloads are recycled through the size-class pool, which
+// ASan cannot see into on its own: the pool poisons a block while it is
+// free, so a stale read of a released packet's payload aborts.
+TEST(PacketPool, ReadingAReleasedPacketPayloadAbortsUnderAsan) {
+  auto pkt = rnic::make_packet();
+  const std::uint8_t bytes[64] = {1, 2, 3};
+  pkt->data = Buffer::copy_of(bytes, sizeof bytes);
+  const volatile std::uint8_t* stale = pkt->data.data();
+  pkt.reset();
+  EXPECT_DEATH((void)stale[0], "use-after-poison");
+}
+#endif
+
 }  // namespace
 }  // namespace xrdma::verbs

@@ -205,6 +205,45 @@ TEST(Robustness, SlowPollWatchdogFiresAndIsMonitorVisible) {
   EXPECT_GE(monitor_probe.count_logs("slow poll"), 1u);
 }
 
+TEST(Robustness, IdleBusyPollCountsEveryEmptyPollExactly) {
+  // An idle connected context: keepalive is pushed out of the window, so
+  // every poll of the busy loop finds both CQs empty. Each interval is
+  // exactly one poll and one empty poll, and nothing is processed.
+  Config cfg;
+  cfg.keepalive_intv = millis(100);
+  Pair t(cfg);
+  t.start_polling();
+  t.cluster.engine().run_for(millis(1));  // drain what connecting left
+  const core::ContextStats before = t.client.stats();
+  constexpr std::uint64_t kIntervals = 1000;
+  t.cluster.engine().run_for(static_cast<Nanos>(kIntervals) *
+                             cfg.busy_poll_interval);
+  const core::ContextStats& after = t.client.stats();
+  EXPECT_EQ(after.polls - before.polls, kIntervals);
+  EXPECT_EQ(after.empty_polls - before.empty_polls, kIntervals);
+  EXPECT_EQ(after.events_processed, before.events_processed);
+  EXPECT_EQ(after.slow_polls, 0u);
+  EXPECT_EQ(after.worst_poll_gap, cfg.busy_poll_interval);
+}
+
+TEST(Robustness, StalledEmptyPollTripsTheWatchdogOnce) {
+  Config cfg;
+  cfg.keepalive_intv = millis(100);
+  cfg.polling_warn_cycle = micros(200);
+  Pair t(cfg);  // no polling loops: polls are manual
+  while (t.client.polling() > 0) {
+  }
+  const core::ContextStats before = t.client.stats();
+  t.cluster.engine().run_for(millis(2));  // 2 ms gap >> 200 us threshold
+  EXPECT_EQ(t.client.polling(), 0);
+  const core::ContextStats& after = t.client.stats();
+  EXPECT_EQ(after.polls - before.polls, 1u);
+  EXPECT_EQ(after.empty_polls - before.empty_polls, 1u);
+  EXPECT_EQ(after.slow_polls - before.slow_polls, 1u);
+  EXPECT_EQ(after.watchdog_trips - before.watchdog_trips, 1u);
+  EXPECT_EQ(after.worst_poll_gap, millis(2));
+}
+
 TEST(Robustness, ChannelsSurviveLongIdleWithKeepalive) {
   Config cfg;
   cfg.keepalive_intv = millis(3);
