@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot-path data structures: the
-// event engine, the seq-ack window, the memory-cache allocator, histogram
-// recording, wire header encode/decode, the CRC32C integrity checksum,
-// payload buffer copies and the empty busy poll.
+// event engine, the seq-ack window, the memory-cache allocator, memory
+// registration and context set-up, histogram recording, wire header
+// encode/decode, the CRC32C integrity checksum, payload buffer copies and
+// the empty busy poll.
 // These bound the simulator's own throughput (events/sec) and the
 // middleware's per-message CPU work.
 #include <benchmark/benchmark.h>
@@ -167,6 +168,32 @@ void BM_MemCacheAllocFree(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemCacheAllocFree)->Arg(0)->Arg(1);
+
+void BM_RegMr(benchmark::State& state, std::uint64_t bytes) {
+  // Registering and deregistering one real MR of the memory cache's size:
+  // the set-up cost every context pays twice (ctrl and data cache).
+  testbed::Cluster cluster;
+  rnic::Rnic& nic = cluster.rnic(0);
+  for (auto _ : state) {
+    const rnic::MrInfo mr = nic.reg_mr(bytes);
+    benchmark::DoNotOptimize(nic.mr_ptr(mr.addr, bytes));
+    nic.dereg_mr(mr.lkey);
+  }
+}
+BENCHMARK_CAPTURE(BM_RegMr, 4MiB, std::uint64_t{4} << 20);
+
+void BM_ContextSetup(benchmark::State& state) {
+  // Building and tearing down one busy-mode context on a 2-host cluster:
+  // its two memory caches, CQs, recorder and scan timers.
+  testbed::Cluster cluster;
+  core::Config cfg;
+  cfg.poll_mode = core::PollMode::busy;
+  for (auto _ : state) {
+    core::Context ctx(cluster.rnic(0), cluster.cm(), cfg);
+    benchmark::DoNotOptimize(&ctx);
+  }
+}
+BENCHMARK(BM_ContextSetup);
 
 void BM_HistogramRecord(benchmark::State& state) {
   Histogram h;

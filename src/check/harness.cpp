@@ -707,8 +707,9 @@ void Runner::check_completeness() {
 void Runner::check_balance() {
   // Oracle 3: with every channel terminal, both memcaches must be back at
   // their pre-workload allocation (no leaked bounce buffers, wire blocks
-  // or rendezvous payloads), the canaries intact, flow control drained,
-  // and every QP either destroyed or parked in the QP cache.
+  // or rendezvous payloads), the canaries intact, no block freed twice,
+  // flow control drained, and every QP either destroyed or parked in the
+  // QP cache.
   for (std::size_t i = 0; i < ctxs_.size(); ++i) {
     core::Context& ctx = *ctxs_[i];
     const auto& cs = ctx.ctrl_cache().stats();
@@ -737,6 +738,13 @@ void Runner::check_balance() {
                                  cs.guard_violations),
                              static_cast<unsigned long long>(
                                  ds.guard_violations)));
+    }
+    if (cs.bad_frees != 0 || ds.bad_frees != 0) {
+      log_.add(now(), strfmt("memcache freed a block that was not allocated "
+                             "on node %u (ctrl %llu, data %llu)",
+                             ctx.node(),
+                             static_cast<unsigned long long>(cs.bad_frees),
+                             static_cast<unsigned long long>(ds.bad_frees)));
     }
     if (ctx.outstanding_wrs() != 0 || ctx.deferred_wr_count() != 0) {
       log_.add(now(), strfmt("flow control not drained on node %u: "

@@ -99,13 +99,27 @@ void MemCache::free(const MemBlock& block) {
     const std::uint64_t guard = cfg_.isolation ? cfg_.guard_bytes : 0;
     const std::uint64_t offset = block.addr - region.info.addr - guard;
     const std::uint32_t need = padded(block.len);
+    // A range that leaves the region or overlaps free space is not a live
+    // block (a double free, or a block forged from bad metadata). Counting
+    // it in would corrupt `used` and `in_use_bytes` for good, and let
+    // shrink() deregister a region that still holds live blocks.
+    const auto after = region.free_ranges.lower_bound(offset);
+    const bool outside =
+        offset > cfg_.mr_bytes || need > cfg_.mr_bytes - offset;
+    const bool overlaps =
+        (after != region.free_ranges.end() && after->first < offset + need) ||
+        (after != region.free_ranges.begin() &&
+         std::prev(after)->first + std::prev(after)->second > offset);
+    if (outside || overlaps) {
+      ++stats_.bad_frees;
+      return;
+    }
     if (cfg_.isolation && !check_guards(region, offset, block.len)) {
       ++stats_.guard_violations;
       if (on_violation_) on_violation_(block);
     }
     // Coalescing insert.
-    auto [it, inserted] = region.free_ranges.emplace(offset, need);
-    (void)inserted;
+    auto it = region.free_ranges.emplace_hint(after, offset, need);
     if (it != region.free_ranges.begin()) {
       auto prev = std::prev(it);
       if (prev->first + prev->second == it->first) {

@@ -55,6 +55,7 @@ struct MemCacheStats {
   std::uint64_t grow_events = 0;
   std::uint64_t shrink_events = 0;
   std::uint64_t guard_violations = 0;
+  std::uint64_t bad_frees = 0;  // frees of ranges not allocated; ignored
   std::uint64_t failed_allocs = 0;
   std::uint64_t reserve_denials = 0;         // non-privileged hit the reserve
   std::uint64_t privileged_alloc_fails = 0;  // control plane truly starved
@@ -77,7 +78,9 @@ class MemCache {
 
   /// Return a block. In isolation mode the guard canaries are verified
   /// first; a violation is counted and reported via the violation handler
-  /// (how the analysis framework surfaces memory-corruption bugs).
+  /// (how the analysis framework surfaces memory-corruption bugs). A free
+  /// of a range that is not allocated (a double free) changes nothing and
+  /// counts as a bad free.
   void free(const MemBlock& block);
 
   /// Direct host pointer into a block (nullptr in synthetic mode).

@@ -41,7 +41,7 @@ MrInfo Rnic::reg_mr(std::uint64_t size, bool real_memory) {
   mr->info.lkey = next_key_++;
   mr->info.rkey = next_key_++;
   mr->real = real_memory;
-  if (real_memory) mr->storage = Buffer::make(size);
+  if (real_memory) mr->storage = PageArena(size);
   // Pad between regions so out-of-bounds addresses never alias a neighbour
   // (the memory-cache isolation scheme in §VI-C relies on this).
   next_addr_ += (size + 0xfffu + 0x1000u) & ~0xfffull;

@@ -23,6 +23,7 @@
 #include "net/fabric.hpp"
 #include "rnic/config.hpp"
 #include "rnic/dcqcn.hpp"
+#include "rnic/page_arena.hpp"
 #include "rnic/types.hpp"
 #include "rnic/wire.hpp"
 #include "sim/engine.hpp"
@@ -47,7 +48,7 @@ class Rnic {
   void on_tx_unpaused() { schedule_pump(engine_.now()); }
 
   // --- Memory registration ---------------------------------------------
-  /// Registers `size` bytes, allocating them from the host address space.
+  /// Registers `size` bytes, backed by demand-zero pages (see PageArena).
   /// `real_memory` = false creates a synthetic MR (no byte storage) for
   /// bandwidth benches that don't validate content.
   MrInfo reg_mr(std::uint64_t size, bool real_memory = true);
@@ -110,7 +111,7 @@ class Rnic {
  private:
   struct Mr {
     MrInfo info;
-    Buffer storage;  // empty for synthetic MRs
+    PageArena storage;  // unmapped for synthetic MRs
     bool real = false;
   };
 

@@ -90,7 +90,7 @@ std::string xr_stat_summary(core::Context& ctx) {
   const auto& ctrl = ctx.ctrl_cache().stats();
   const auto& data = ctx.data_cache().stats();
   os << strfmt("  memcache: occupy=%.1fMB in_use=%.1fMB grows=%llu "
-               "shrinks=%llu guard_violations=%llu\n",
+               "shrinks=%llu guard_violations=%llu bad_frees=%llu\n",
                static_cast<double>(ctrl.occupied_bytes + data.occupied_bytes) /
                    1e6,
                static_cast<double>(ctrl.in_use_bytes + data.in_use_bytes) / 1e6,
@@ -99,7 +99,9 @@ std::string xr_stat_summary(core::Context& ctx) {
                static_cast<unsigned long long>(ctrl.shrink_events +
                                                data.shrink_events),
                static_cast<unsigned long long>(ctrl.guard_violations +
-                                               data.guard_violations));
+                                               data.guard_violations),
+               static_cast<unsigned long long>(ctrl.bad_frees +
+                                               data.bad_frees));
   os << strfmt("  overload: pressure=%s queued_tx=%llu soft_events=%llu "
                "hard_events=%llu reserve_denials=%llu ctrl_starved=%llu\n",
                pressure_name(ctx.mem_pressure()),

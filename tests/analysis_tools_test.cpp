@@ -464,8 +464,8 @@ TEST(XrStat, OperatorOutputIsPinnedByteForByte) {
        analysis::prometheus_render(metrics.registry())},
   };
   const std::vector<std::string> pinned = {
-      "94954d7479234041", "4dc309c9e9eb4d2e", "0470016dc0e83f85",
-      "8ba2a6ed895556ef", "36ca814bdde93a3d", "2d439a5c73698f77",
+      "94954d7479234041", "4dc309c9e9eb4d2e", "a7f1a1b38e1a48bf",
+      "ac885604da7d9c2d", "36ca814bdde93a3d", "2d439a5c73698f77",
       "74d463b796147fb8", "4caa4bf93011648d", "45f7a6fbbf790743",
   };
   ASSERT_EQ(surfaces.size(), pinned.size());

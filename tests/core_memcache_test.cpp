@@ -83,6 +83,56 @@ TEST_F(CacheFixture, InUseBytesTracksAllocFreeCycle) {
   EXPECT_EQ(cache.stats().in_use_bytes, 0u);
 }
 
+// A double free must not touch the accounting: before the fix the second
+// free of `a` subtracted its size again, leaving in_use_bytes at 0 while
+// `b` was live.
+TEST_F(CacheFixture, DoubleFreeChangesNothingAndIsCounted) {
+  MemCache cache(nic);
+  MemBlock a = cache.alloc(1000);
+  MemBlock b = cache.alloc(1000);
+  ASSERT_TRUE(a.valid() && b.valid());
+  cache.free(a);
+  cache.free(a);
+  EXPECT_EQ(cache.stats().in_use_bytes, 1128u);  // b, with its guard bands
+  EXPECT_EQ(cache.stats().bad_frees, 1u);
+  EXPECT_EQ(cache.stats().guard_violations, 0u);
+  cache.free(b);
+  EXPECT_EQ(cache.stats().in_use_bytes, 0u);
+  EXPECT_EQ(cache.stats().bad_frees, 1u);
+}
+
+// Once `a` and `b` coalesce back into one free range, a second free of `a`
+// used to wrap in_use_bytes and the region's `used` below zero. The next
+// allocation then brought `used` back to 0 with a live block in the region,
+// and shrink() deregistered it.
+TEST_F(CacheFixture, DoubleFreeAfterCoalescingCannotWrapAccounting) {
+  MemCacheConfig cfg;
+  cfg.mr_bytes = 64 * 1024;
+  MemCache cache(nic, cfg);
+  // With its two 64 B guard bands, `filler` fills region 1 exactly.
+  const MemBlock filler = cache.alloc(64 * 1024 - 128);
+  MemBlock a = cache.alloc(1000);
+  MemBlock b = cache.alloc(1000);
+  ASSERT_EQ(cache.num_mrs(), 2u);
+  ASSERT_EQ(a.lkey, b.lkey);
+  ASSERT_NE(a.lkey, filler.lkey);
+  cache.free(b);
+  cache.free(a);
+  cache.free(a);
+  EXPECT_EQ(cache.stats().in_use_bytes, 64u * 1024);
+  EXPECT_EQ(cache.stats().bad_frees, 1u);
+
+  MemBlock c = cache.alloc(1000);
+  ASSERT_EQ(c.lkey, a.lkey);
+  cache.shrink();
+  EXPECT_EQ(cache.num_mrs(), 2u);
+  EXPECT_NE(cache.data(c), nullptr);
+  cache.free(c);
+  cache.free(filler);
+  EXPECT_EQ(cache.stats().in_use_bytes, 0u);
+  EXPECT_EQ(cache.stats().bad_frees, 1u);
+}
+
 TEST_F(CacheFixture, OversizedAllocationFails) {
   MemCacheConfig cfg;
   cfg.mr_bytes = 64 * 1024;
@@ -247,6 +297,7 @@ TEST_P(MemCacheProperty, RandomAllocFreeKeepsInvariants) {
   for (const auto& l : live) cache.free(l.block);
   EXPECT_EQ(cache.stats().in_use_bytes, 0u);
   EXPECT_EQ(cache.stats().guard_violations, 0u);
+  EXPECT_EQ(cache.stats().bad_frees, 0u);
   cache.shrink();
   EXPECT_EQ(cache.num_mrs(), cfg.min_mrs);
 }

@@ -1,12 +1,15 @@
 // RC/UD protocol behaviour of the RNIC model through the verbs facade:
 // two-sided and one-sided ops, reassembly, RNR semantics, retransmission,
-// peer death, SRQ sharing, atomics, completion ordering, and the QP context
-// cache.
+// peer death, SRQ sharing, atomics, completion ordering, the QP context
+// cache, and the demand-zero pages behind registered memory.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "testbed/cluster.hpp"
 #include "verbs/verbs.hpp"
@@ -793,6 +796,61 @@ TEST(RcVerbs, QpResetClearsStateForReuse) {
   ASSERT_EQ(rwc.size(), 1u);
   EXPECT_EQ(rwc[0].wr_id, 2u);
   EXPECT_EQ(rwc[0].status, Errc::ok);
+}
+
+// Registered memory is demand-zero: registering costs no resident pages,
+// a page becomes resident only when written, and deregistering returns it.
+
+/// Resident set size of this process, from /proc/self/statm.
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t total_pages = 0, resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(RegisteredMemory, PagesAreDemandZeroAndReturnedOnDeregistration) {
+  RcPair t;
+  constexpr std::uint64_t kMiB = 1 << 20;
+  constexpr std::uint64_t kSize = 64 * kMiB;
+  const std::uint64_t before = resident_bytes();
+  Mr mr = t.pd0.reg_mr(kSize);
+  ASSERT_NE(mr.data(), nullptr);
+  EXPECT_LT(resident_bytes(), before + kMiB);
+
+  const std::uint8_t* p = mr.data();
+  for (std::uint64_t off = 0; off < kSize; off += kMiB + 4099) {
+    EXPECT_EQ(p[off], 0u) << off;
+  }
+  EXPECT_EQ(p[kSize - 1], 0u);
+  constexpr std::uint64_t kOdd = 37 * kMiB + 12345;
+  mr.data()[kOdd] = 0x5a;
+  EXPECT_EQ(p[kOdd], 0x5a);
+
+  std::memset(mr.data(), 0xc3, 8 * kMiB);
+  const std::uint64_t written = resident_bytes();
+  mr.reset();
+  EXPECT_GE(written, resident_bytes() + 7 * kMiB);
+
+  // A fresh registration never sees the bytes of an old one.
+  Mr again = t.pd0.reg_mr(kSize);
+  const std::uint8_t* q = again.data();
+  for (std::uint64_t off = 0; off < 8 * kMiB; off += 4096) {
+    ASSERT_EQ(q[off], 0u) << off;
+  }
+  EXPECT_EQ(q[kOdd], 0u);
+}
+
+// The bytes of a real MR end at an inaccessible guard page, so a host-side
+// write one byte past the region faults, with or without a sanitizer.
+TEST(RegisteredMemory, WritePastTheEndFaults) {
+  RcPair t;
+  constexpr std::uint64_t kSize = 4 * 4096;
+  Mr mr = t.pd0.reg_mr(kSize);
+  volatile std::uint8_t* end =
+      t.cluster.rnic(0).mr_ptr(mr.addr(), kSize) + kSize;
+  end[-1] = 1;  // the last byte is writable
+  EXPECT_DEATH(end[0] = 1, "");
 }
 
 #if defined(__SANITIZE_ADDRESS__)
