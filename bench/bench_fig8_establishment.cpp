@@ -8,6 +8,8 @@
 //      ~2 s of a cluster restart (128 KB payloads).
 #include <memory>
 
+#include <sys/resource.h>
+
 #include "analysis/monitor.hpp"
 #include "apps/pangu.hpp"
 #include "bench/bench_util.hpp"
@@ -56,6 +58,31 @@ Nanos measure_tcp_connect() {
   });
   cluster.engine().run_for(millis(5));
   return established;
+}
+
+/// Host clock: this process's CPU time and minor page faults so far.
+struct HostUsage {
+  double user_s = 0;
+  double sys_s = 0;
+  long minor_faults = 0;
+};
+
+HostUsage host_usage() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  auto secs = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  return {secs(ru.ru_utime), secs(ru.ru_stime), ru.ru_minflt};
+}
+
+/// Prints what one storm cost the host, on a line marked as host clock.
+void print_host_usage(const char* what, const HostUsage& before,
+                      const HostUsage& after) {
+  std::printf("[host clock] %s: user %.2f s, sys %.2f s, %ld minor faults\n",
+              what, after.user_s - before.user_s, after.sys_s - before.sys_s,
+              after.minor_faults - before.minor_faults);
 }
 
 /// Connection storm: `total` connects from one context with `parallel`
@@ -127,12 +154,17 @@ int main() {
 
   print_header("§VII-C (b): 4096-connection storm (16-way concurrent)");
   const int kConns = 4096;
+  const HostUsage at_start = host_usage();
   const Nanos storm_cold = measure_storm(kConns, 16, false);
+  const HostUsage after_cold = host_usage();
   const Nanos storm_warm = measure_storm(kConns, 16, true);
+  const HostUsage after_warm = host_usage();
   std::printf("plain rdma_cm:       %8.2f s    (paper: ~10 s)\n",
               to_seconds(storm_cold));
   std::printf("with QP cache:       %8.2f s    (paper: ~3 s)\n",
               to_seconds(storm_warm));
+  print_host_usage("plain rdma_cm storm", at_start, after_cold);
+  print_host_usage("QP cache storm (two generations)", after_cold, after_warm);
 
   print_header("Fig. 8: ESSD aggregate IOPS after restart (128 KB payload)");
   constexpr int kChunks = 7;

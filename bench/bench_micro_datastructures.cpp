@@ -1,14 +1,16 @@
 // Microbenchmarks (google-benchmark) for the hot-path data structures: the
 // event engine, the seq-ack window, the memory-cache allocator, memory
-// registration and context set-up, histogram recording, wire header
-// encode/decode, the CRC32C integrity checksum, payload buffer copies and
-// the empty busy poll.
+// registration, context set-up and channel establishment, histogram
+// recording, wire header encode/decode, the CRC32C integrity checksum,
+// payload buffer copies and the empty busy poll.
 // These bound the simulator's own throughput (events/sec) and the
 // middleware's per-message CPU work.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "common/crc32c.hpp"
 #include "common/histogram.hpp"
@@ -194,6 +196,43 @@ void BM_ContextSetup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ContextSetup);
+
+void BM_ChannelEstablish(benchmark::State& state) {
+  // One connection between two fresh contexts on a fresh 2-host cluster,
+  // timed from connect() until both ends hold a usable channel: the CM
+  // handshake, QP bring-up and both ends' pre-posted bounce buffers.
+  // Building and tearing down the cluster and contexts is not timed.
+  // minor_faults is per connection (getrusage, this thread).
+  long faults = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      testbed::Cluster cluster;
+      core::Context server(cluster.rnic(1), cluster.cm());
+      core::Context client(cluster.rnic(0), cluster.cm());
+      core::Channel* accepted = nullptr;
+      core::Channel* connected = nullptr;
+      server.listen(7000, [&](core::Channel& c) { accepted = &c; });
+      rusage before{};
+      getrusage(RUSAGE_THREAD, &before);
+      state.ResumeTiming();
+      client.connect(1, 7000, [&](Result<core::Channel*> r) {
+        if (r.ok()) connected = r.value();
+      });
+      while (!(accepted && connected) && cluster.engine().step()) {
+      }
+      state.PauseTiming();
+      rusage after{};
+      getrusage(RUSAGE_THREAD, &after);
+      faults += after.ru_minflt - before.ru_minflt;
+      if (!(accepted && connected)) state.SkipWithError("connect failed");
+    }
+    state.ResumeTiming();
+  }
+  state.counters["minor_faults"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ChannelEstablish);
 
 void BM_HistogramRecord(benchmark::State& state) {
   Histogram h;

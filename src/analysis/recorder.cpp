@@ -80,11 +80,12 @@ std::size_t round_pow2(std::uint32_t v) {
 }  // namespace
 
 FlightRecorder::FlightRecorder(std::uint32_t capacity)
-    : ring_(round_pow2(capacity == 0 ? 1 : capacity)),
-      mask_(ring_.size() - 1) {}
+    : mask_(round_pow2(capacity == 0 ? 1 : capacity) - 1),
+      ring_(static_cast<Rec*>(::operator new((mask_ + 1) * sizeof(Rec)))) {}
 
 std::size_t FlightRecorder::size() const {
-  return head_ < ring_.size() ? static_cast<std::size_t>(head_) : ring_.size();
+  const std::size_t cap = mask_ + 1;
+  return head_ < cap ? static_cast<std::size_t>(head_) : cap;
 }
 
 std::vector<Rec> FlightRecorder::records() const {

@@ -10,7 +10,10 @@
 // one predictable branch plus six stores — cheap enough to leave enabled
 // in production, which is the whole point: when a channel dies or a peer
 // is declared dead, the last few thousand decisions that led there are
-// already in memory, waiting to be flushed.
+// already in memory, waiting to be flushed. The array is never zero-filled:
+// a slot is read only after a record was written into it, so each page is
+// first touched by the first record that lands there, not when the context
+// is built.
 //
 // On a trigger (channel death, peer dead, oracle failure, watchdog trip,
 // xr_adm dump) the ring plus a metrics snapshot is encoded into a
@@ -24,6 +27,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,7 +158,7 @@ class FlightRecorder {
   std::uint32_t sample_mask() const { return sample_mask_; }
 
   std::uint32_t capacity() const {
-    return static_cast<std::uint32_t>(ring_.size());
+    return static_cast<std::uint32_t>(mask_ + 1);
   }
   /// Total records ever appended (wrap-aware callers compare with size()).
   std::uint64_t appended() const { return head_; }
@@ -164,8 +169,12 @@ class FlightRecorder {
   void clear() { head_ = 0; }
 
  private:
-  std::vector<Rec> ring_;
+  struct FreeRing {
+    void operator()(Rec* ring) const { ::operator delete(ring); }
+  };
   std::size_t mask_;
+  // Raw storage: every slot that records() reads was written by log().
+  std::unique_ptr<Rec[], FreeRing> ring_;
   std::uint64_t head_ = 0;
   std::uint32_t sample_mask_ = 63;
   bool enabled_ = true;

@@ -83,16 +83,12 @@ void Channel::post_bounce_buffers() {
   // (standalone ACKs, NOPs, FIN). The sender's window bound plus this
   // pre-posting is what makes the protocol RNR-free (§V-B).
   const std::uint32_t count = 2 * cfg.window_depth + 8;
-  const std::uint32_t size =
-      WireHeader::kBareSize + WireHeader::kTraceSize + cfg.small_msg_size;
   bounce_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    // Privileged: bounce buffers are what keeps the control plane (and
-    // everything else) receivable — they may dip into the reserve.
-    MemBlock block = ctx_.ctrl_cache_.alloc(size, /*privileged=*/true);
+    MemBlock block = ctx_.alloc_bounce();
     if (!block.valid()) break;
     bounce_.push_back(block);
-    qp_.post_recv({.wr_id = i, .sge = {block.addr, size, block.lkey}});
+    qp_.post_recv({.wr_id = i, .sge = {block.addr, block.len, block.lkey}});
   }
 }
 
@@ -757,10 +753,8 @@ void Channel::on_recv_wc(const verbs::Wc& wc) {
   // Re-arm the bounce buffer immediately (run-to-complete), keeping the
   // receive queue topped up — the other half of RNR-freedom.
   if (state_ == State::established || state_ == State::closing) {
-    const std::uint32_t size =
-        WireHeader::kBareSize + WireHeader::kTraceSize +
-        ctx_.config().small_msg_size;
-    qp_.post_recv({.wr_id = wc.wr_id, .sge = {block.addr, size, block.lkey}});
+    qp_.post_recv(
+        {.wr_id = wc.wr_id, .sge = {block.addr, block.len, block.lkey}});
   }
 }
 

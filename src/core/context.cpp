@@ -169,15 +169,13 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
   data_cache_.set_recorder(&recorder_, /*which=*/1);
   if (cfg_.use_srq) {
     srq_ = nic_.create_srq(cfg_.srq_size);
-    const std::uint32_t size =
-        WireHeader::kBareSize + WireHeader::kTraceSize + cfg_.small_msg_size;
     srq_bounce_.reserve(cfg_.srq_size);
     for (std::uint32_t i = 0; i < cfg_.srq_size; ++i) {
-      MemBlock block = ctrl_cache_.alloc(size, /*privileged=*/true);
+      MemBlock block = alloc_bounce();
       if (!block.valid()) break;
       srq_bounce_.push_back(block);
-      nic_.post_srq_recv(srq_,
-                         {.wr_id = i, .sge = {block.addr, size, block.lkey}});
+      nic_.post_srq_recv(
+          srq_, {.wr_id = i, .sge = {block.addr, block.len, block.lkey}});
     }
   }
   nic_.add_qp_error_handler([this](rnic::QpNum qpn, Errc reason) {
@@ -192,6 +190,12 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
 Context::~Context() {
   scan_timer_.stop();
   for (const MemBlock& block : srq_bounce_) ctrl_cache_.free(block);
+}
+
+MemBlock Context::alloc_bounce() {
+  return ctrl_cache_.alloc(
+      WireHeader::kBareSize + WireHeader::kTraceSize + cfg_.small_msg_size,
+      /*privileged=*/true, BlockWriter::rnic);
 }
 
 // ---------------------------------------------------------------------------
@@ -829,11 +833,9 @@ void Context::dispatch_recv_wc(const verbs::Wc& wc) {
     if (const std::uint8_t* bytes = ctrl_cache_.data(block)) {
       ch->process_wire(bytes, wc.byte_len);
     }
-    const std::uint32_t size =
-        WireHeader::kBareSize + WireHeader::kTraceSize + cfg_.small_msg_size;
     nic_.post_srq_recv(srq_,
                        {.wr_id = wc.wr_id,
-                        .sge = {block.addr, size, block.lkey}});
+                        .sge = {block.addr, block.len, block.lkey}});
     return;
   }
   ch->on_recv_wc(wc);

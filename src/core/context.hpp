@@ -268,6 +268,12 @@ class Context {
   void flush_tx_batch(Channel& ch);
   void drop_tx_batch(Channel& ch);
 
+  /// One bounce buffer: a receive slot for a full eager message with its
+  /// trace TLV. Privileged, since bounce buffers keep the control plane
+  /// (and everything else) receivable, and RNIC-only: nothing on the host
+  /// writes it. Post it with its own `len` as the SGE length.
+  MemBlock alloc_bounce();
+
   // Channel lifecycle.
   Channel* adopt_established(verbs::cm::Established est, bool connector,
                              std::uint16_t port, std::uint64_t token);

@@ -32,7 +32,8 @@ MemCache::Region* MemCache::grow() {
   return &mrs_.back();
 }
 
-MemBlock MemCache::alloc(std::uint32_t len, bool privileged) {
+MemBlock MemCache::alloc(std::uint32_t len, bool privileged,
+                         BlockWriter writer) {
   ++stats_.alloc_calls;
   note_activity();
   const std::uint32_t need = padded(len);
@@ -71,7 +72,8 @@ MemBlock MemCache::alloc(std::uint32_t len, bool privileged) {
       block.len = len;
       block.lkey = region.info.lkey;
       block.rkey = region.info.rkey;
-      if (cfg_.isolation) write_guards(region, offset, len);
+      block.guarded = cfg_.isolation && writer == BlockWriter::host;
+      if (block.guarded) write_guards(region, offset, len);
       return block;
     }
     return {};
@@ -114,7 +116,7 @@ void MemCache::free(const MemBlock& block) {
       ++stats_.bad_frees;
       return;
     }
-    if (cfg_.isolation && !check_guards(region, offset, block.len)) {
+    if (block.guarded && !check_guards(region, offset, block.len)) {
       ++stats_.guard_violations;
       if (on_violation_) on_violation_(block);
     }

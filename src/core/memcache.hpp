@@ -3,9 +3,9 @@
 // Manages identical 4 MB MRs (LITE showed many small MRs degrade the NIC;
 // the paper registers 4 MB regions). Grows by registering a new MR when
 // capacity runs out, shrinks by deregistering MRs that fall idle. Optional
-// isolation mode surrounds every allocation with canary guard bands so
-// out-of-bounds writes are detected at free time (§VI-C: raw RDMA gives the
-// developer nothing here).
+// isolation mode surrounds every host-written allocation with canary guard
+// bands so out-of-bounds writes are detected at free time (§VI-C: raw RDMA
+// gives the developer nothing here).
 #pragma once
 
 #include <cstdint>
@@ -26,8 +26,20 @@ struct MemBlock {
   std::uint32_t len = 0;
   std::uint32_t lkey = 0;
   std::uint32_t rkey = 0;
+  /// Canaries were written around the block (isolation mode, host-written
+  /// block), so free() checks them. Fits in the struct's tail padding.
+  bool guarded = false;
   bool valid() const { return len != 0; }
 };
+static_assert(sizeof(MemBlock) == 24, "MemBlock must stay 24 bytes");
+
+/// Who writes a block's bytes. Host-written blocks get canary guard bands.
+/// An RNIC-only block (a posted receive buffer) keeps the same padded
+/// footprint, but its guard bytes are neither written nor checked: the host
+/// never writes it, and the RNIC bounds every write by the posted SGE, so an
+/// overrun into a neighbour is prevented rather than detected. Leaving the
+/// guard bytes unwritten leaves its pages untouched until a message lands.
+enum class BlockWriter : std::uint8_t { host, rnic };
 
 struct MemCacheConfig {
   std::uint64_t mr_bytes = 4u << 20;  // each registration (paper: 4 MB)
@@ -74,13 +86,14 @@ class MemCache {
   /// request exceeds one MR's usable size. When a reserve is configured,
   /// only `privileged` (control-plane) allocations may use the last
   /// `reserve_bytes` of the budget.
-  MemBlock alloc(std::uint32_t len, bool privileged = false);
+  MemBlock alloc(std::uint32_t len, bool privileged = false,
+                 BlockWriter writer = BlockWriter::host);
 
-  /// Return a block. In isolation mode the guard canaries are verified
-  /// first; a violation is counted and reported via the violation handler
-  /// (how the analysis framework surfaces memory-corruption bugs). A free
-  /// of a range that is not allocated (a double free) changes nothing and
-  /// counts as a bad free.
+  /// Return a block. A guarded block's canaries are verified first; a
+  /// violation is counted and reported via the violation handler (how the
+  /// analysis framework surfaces memory-corruption bugs). A free of a range
+  /// that is not allocated (a double free) changes nothing and counts as a
+  /// bad free.
   void free(const MemBlock& block);
 
   /// Direct host pointer into a block (nullptr in synthetic mode).

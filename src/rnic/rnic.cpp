@@ -776,18 +776,25 @@ void Rnic::handle_packet(net::NodeId src_node, const RnicPacket& pkt,
       RecvWr rqe;
       bool from_srq = false;
       if (!consume_rqe(*qp, rqe, from_srq)) return;  // UD: silent drop
-      if (pkt.data.size() > rqe.sge.length) return;
+      Wc wc;
+      wc.wr_id = rqe.wr_id;
+      wc.opcode = WcOpcode::recv;
+      wc.qp_num = qp->num;
+      if (pkt.data.size() > rqe.sge.length) {
+        // The datagram overruns the receive buffer: the RQE completes in
+        // error (IBV_WC_LOC_LEN_ERR) so its owner can re-post it, and no
+        // byte is written.
+        wc.status = Errc::local_length_error;
+        push_wc(qp->recv_cq, wc);
+        return;
+      }
       if (std::uint8_t* dst = mr_ptr(rqe.sge.addr, pkt.data.size());
           dst && pkt.data.data()) {
         std::memcpy(dst, pkt.data.data(), pkt.data.size());
       }
-      Wc wc;
-      wc.wr_id = rqe.wr_id;
-      wc.opcode = WcOpcode::recv;
       wc.byte_len = static_cast<std::uint32_t>(pkt.data.size());
       wc.imm = pkt.imm;
       wc.has_imm = pkt.has_imm;
-      wc.qp_num = qp->num;
       wc.src_qp = pkt.src_qp;
       wc.src_node = src_node;
       push_wc(qp->recv_cq, wc);
@@ -816,6 +823,18 @@ void Rnic::handle_packet(net::NodeId src_node, const RnicPacket& pkt,
       return;
     }
   }
+}
+
+void Rnic::recv_length_error(Qp& qp, std::uint64_t wr_id,
+                             std::uint64_t psn) {
+  Wc wc;
+  wc.wr_id = wr_id;
+  wc.status = Errc::local_length_error;
+  wc.opcode = WcOpcode::recv;
+  wc.qp_num = qp.num;
+  push_wc(qp.recv_cq, wc);
+  send_control(qp, PktType::nak_remote_access, psn);
+  qp_to_error(qp, Errc::local_length_error);
 }
 
 bool Rnic::consume_rqe(Qp& qp, RecvWr& out, bool& from_srq) {
@@ -854,15 +873,7 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
           return;  // exp_psn unchanged
         }
         if (pkt.msg_len > rqe.sge.length) {
-          // Message overruns the receive buffer.
-          Wc wc;
-          wc.wr_id = rqe.wr_id;
-          wc.status = Errc::local_length_error;
-          wc.opcode = WcOpcode::recv;
-          wc.qp_num = qp.num;
-          push_wc(qp.recv_cq, wc);
-          send_control(qp, PktType::nak_remote_access, pkt.psn);
-          qp_to_error(qp, Errc::local_length_error);
+          recv_length_error(qp, rqe.wr_id, pkt.psn);
           return;
         }
         qp.assembly.active = true;
@@ -871,6 +882,15 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
         qp.assembly.from_srq = from_srq;
       }
       if (!qp.assembly.active || qp.assembly.msg_id != pkt.msg_id) return;
+      // Every fragment stays inside the posted SGE, whatever offset the
+      // packet claims: the RNIC is the only writer of a receive buffer,
+      // so this bound is what keeps it from a neighbouring one.
+      if (pkt.frag_off > qp.assembly.rqe.sge.length ||
+          pkt.data.size() > qp.assembly.rqe.sge.length - pkt.frag_off) {
+        qp.assembly.active = false;
+        recv_length_error(qp, qp.assembly.rqe.wr_id, pkt.psn);
+        return;
+      }
       qp.exp_psn = pkt.psn + 1;
       if (pkt.data.size() > 0 && pkt.data.data()) {
         if (std::uint8_t* dst =

@@ -267,6 +267,9 @@ class Rnic {
   void maybe_ack(Qp& qp, net::NodeId src_node, bool msg_tail);
   void maybe_cnp(Qp& qp, net::NodeId src_node);
   bool consume_rqe(Qp& qp, RecvWr& out, bool& from_srq);
+  /// An RC receive that would overrun its RQE's SGE: complete the RQE with
+  /// local_length_error, NAK the sender and move the QP to error.
+  void recv_length_error(Qp& qp, std::uint64_t wr_id, std::uint64_t psn);
 
   // Retransmission timer.
   void arm_qp_timer(Qp& qp);

@@ -1,7 +1,8 @@
 // RC/UD protocol behaviour of the RNIC model through the verbs facade:
 // two-sided and one-sided ops, reassembly, RNR semantics, retransmission,
 // peer death, SRQ sharing, atomics, completion ordering, the QP context
-// cache, and the demand-zero pages behind registered memory.
+// cache, receive-buffer bounds, and the demand-zero pages behind registered
+// memory.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +12,7 @@
 
 #include <unistd.h>
 
+#include "rnic/wire.hpp"
 #include "testbed/cluster.hpp"
 #include "verbs/verbs.hpp"
 
@@ -796,6 +798,105 @@ TEST(RcVerbs, QpResetClearsStateForReuse) {
   ASSERT_EQ(rwc.size(), 1u);
   EXPECT_EQ(rwc[0].wr_id, 2u);
   EXPECT_EQ(rwc[0].status, Errc::ok);
+}
+
+// Receive-buffer bounds: the RNIC never writes past the SGE a receive was
+// posted with, even where the MR behind it goes on. Bounce buffers rely on
+// this instead of canaries.
+
+TEST(UdVerbs, OversizedDatagramCompletesWithLengthError) {
+  RcPair base;
+  auto& c = base.cluster;
+  Pd pd0(c.rnic(0)), pd1(c.rnic(1));
+  Cq cq0 = pd0.create_cq(16), cq1 = pd1.create_cq(16);
+  Qp ud0 = pd0.create_qp(QpType::ud, cq0, cq0);
+  Qp ud1 = pd1.create_qp(QpType::ud, cq1, cq1);
+  for (QpState s : {QpState::init, QpState::rtr, QpState::rts}) {
+    QpAttr attr;
+    attr.state = s;
+    ASSERT_EQ(ud0.modify(attr), Errc::ok);
+    ASSERT_EQ(ud1.modify(attr), Errc::ok);
+  }
+  Mr smr = pd0.reg_mr(64);
+  Mr rmr = pd1.reg_mr(64);
+  std::memcpy(smr.data(), "dgram", 5);
+  std::memset(rmr.data(), 0xee, 64);
+  ud1.post_recv({.wr_id = 9, .sge = {rmr.addr(), 4, rmr.lkey()}});
+  ud0.post_send({.wr_id = 2,
+                 .opcode = Opcode::send,
+                 .local = {smr.addr(), 5, smr.lkey()},
+                 .dest_node = 1,
+                 .dest_qp = ud1.num()});
+  c.run();
+  // The RQE is handed back in error, so its owner knows to re-post it.
+  Wc wc[4];
+  ASSERT_EQ(cq1.poll(wc, 4), 1);
+  EXPECT_EQ(wc[0].opcode, WcOpcode::recv);
+  EXPECT_EQ(wc[0].wr_id, 9u);
+  EXPECT_EQ(wc[0].status, Errc::local_length_error);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(rmr.data()[i], 0xee) << i;
+}
+
+TEST(RcVerbs, SendLargerThanRqeCompletesWithLengthError) {
+  RcPair t;
+  Mr smr = t.pd0.reg_mr(200);
+  Mr rmr = t.pd1.reg_mr(200);
+  std::memset(smr.data(), 0x11, 200);
+  std::memset(rmr.data(), 0xee, 200);
+  t.qp1.post_recv({.wr_id = 3, .sge = {rmr.addr(), 100, rmr.lkey()}});
+  t.qp0.post_send({.wr_id = 1,
+                   .opcode = Opcode::send,
+                   .local = {smr.addr(), 200, smr.lkey()}});
+  t.cluster.run();
+  std::vector<Wc> rwc;
+  RcPair::drain(t.rcq1, rwc);
+  ASSERT_EQ(rwc.size(), 1u);
+  EXPECT_EQ(rwc[0].wr_id, 3u);
+  EXPECT_EQ(rwc[0].status, Errc::local_length_error);
+  EXPECT_EQ(t.qp1.state(), QpState::error);
+  // Nothing landed, least of all in the 100 bytes past the SGE.
+  for (int i = 0; i < 200; ++i) EXPECT_EQ(rmr.data()[i], 0xee) << i;
+}
+
+// A peer's packet names its own fragment offset. A fragment that claims an
+// offset past the posted SGE is refused, though the MR has room for it.
+TEST(RcVerbs, ForgedFragmentPastTheSgeIsRejected) {
+  RcPair t;
+  Mr rmr = t.pd1.reg_mr(200);
+  std::memset(rmr.data(), 0xee, 200);
+  t.qp1.post_recv({.wr_id = 4, .sge = {rmr.addr(), 100, rmr.lkey()}});
+  const std::uint8_t bytes[50] = {0x11};
+  auto inject = [&](std::uint64_t psn, std::uint32_t off, bool first,
+                    bool last) {
+    auto pkt = rnic::make_packet();
+    pkt->type = rnic::PktType::data_send;
+    pkt->src_qp = t.qp0.num();
+    pkt->dst_qp = t.qp1.num();
+    pkt->psn = psn;
+    pkt->msg_id = 1;
+    pkt->msg_len = 100;  // honest total, forged offset
+    pkt->frag_off = off;
+    pkt->first = first;
+    pkt->last = last;
+    pkt->data = Buffer::copy_of(bytes, sizeof bytes);
+    net::Packet np;
+    np.src = 0;
+    np.dst = 1;
+    np.wire_bytes = 64 + sizeof bytes;
+    np.payload = std::move(pkt);
+    t.cluster.rnic(1).on_packet(std::move(np));
+  };
+  inject(0, 0, /*first=*/true, /*last=*/false);
+  inject(1, 90, /*first=*/false, /*last=*/true);  // 90 + 50 > 100
+  t.cluster.run();
+  std::vector<Wc> rwc;
+  RcPair::drain(t.rcq1, rwc);
+  ASSERT_EQ(rwc.size(), 1u);
+  EXPECT_EQ(rwc[0].wr_id, 4u);
+  EXPECT_EQ(rwc[0].status, Errc::local_length_error);
+  EXPECT_EQ(t.qp1.state(), QpState::error);
+  EXPECT_EQ(rmr.data()[0], 0x11);  // the honest first fragment landed
+  for (int i = 50; i < 200; ++i) EXPECT_EQ(rmr.data()[i], 0xee) << i;
 }
 
 // Registered memory is demand-zero: registering costs no resident pages,
