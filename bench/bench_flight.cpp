@@ -37,8 +37,8 @@ double measure_rate(bool recorder_on, std::uint64_t total) {
   XrPair pair;
   if (!pair.client_ch || !pair.server_ch) return 0;
   pair.server_ch->set_on_msg([](core::Channel&, core::Msg&&) {});
-  pair.client.recorder().set_enabled(recorder_on);
-  pair.server.recorder().set_enabled(recorder_on);
+  pair.client.set_flag("recorder_enabled", recorder_on);
+  pair.server.set_flag("recorder_enabled", recorder_on);
 
   // Warmup outside the timed window (caches, QP state, allocator).
   for (int i = 0; i < 256; ++i) {

@@ -492,11 +492,10 @@ void Channel::post_wire(const WireHeader& hdr, MemBlock block, Buffer wqe) {
   }
   const std::uint64_t chan_id = id_;
   ctx_.engine().schedule_after(cost + extra, [ctx = &ctx_, chan_id, wr] {
-    if (Channel* ch = ctx->channel_by_id(chan_id);
-        ch && (ch->state_ == State::established ||
-               ch->state_ == State::closing) &&
-        ch->qp_.valid()) {
+    if (Channel* ch = ctx->channel_by_id(chan_id); ch && ch->postable()) {
       ctx->accumulate_wr(*ch, wr);
+    } else {
+      ctx->retire(wr.wr_id);
     }
   });
 }
@@ -576,13 +575,7 @@ void Channel::post_control(std::uint16_t flags, std::uint64_t aux_id,
   wr.local = {block.addr, hdr.wire_size(), block.lkey};
   // Control bypasses the flow-control queue: it is tiny and carries the
   // acks that unblock everything else.
-  if (qp_.post_send(wr) == Errc::ok) {
-    ++stats_.doorbells;
-    ++stats_.doorbell_wrs;
-  } else {
-    ctx_.release_wr(wr.wr_id);
-    ctx_.ctrl_cache_.free(block);
-  }
+  if (ctx_.ring_doorbell(*this, &wr, 1) != Errc::ok) ctx_.retire(wr.wr_id);
 }
 
 void Channel::send_drain(Nanos retry_after) {
@@ -1043,7 +1036,7 @@ void Channel::issue_pull_frags(Seq seq, RxState& rx) {
     wr.local = {rx.payload_block.addr + off, n, rx.payload_block.lkey};
     wr.remote_addr = rx.hdr.rv_addr + off;
     wr.rkey = rx.hdr.rv_rkey;
-    ctx_.post_or_queue(*this, wr);
+    ctx_.submit(*this, &wr, 1);
     off += n;
     ++nfrags;
   }
@@ -1252,14 +1245,12 @@ void Channel::keepalive_fire() {
   wr.wr_id = ctx_.register_wr(
       {Context::WrInfo::Kind::keepalive, id_, 0, 0, MemBlock{}, false});
   wr.opcode = verbs::Opcode::write;
-  if (qp_.post_send(wr) == Errc::ok) {
-    ++stats_.doorbells;
-    ++stats_.doorbell_wrs;
+  if (ctx_.ring_doorbell(*this, &wr, 1) == Errc::ok) {
     ++stats_.keepalive_probes;
     if (!keepalive_outstanding_) keepalive_posted_ = now;
     keepalive_outstanding_ = true;
   } else {
-    ctx_.release_wr(wr.wr_id);
+    ctx_.retire(wr.wr_id);
   }
   keepalive_timer_->arm_after(rearm);
 }

@@ -215,6 +215,12 @@ class Channel {
   /// Posts one data frame through the egress filter: `wqe` (the whole
   /// message, carried in the WQE itself) when non-empty, else `block`.
   void post_wire(const WireHeader& hdr, MemBlock block, Buffer wqe);
+  /// WRs may ring the NIC: established, or closing (the FIN and the data
+  /// ahead of it), with a live QP.
+  bool postable() const {
+    return (state_ == State::established || state_ == State::closing) &&
+           qp_.valid();
+  }
   /// Windowless control message. `aux_id`/`aux` ride in rpc_id/rv_addr
   /// (kFlagNak: the NAK'd seq and the retry-after hint in ns).
   void post_control(std::uint16_t flags, std::uint64_t aux_id = 0,

@@ -192,6 +192,13 @@ Context::~Context() {
   for (const MemBlock& block : srq_bounce_) ctrl_cache_.free(block);
 }
 
+Errc Context::set_flag(const std::string& name, std::int64_t value) {
+  const Errc rc = core::set_flag(cfg_, name, value);
+  recorder_.set_enabled(cfg_.recorder_enabled);
+  recorder_.set_sample_mask(cfg_.recorder_sample_mask);
+  return rc;
+}
+
 MemBlock Context::alloc_bounce() {
   return ctrl_cache_.alloc(
       WireHeader::kBareSize + WireHeader::kTraceSize + cfg_.small_msg_size,
@@ -438,29 +445,23 @@ void Context::purge_channel_wrs(std::uint64_t channel_id) {
   // Batched WRs never hit the NIC either: drop the accumulator first so
   // the registry sweep below can retire their entries.
   if (Channel* ch = channel_by_id(channel_id)) drop_tx_batch(*ch);
-  // Deferred WRs never hit the NIC and never held a credit: just drop them.
+  // Deferred WRs never hit the NIC and hold no credit, so retiring them
+  // reposts nothing.
   for (auto it = deferred_wrs_.begin(); it != deferred_wrs_.end();) {
     if (it->channel_id == channel_id) {
-      wrs_.erase(it->wr.wr_id);
+      retire(it->wr.wr_id);
       it = deferred_wrs_.erase(it);
     } else {
       ++it;
     }
   }
-  // Registered WRs: collect first — wr_completed() may repost deferred WRs
-  // and mutate wrs_, invalidating iterators.
+  // Registered WRs: collect first — a returned credit may repost deferred
+  // WRs and mutate wrs_, invalidating iterators.
   std::vector<std::uint64_t> ids;
   for (const auto& [id, info] : wrs_) {
     if (info.channel_id == channel_id) ids.push_back(id);
   }
-  for (std::uint64_t id : ids) {
-    auto it = wrs_.find(id);
-    if (it == wrs_.end()) continue;
-    WrInfo info = std::move(it->second);
-    wrs_.erase(it);
-    if (info.block.valid()) ctrl_cache_.free(info.block);
-    if (info.counted) wr_completed();
-  }
+  for (std::uint64_t id : ids) retire(id);
 }
 
 void Context::nudge_peer_probes(net::NodeId peer, std::uint64_t except_id) {
@@ -492,36 +493,80 @@ std::uint64_t Context::register_wr(WrInfo info) {
   return id;
 }
 
-void Context::post_or_queue(Channel& ch, verbs::SendWr wr) {
-  // A WR whose registry entry is gone was purged during recovery while its
-  // deferred post was in flight: dropping it is the only safe option (its
-  // buffers may already be retired).
-  if (!wrs_.count(wr.wr_id)) return;
-  if (cfg_.flowctl && outstanding_wrs_ >= cfg_.max_outstanding_wrs) {
-    // Queuing (§V-C): buffer the WR instead of letting the send queue and
-    // the fabric absorb a burst.
-    ++ch.stats_.flowctl_queued;
-    deferred_wrs_.push_back({ch.id(), wr});
-    return;
-  }
-  auto it = wrs_.find(wr.wr_id);
-  if (it != wrs_.end()) it->second.counted = true;
-  ++outstanding_wrs_;
-  const Errc rc = ch.qp_.post_send(wr);
+std::optional<Context::WrInfo> Context::retire(std::uint64_t wr_id) {
+  auto it = wrs_.find(wr_id);
+  if (it == wrs_.end()) return std::nullopt;
+  WrInfo info = std::move(it->second);
+  wrs_.erase(it);
+  if (info.block.valid()) ctrl_cache_.free(info.block);
+  if (info.counted) wr_completed();
+  return info;
+}
+
+Errc Context::ring_doorbell(Channel& ch, const verbs::SendWr* wrs,
+                            std::size_t n) {
+  const Errc rc = ch.qp_.post_send_batch(wrs, n);
   if (rc == Errc::ok) {
     ++ch.stats_.doorbells;
-    ++ch.stats_.doorbell_wrs;
-  } else if (rc == Errc::resource_exhausted) {
-    // NIC send queue full: defer, keep the registry entry, retry on the
-    // next completion.
-    --outstanding_wrs_;
-    if (it != wrs_.end()) it->second.counted = false;
-    deferred_wrs_.push_front({ch.id(), wr});
-  } else if (rc != Errc::ok) {
-    --outstanding_wrs_;
-    wrs_.erase(wr.wr_id);
-    ch.fail(rc);
+    ch.stats_.doorbell_wrs += n;
   }
+  return rc;
+}
+
+Context::Submitted Context::submit(Channel& ch, verbs::SendWr* wrs,
+                                   std::size_t n, bool head) {
+  Submitted r;
+  // Purge guard: entries unregistered since the WR was built (recovery
+  // swept the channel) must not reach the NIC — their buffers may be
+  // retired.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!wrs_.count(wrs[i].wr_id)) continue;
+    if (kept != i) wrs[kept] = std::move(wrs[i]);
+    ++kept;
+  }
+  r.dropped = n - kept;
+  n = kept;
+  // Queuing (§V-C): no more WRs in flight than the credits allow, and none
+  // overtakes a WR already waiting — a channel's frames reach its QP in
+  // order.
+  std::size_t credits = head || deferred_wrs_.empty() ? n : 0;
+  if (cfg_.flowctl) {
+    credits = std::min<std::size_t>(
+        credits, cfg_.max_outstanding_wrs -
+                     std::min(outstanding_wrs_, cfg_.max_outstanding_wrs));
+  }
+  if (credits > 0) {
+    const Errc rc = ring_doorbell(ch, wrs, credits);
+    if (rc == Errc::ok) {
+      for (std::size_t i = 0; i < credits; ++i) {
+        wrs_.find(wrs[i].wr_id)->second.counted = true;
+      }
+      outstanding_wrs_ += static_cast<std::uint32_t>(credits);
+      r.posted = credits;
+    } else if (rc != Errc::resource_exhausted) {
+      // Dead QP surfacing, invalid WR: nothing of this submission posts.
+      for (std::size_t i = 0; i < n; ++i) retire(wrs[i].wr_id);
+      r.dropped += n;
+      ch.fail(rc);
+      return r;
+    }
+    // A full NIC send queue (incast: the credit came back on another QP)
+    // defers the whole submission; the next completion retries it.
+  }
+  r.deferred = n - r.posted;
+  if (head) {
+    requeued_heads_ += r.deferred;
+    for (std::size_t i = n; i-- > r.posted;) {
+      deferred_wrs_.push_front({ch.id(), std::move(wrs[i])});
+    }
+    return r;
+  }
+  for (std::size_t i = r.posted; i < n; ++i) {
+    deferred_wrs_.push_back({ch.id(), std::move(wrs[i])});
+  }
+  ch.stats_.flowctl_queued += r.deferred;
+  return r;
 }
 
 void Context::wr_completed() {
@@ -531,34 +576,13 @@ void Context::wr_completed() {
     DeferredWr d = std::move(deferred_wrs_.front());
     deferred_wrs_.pop_front();
     Channel* ch = channel_by_id(d.channel_id);
-    if (!ch || !ch->usable()) {
-      if (auto it = wrs_.find(d.wr.wr_id); it != wrs_.end()) {
-        if (it->second.block.valid()) ctrl_cache_.free(it->second.block);
-        wrs_.erase(it);
-      }
+    if (!ch || !ch->postable()) {
+      retire(d.wr.wr_id);
       continue;
     }
-    auto it = wrs_.find(d.wr.wr_id);
-    if (it != wrs_.end()) it->second.counted = true;
-    ++outstanding_wrs_;
-    const Errc rc = ch->qp_.post_send(d.wr);
-    if (rc == Errc::resource_exhausted) {
-      // That QP's send queue is still full (incast: the flow-control credit
-      // freed on some *other* QP). Put the WR back and stop — the next
-      // completion retries. Dropping it would wedge a rendezvous pull, and
-      // with it the whole receive window, forever.
-      --outstanding_wrs_;
-      if (it != wrs_.end()) it->second.counted = false;
-      deferred_wrs_.push_front(std::move(d));
-      break;
-    }
-    if (rc != Errc::ok) {
-      --outstanding_wrs_;
-      wrs_.erase(d.wr.wr_id);
-      continue;
-    }
-    ++ch->stats_.doorbells;
-    ++ch->stats_.doorbell_wrs;
+    // Still no room on that QP: it went back to the front; stop. Dropping
+    // it would wedge a rendezvous pull, and with it the receive window.
+    if (submit(*ch, &d.wr, 1, /*head=*/true).deferred > 0) break;
   }
 }
 
@@ -567,10 +591,10 @@ void Context::wr_completed() {
 
 void Context::accumulate_wr(Channel& ch, verbs::SendWr wr) {
   // A WR whose registry entry is gone was purged while its scheduled post
-  // was in flight (recovery): drop it, as post_or_queue would.
+  // was in flight (recovery): drop it, as submit would.
   if (!wrs_.count(wr.wr_id)) return;
   if (cfg_.tx_batch_max_wrs <= 1) {
-    post_or_queue(ch, wr);  // batching off: one doorbell per WR
+    submit(ch, &wr, 1);  // batching off: one doorbell per WR
     return;
   }
   ++batch_accumulated_;
@@ -604,117 +628,18 @@ void Context::flush_tx_batch(Channel& ch) {
   batch.swap(ch.tx_batch_);
   ch.tx_batch_bytes_ = 0;
   batch_pending_ -= batch.size();
-
-  // Purge guard: entries unregistered since accumulation (recovery swept
-  // the channel) must not reach the NIC — their buffers may be retired.
-  std::uint64_t dropped = 0;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (!wrs_.count(batch[i].wr_id)) {
-      ++batch_dropped_;
-      ++dropped;
-      continue;
-    }
-    if (kept != i) batch[kept] = std::move(batch[i]);
-    ++kept;
-  }
-  batch.resize(kept);
-
-  const bool postable = (ch.state_ == Channel::State::established ||
-                         ch.state_ == Channel::State::closing) &&
-                        ch.qp_.valid();
-  if (!postable) {
-    for (const verbs::SendWr& wr : batch) {
-      if (auto it = wrs_.find(wr.wr_id); it != wrs_.end()) {
-        if (it->second.block.valid()) ctrl_cache_.free(it->second.block);
-        wrs_.erase(it);
-      }
-      ++batch_dropped_;
-      ++dropped;
-    }
-    if (dropped > 0) {
-      recorder_.log(engine().now(), analysis::RecEvent::batch_flush, 0,
-                    static_cast<std::uint32_t>(ch.id()), 0, dropped);
-    }
-    return;
-  }
-
-  std::uint64_t posted = 0, posted_bytes = 0, deferred = 0;
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    // Greedy credit-limited chains: post as many WRs per doorbell as the
-    // flow-control budget allows; whatever does not fit queues in order.
-    std::size_t credits = batch.size() - i;
-    if (cfg_.flowctl) {
-      credits = outstanding_wrs_ < cfg_.max_outstanding_wrs
-                    ? std::min<std::size_t>(
-                          credits, cfg_.max_outstanding_wrs - outstanding_wrs_)
-                    : 0;
-    }
-    if (credits == 0) {
-      for (; i < batch.size(); ++i) {
-        ++ch.stats_.flowctl_queued;
-        ++batch_deferred_;
-        ++deferred;
-        deferred_wrs_.push_back({ch.id(), std::move(batch[i])});
-      }
-      break;
-    }
-    for (std::size_t k = 0; k < credits; ++k) {
-      if (auto it = wrs_.find(batch[i + k].wr_id); it != wrs_.end()) {
-        it->second.counted = true;
-      }
-    }
-    outstanding_wrs_ += static_cast<std::uint32_t>(credits);
-    const Errc rc = ch.qp_.post_send_batch(&batch[i], credits);
-    if (rc == Errc::ok) {
-      ++ch.stats_.doorbells;
-      ch.stats_.doorbell_wrs += credits;
-      batch_posted_ += credits;
-      posted += credits;
-      for (std::size_t k = 0; k < credits; ++k) {
-        posted_bytes += batch[i + k].local.length;
-      }
-      i += credits;
-      continue;
-    }
-    // Undo the optimistic credit charge before disposing of the tail.
-    outstanding_wrs_ -= static_cast<std::uint32_t>(credits);
-    for (std::size_t k = 0; k < credits; ++k) {
-      if (auto it = wrs_.find(batch[i + k].wr_id); it != wrs_.end()) {
-        it->second.counted = false;
-      }
-    }
-    if (rc == Errc::resource_exhausted) {
-      // NIC send queue cannot take the chain: park the whole tail at the
-      // front of the deferred queue (order preserved) for the
-      // completion-driven repost path.
-      for (std::size_t k = batch.size(); k-- > i;) {
-        deferred_wrs_.push_front({ch.id(), std::move(batch[k])});
-      }
-      const std::size_t tail = batch.size() - i;
-      ch.stats_.flowctl_queued += tail;
-      batch_deferred_ += tail;
-      deferred += tail;
-      break;
-    }
-    // Post error (dead QP surfacing, invalid WR): drop the tail and fail
-    // the channel like the single-post path does.
-    for (std::size_t k = i; k < batch.size(); ++k) {
-      if (auto it = wrs_.find(batch[k].wr_id); it != wrs_.end()) {
-        if (it->second.block.valid()) ctrl_cache_.free(it->second.block);
-        wrs_.erase(it);
-      }
-      ++batch_dropped_;
-      ++dropped;
-    }
-    ch.fail(rc);
-    break;
+  const Submitted r = submit(ch, batch.data(), batch.size());
+  batch_posted_ += r.posted;
+  batch_deferred_ += r.deferred;
+  batch_dropped_ += r.dropped;
+  std::uint64_t posted_bytes = 0;
+  for (std::size_t i = 0; i < r.posted; ++i) {
+    posted_bytes += batch[i].local.length;
   }
   recorder_.log(engine().now(), analysis::RecEvent::batch_flush,
-                static_cast<std::uint16_t>(posted),
+                static_cast<std::uint16_t>(r.posted),
                 static_cast<std::uint32_t>(ch.id()), posted_bytes,
-                (deferred << 16) | dropped);
+                (static_cast<std::uint64_t>(r.deferred) << 16) | r.dropped);
 }
 
 void Context::drop_tx_batch(Channel& ch) {
@@ -782,11 +707,12 @@ int Context::polling(int budget) {
 }
 
 void Context::dispatch_send_wc(const verbs::Wc& wc) {
-  auto it = wrs_.find(wc.wr_id);
-  if (it == wrs_.end()) return;
-  WrInfo info = std::move(it->second);
-  wrs_.erase(it);
-  if (info.counted) wr_completed();
+  // retire() frees a control message's block, or a data WR's transient
+  // egress-corruption copy (the retained wire block is owned by the send
+  // window, never here).
+  const std::optional<WrInfo> retired = retire(wc.wr_id);
+  if (!retired) return;
+  const WrInfo& info = *retired;
 
   if (recorder_.sample(wc.wr_id)) {
     recorder_.log(engine().now(), analysis::RecEvent::wr_sample,
@@ -797,13 +723,9 @@ void Context::dispatch_send_wc(const verbs::Wc& wc) {
   Channel* ch = channel_by_id(info.channel_id);
   switch (info.kind) {
     case WrInfo::Kind::data_send:
-      // A transient egress-corruption copy rides in info.block (the
-      // retained wire block is owned by the send window, never here).
-      if (info.block.valid()) ctrl_cache_.free(info.block);
       if (wc.status != Errc::ok && ch) ch->handle_transport_fault(wc.status);
       break;
     case WrInfo::Kind::ctrl_send:
-      if (info.block.valid()) ctrl_cache_.free(info.block);
       if (ch) {
         if (wc.status != Errc::ok) {
           ch->handle_transport_fault(wc.status);
@@ -964,10 +886,6 @@ void Context::scan_tick() {
     }
     last_pressure_ = p;
   }
-  // Propagate online changes to the recorder knobs (xr_adm can quiet or
-  // zoom a hot node's ring without restart).
-  recorder_.set_enabled(cfg_.recorder_enabled);
-  recorder_.set_sample_mask(cfg_.recorder_sample_mask);
 }
 
 const char* to_string(Lifecycle s) {

@@ -21,6 +21,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "analysis/recorder.hpp"
@@ -88,9 +89,9 @@ class Context {
   void dereg_mem(const MemBlock& block) { data_cache_.free(block); }
   std::uint8_t* mem_ptr(const MemBlock& block) { return data_cache_.data(block); }
 
-  Errc set_flag(const std::string& name, std::int64_t value) {
-    return core::set_flag(cfg_, name, value);
-  }
+  /// Online knob change (xr_adm). The recorder knobs take effect at once,
+  /// so an operator can quiet or zoom a hot node's ring without restart.
+  Errc set_flag(const std::string& name, std::int64_t value);
   Result<std::int64_t> get_flag(const std::string& name) const {
     return core::get_flag(cfg_, name);
   }
@@ -172,6 +173,9 @@ class Context {
   std::uint64_t batch_deferred() const { return batch_deferred_; }
   std::uint64_t batch_dropped() const { return batch_dropped_; }
   std::uint64_t batch_pending() const { return batch_pending_; }
+  /// Reposts of the oldest deferred WR that found its QP's send queue still
+  /// full and went back to the front of the queue.
+  std::uint64_t requeued_heads() const { return requeued_heads_; }
 
   // --- Overload control ------------------------------------------------------
   /// Aggregate bytes parked in every channel's bounded tx queue — the value
@@ -246,24 +250,44 @@ class Context {
   };
 
   std::uint64_t register_wr(WrInfo info);
-  void release_wr(std::uint64_t wr_id) { wrs_.erase(wr_id); }
+  /// The one way out of the registry: erases the entry, frees its block
+  /// and hands back its flow-control credit. Returns the entry, or nothing
+  /// if it was already gone.
+  std::optional<WrInfo> retire(std::uint64_t wr_id);
   void dispatch_send_wc(const verbs::Wc& wc);
   void dispatch_recv_wc(const verbs::Wc& wc);
   rnic::QpCaps qp_caps() const;
+
+  /// The one doorbell: posts `n` WRs on the channel's QP as one chain and
+  /// counts it in chan.doorbells / doorbell_wrs. Control messages and
+  /// keepalives ring it directly, outside the credits: they are rare and
+  /// carry the acks that unblock everything else.
+  Errc ring_doorbell(Channel& ch, const verbs::SendWr* wrs, std::size_t n);
 
   // Flow control (§V-C queuing): bounded outstanding WRs, excess queued.
   struct DeferredWr {
     std::uint64_t channel_id = 0;
     verbs::SendWr wr;
   };
-  void post_or_queue(Channel& ch, verbs::SendWr wr);
+  /// Where submit() sent its WRs; flush_tx_batch feeds them to the ledger.
+  struct Submitted {
+    std::size_t posted = 0, deferred = 0, dropped = 0;
+  };
+  /// The one credited post path. Posts as many of `wrs` as the credits
+  /// cover as one chain and queues the rest, in order, behind any WR
+  /// already waiting. A full NIC send queue defers the whole submission;
+  /// `head` marks the repost of the oldest waiting WR, which goes back to
+  /// the front and is not counted as queued twice. Any other post error
+  /// retires every WR and fails the channel. WRs purged since they were
+  /// built are dropped.
+  Submitted submit(Channel& ch, verbs::SendWr* wrs, std::size_t n,
+                   bool head = false);
+  /// A credit came back: repost waiting WRs, oldest first.
   void wr_completed();
 
   // Doorbell batching (hot-path coalescing): data-plane WRs accumulate in
-  // their channel's tx_batch_ across a poll iteration and post as one
-  // chained doorbell (Rnic::post_send chain form). Control messages and
-  // keepalives stay direct — they are rare and carry the acks that unblock
-  // everything else.
+  // their channel's tx_batch_ across a poll iteration and go to submit()
+  // as one chain.
   void accumulate_wr(Channel& ch, verbs::SendWr wr);
   void flush_tx_batch(Channel& ch);
   void drop_tx_batch(Channel& ch);
@@ -354,6 +378,7 @@ class Context {
   std::uint64_t batch_deferred_ = 0;
   std::uint64_t batch_dropped_ = 0;
   std::uint64_t batch_pending_ = 0;
+  std::uint64_t requeued_heads_ = 0;
 
   sim::PeriodicTimer scan_timer_;
   EventFd event_fd_;

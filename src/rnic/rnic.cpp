@@ -1110,6 +1110,20 @@ void Rnic::handle_read_resp(Qp& qp, const RnicPacket& pkt) {
   // Read response fragment: accept only the next expected offset so
   // duplicate streams after a reissue are ignored.
   if (pkt.frag_off != track.next_off) return;
+  if (std::uint64_t{pkt.frag_off} + pkt.data.size() > track.wr.local.length) {
+    // The fragment overruns the SGE the read was posted with: the WR
+    // completes in error (IBV_WC_LOC_LEN_ERR), no byte is written, and the
+    // QP goes to error, as for an oversized receive.
+    Wc wc;
+    wc.wr_id = track.wr.wr_id;
+    wc.status = Errc::local_length_error;
+    wc.opcode = WcOpcode::read;
+    wc.qp_num = qp.num;
+    push_wc(qp.send_cq, wc);
+    qp.reads.erase(it);
+    qp_to_error(qp, Errc::local_length_error);
+    return;
+  }
   if (pkt.data.size() > 0 && pkt.data.data()) {
     if (std::uint8_t* dst =
             mr_ptr(track.wr.local.addr + pkt.frag_off, pkt.data.size())) {

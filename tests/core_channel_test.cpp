@@ -821,5 +821,131 @@ TEST(ChannelFrag, QpKillBetweenFragmentsStillDeliversExactlyOnce) {
   EXPECT_EQ(t.client.data_cache().stats().guard_violations, 0u);
 }
 
+// The one credited post path: every registry entry leaves through one
+// retire that frees its block. A data WR the egress filter corrupted
+// carries a transient ctrl-cache copy of its frame; one still waiting for a
+// credit when its QP dies must give the copy back when recovery purges it.
+TEST(PostPath, PurgedDeferredWrFreesItsCorruptedCopy) {
+  Config cfg;
+  cfg.max_outstanding_wrs = 1;
+  cfg.inline_max = 0;  // staged frames: corruption copies the wire block
+  Pair t(cfg);
+  t.establish();
+  bool corrupt = true;
+  t.client.set_egress_filter([&](Channel&, const WireHeader& hdr) {
+    Context::FilterDecision d;
+    if (corrupt && hdr.is_data()) {
+      d.action = Context::FilterAction::corrupt;
+      d.corrupt_seed = hdr.seq;
+    }
+    return d;
+  });
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(t.client_ch->send_msg(Buffer::make(1000)), Errc::ok);
+  }
+  t.run(micros(3));
+  ASSERT_GT(t.client.deferred_wr_count(), 0u);  // copies wait for a credit
+  rnic::QpAttr attr;
+  attr.state = rnic::QpState::error;
+  ASSERT_EQ(t.client.nic().modify_qp(t.client_ch->qp_num(), attr), Errc::ok);
+  corrupt = false;
+  t.run(millis(100));
+  t.client_ch->close();
+  t.run(millis(100));
+  EXPECT_EQ(t.client.ctrl_cache().stats().in_use_bytes, 0u);
+}
+
+// Credited WRs beyond the NIC send queue. With flow control off nothing
+// caps them, and rendezvous in both directions puts each side's descriptor
+// sends and pull reads on one QP. The client's rendezvous go first, so its
+// QP is busy serving the server's pulls (responses go before new work)
+// while its own reads and next descriptors pile up: a fresh submission
+// finds the send queue full. A second channel's eager stream keeps
+// completions coming meanwhile, so reposts of the oldest deferred WR find
+// that queue still full too. Every message arrives once and in order, and
+// the doorbell-batch ledger balances.
+TEST(PostPath, FullSendQueueDefersInOrder) {
+  Config cfg;
+  cfg.flowctl = false;
+  cfg.window_depth = 64;
+  cfg.max_outstanding_wrs = 1;  // send queue: 64 + 1 + 32 WRs
+  cfg.e2e_crc = false;          // no CRC pass spacing out the posts
+  cfg.tx_queue_max_msgs = 64;   // bounds the test's memory
+  constexpr int kMsgs = 100;
+  constexpr std::uint32_t kLen = 128 * 1024;  // rendezvous
+  constexpr int kEager = 1000;
+  constexpr std::uint32_t kEagerLen = 512;
+  Pair t(cfg);
+  t.establish();
+  Channel* bulk_client = t.client_ch;
+  Channel* bulk_server = t.server_ch;
+  Channel* eager_client = nullptr;
+  t.client.connect(1, 7000, [&](Result<Channel*> r) {
+    ASSERT_TRUE(r.ok());
+    eager_client = r.value();
+  });
+  t.run(millis(5));
+  ASSERT_NE(eager_client, nullptr);
+  ASSERT_NE(t.server_ch, bulk_server);
+  Channel* eager_server = t.server_ch;
+
+  // Each receiver records the index of every message it gets, or -1 for a
+  // wrong one; in-order exactly-once delivery is then 0, 1, 2, ...
+  auto receiver = [](std::vector<int>& got, std::uint32_t len) {
+    return [&got, len](Channel&, Msg&& m) {
+      const int i = static_cast<int>(got.size());
+      got.push_back(m.payload.size() == len && check_pattern(m.payload, i)
+                        ? i
+                        : -1);
+    };
+  };
+  std::vector<int> got_server, got_client, got_eager;
+  bulk_server->set_on_msg(receiver(got_server, kLen));
+  bulk_client->set_on_msg(receiver(got_client, kLen));
+  eager_server->set_on_msg(receiver(got_eager, kEagerLen));
+  int sent_client = 0, sent_server = 0, sent_eager = 0;
+  auto push = [](Channel* ch, int& sent, int total, std::uint32_t len) {
+    while (sent < total) {
+      Buffer b = Buffer::make(len);
+      fill_pattern(b, static_cast<std::uint64_t>(sent));
+      if (ch->send_msg(std::move(b)) != Errc::ok) break;
+      ++sent;
+    }
+  };
+  for (int round = 0; round < 5000; ++round) {
+    push(bulk_client, sent_client, kMsgs, kLen);
+    if (round > 0) push(bulk_server, sent_server, kMsgs, kLen);
+    push(eager_client, sent_eager, kEager, kEagerLen);
+    t.run(micros(20));
+    if (got_server.size() == kMsgs && got_client.size() == kMsgs &&
+        got_eager.size() == kEager) {
+      break;
+    }
+  }
+  auto in_order = [](int n) {
+    std::vector<int> v(n);
+    for (int i = 0; i < n; ++i) v[i] = i;
+    return v;
+  };
+  EXPECT_EQ(got_server, in_order(kMsgs));
+  EXPECT_EQ(got_client, in_order(kMsgs));
+  EXPECT_EQ(got_eager, in_order(kEager));
+  for (Context* ctx : {&t.client, &t.server}) {
+    EXPECT_EQ(ctx->batch_accumulated(),
+              ctx->batch_posted() + ctx->batch_deferred() +
+                  ctx->batch_dropped() + ctx->batch_pending());
+    EXPECT_EQ(ctx->outstanding_wrs(), 0u);
+    EXPECT_EQ(ctx->deferred_wr_count(), 0u);
+  }
+  // Without flow control a WR queues only behind a full send queue, so the
+  // first one queued found it full; later ones may queue behind it.
+  EXPECT_GT(bulk_client->stats().flowctl_queued, 0u);
+  EXPECT_GT(t.client.requeued_heads(), 0u);
+  for (Channel* ch : {bulk_client, bulk_server, eager_client, eager_server}) {
+    EXPECT_EQ(ch->stats().bad_messages, 0u);
+    EXPECT_EQ(ch->stats().recoveries_started, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace xrdma::core

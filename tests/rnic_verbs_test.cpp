@@ -899,6 +899,50 @@ TEST(RcVerbs, ForgedFragmentPastTheSgeIsRejected) {
   for (int i = 50; i < 200; ++i) EXPECT_EQ(rmr.data()[i], 0xee) << i;
 }
 
+// A read response names its own fragment offset and length. One that runs
+// past the SGE the read was posted with is refused, though the MR has room.
+TEST(RcVerbs, ForgedReadResponsePastTheSgeIsRejected) {
+  RcPair t;
+  Mr lmr = t.pd0.reg_mr(200);
+  Mr rmr = t.pd1.reg_mr(200);
+  std::memset(lmr.data(), 0xee, 200);
+  ASSERT_EQ(t.qp0.post_send({.wr_id = 6,
+                             .opcode = Opcode::read,
+                             .local = {lmr.addr(), 100, lmr.lkey()},
+                             .remote_addr = rmr.addr(),
+                             .rkey = rmr.rkey()}),
+            Errc::ok);
+  // The responder never answers; the requester is left tracking the read.
+  t.cluster.rnic(1).set_alive(false);
+  auto& engine = t.cluster.engine();
+  engine.run_until(engine.now() + micros(5));
+  const std::uint8_t bytes[150] = {0x11};
+  auto pkt = rnic::make_packet();
+  pkt->type = rnic::PktType::read_resp;
+  pkt->src_qp = t.qp1.num();
+  pkt->dst_qp = t.qp0.num();
+  pkt->msg_id = 1;  // the QP's first WR
+  pkt->msg_len = 150;
+  pkt->frag_off = 0;
+  pkt->first = pkt->last = true;
+  pkt->data = Buffer::copy_of(bytes, sizeof bytes);
+  net::Packet np;
+  np.src = 1;
+  np.dst = 0;
+  np.wire_bytes = 64 + sizeof bytes;
+  np.payload = std::move(pkt);
+  t.cluster.rnic(0).on_packet(std::move(np));
+  engine.run_until(engine.now() + micros(5));
+  std::vector<Wc> swc;
+  RcPair::drain(t.scq0, swc);
+  ASSERT_EQ(swc.size(), 1u);
+  EXPECT_EQ(swc[0].wr_id, 6u);
+  EXPECT_EQ(swc[0].opcode, WcOpcode::read);
+  EXPECT_EQ(swc[0].status, Errc::local_length_error);
+  EXPECT_EQ(t.qp0.state(), QpState::error);
+  for (int i = 0; i < 200; ++i) EXPECT_EQ(lmr.data()[i], 0xee) << i;
+}
+
 // Registered memory is demand-zero: registering costs no resident pages,
 // a page becomes resident only when written, and deregistering returns it.
 
