@@ -130,6 +130,9 @@ void wire_conn(std::shared_ptr<Bridge> bridge, tcpsim::TcpConn& conn) {
 MockFallback::MockFallback(core::Context& ctx, tcpsim::TcpStack& tcp,
                            std::uint16_t port)
     : ctx_(ctx) {
+  // The restore hook lets a channel here tear its stream down (a received
+  // FIN, a failure) even when this context never called enable_auto.
+  ctx.set_fallback_restore([](core::Channel& ch) { restore_rdma(ch); });
   tcp.listen(port, [this](tcpsim::TcpConn& conn) {
     auto bridge = std::make_shared<ServerBridge>();
     bridge->ctx = &ctx_;

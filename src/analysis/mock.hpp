@@ -25,7 +25,8 @@ namespace xrdma::analysis {
 class MockFallback {
  public:
   /// Server side: accept TCP fallback connections for channels owned by
-  /// `ctx`. Keep the object alive while fallback may occur.
+  /// `ctx`, and install `ctx`'s restore hook. Keep the object alive while
+  /// fallback may occur.
   MockFallback(core::Context& ctx, tcpsim::TcpStack& tcp, std::uint16_t port);
 
   /// Client side: switch `ch` onto TCP toward the peer's fallback port.

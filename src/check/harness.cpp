@@ -959,10 +959,12 @@ std::vector<std::uint64_t> smoke_seeds(std::uint32_t default_count) {
     seeds.push_back(std::strtoull(env, nullptr, 0));
     return seeds;
   }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    seeds.push_back(0x9e3779b97f4a7c15ULL * (i + 1));
-  }
+  for (std::uint32_t i = 0; i < count; ++i) seeds.push_back(smoke_seed(i));
   return seeds;
+}
+
+std::uint64_t smoke_seed(std::size_t i) {
+  return 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(i) + 1);
 }
 
 std::string describe(const RunReport& r) {

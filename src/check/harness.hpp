@@ -151,6 +151,8 @@ ShrinkResult shrink_schedule(const Schedule& s, const RunOptions& opt = {},
 /// With neither set, returns `default_count` fixed golden-ratio seeds so
 /// ctest runs are deterministic.
 std::vector<std::uint64_t> smoke_seeds(std::uint32_t default_count = 20);
+/// The fixed seed at sweep index `i`: 0x9e3779b97f4a7c15 × (i + 1) mod 2^64.
+std::uint64_t smoke_seed(std::size_t i);
 
 /// One-line human summary ("seed 42: PASS, 87 msgs, 14 faults, ...").
 std::string describe(const RunReport& r);

@@ -48,12 +48,9 @@ Channel::Channel(Context& ctx, verbs::Qp qp, net::NodeId peer,
 }
 
 Channel::~Channel() {
-  // Normal teardown happens through close()/fail(); this is the context
-  // destructor path.
-  if (state_ == State::established || state_ == State::closing) {
-    state_ = State::closed;
-    release_qp(/*recycle=*/false);
-  }
+  // Normal teardown happens through finish(); this is the context
+  // destructor path, where a live QP destroys itself.
+  for (const MemBlock& block : bounce_) ctx_.ctrl_cache_.free(block);
 }
 
 void Channel::record(analysis::RecEvent ev, std::uint16_t code,
@@ -69,10 +66,18 @@ void Channel::set_state(State next, Errc why) {
   state_ = next;
 }
 
-void Channel::init_established() {
-  const Nanos now = ctx_.engine().now();
-  last_tx_ = last_rx_ = last_alive_ = now;
-  post_bounce_buffers();
+void Channel::transport_up() {
+  recovery_timer_->cancel();
+  set_state(State::established);
+  if (qp_.valid()) {
+    ctx_.channel_attach_qp(*this);
+    post_bounce_buffers();
+  }
+  last_tx_ = last_rx_ = last_alive_ = ctx_.engine().now();
+  // On the fallback the keepalive watches the stream (NOP exchange instead
+  // of zero-byte writes): a silently dying stream is noticed too.
+  keepalive_outstanding_ = false;
+  keepalive_posted_ = 0;
   keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
 }
 
@@ -704,12 +709,7 @@ void Channel::on_send_wc_control(std::uint16_t flags) {
   if (flags & kFlagAckOnly) ack_inflight_ = false;
   if (flags & kFlagNop) nop_inflight_ = false;
   if ((flags & kFlagFin) && state_ == State::closing) {
-    recovery_timer_->cancel();  // the FIN deadline
-    set_state(State::closed);
-    reclaim_windows();
-    ctx_.channel_detach_qp(*this);  // before release_qp clears the QP num
-    release_qp(/*recycle=*/true);
-    ctx_.channel_closed(*this);
+    finish(State::closed, Errc::ok);
   }
 }
 
@@ -731,7 +731,6 @@ void Channel::reclaim_windows() {
     r.pull_deferred = false;
     r.pull_failed = false;
   });
-  ctx_.purge_channel_wrs(id_);
 }
 
 // ---------------------------------------------------------------------------
@@ -867,13 +866,7 @@ void Channel::process_wire(const std::uint8_t* bytes, std::uint32_t len) {
     return;
   }
   if (hdr.has(kFlagFin)) {
-    set_state(State::closed, Errc::channel_closed);
-    abort_calls(Errc::channel_closed);
-    reclaim_windows();
-    ctx_.channel_detach_qp(*this);  // before release_qp clears the QP num
-    release_qp(/*recycle=*/true);
-    ctx_.channel_closed(*this);
-    if (on_error_) on_error_(*this, Errc::channel_closed);
+    finish(State::closed, Errc::channel_closed);
     return;
   }
 
@@ -951,6 +944,15 @@ void Channel::start_rendezvous_pull(Seq seq, RxState& rx) {
     rwin_.complete(seq, [this](Seq s, RxState& r) { deliver(s, r); });
     return;
   }
+  // No QP to read through (a descriptor delayed past a QP's death, or one
+  // landing on the fallback): park the pull. The mem-retry timer retries
+  // it once the channel can post; on the fallback the sender's inline
+  // replay completes it instead.
+  if (!postable()) {
+    rx.pull_deferred = true;
+    arm_mem_retry();
+    return;
+  }
   // Receiver-side degradation (§VI): under soft+ memory pressure, or when
   // the data pool is simply exhausted, park the pull and NAK the
   // descriptor instead of failing the channel (the old behavior). The
@@ -984,7 +986,8 @@ void Channel::defer_rendezvous_pull(Seq seq, RxState& rx) {
 }
 
 void Channel::retry_deferred_pulls() {
-  if (tx_override_) return;  // no QP to read through; replays arrive inline
+  // On the fallback the replays arrive inline instead.
+  if (mocked() || !postable()) return;
   rwin_.for_each_pending([this](Seq s, RxState& r) {
     if (!r.pull_deferred) return;
     r.pull_deferred = false;
@@ -1279,13 +1282,6 @@ void Channel::on_keepalive_wc(Errc status) {
   }
 }
 
-void Channel::on_qp_error(Errc reason) {
-  // Report the true cause: transport_retry_exceeded (a retryable path
-  // fault) and peer_dead (keepalive-declared silence) get different
-  // recovery budgets, and the application sees what actually happened.
-  handle_transport_fault(reason);
-}
-
 void Channel::close() {
   if (state_ != State::established && state_ != State::recovering) return;
   if (state_ == State::recovering) {
@@ -1294,7 +1290,6 @@ void Channel::close() {
     return;
   }
   set_state(State::closing);
-  fin_sent_ = true;
   // A closing channel can never deliver responses: complete outstanding
   // RPCs now instead of letting them ride to their timeouts.
   abort_calls(Errc::channel_closed);
@@ -1305,8 +1300,11 @@ void Channel::close() {
   post_control(kFlagFin);
   // FIN deadline: nothing else watches a closing channel (keepalive stands
   // down), so a FIN that dies with its QP — post failure or a lost WC —
-  // would otherwise park the channel in `closing` forever.
-  recovery_timer_->arm_after(ctx_.config().keepalive_timeout);
+  // would otherwise park the channel in `closing` forever. A FIN over the
+  // fallback stream completes at once, and a failed one already failed.
+  if (state_ == State::closing) {
+    recovery_timer_->arm_after(ctx_.config().keepalive_timeout);
+  }
 }
 
 void Channel::abort_calls(Errc reason) {
@@ -1317,21 +1315,22 @@ void Channel::abort_calls(Errc reason) {
   for (auto& [id, pc] : calls) pc.cb(reason);
 }
 
-void Channel::fail(Errc reason) {
+void Channel::finish(State end, Errc cause) {
   if (state_ == State::error || state_ == State::closed) return;
-  set_state(State::error, reason);
-  ctx_.trigger_dump(analysis::TrigReason::channel_death);
-  keepalive_timer_->cancel();
+  set_state(end, cause);
+  if (end == State::error) {
+    ctx_.trigger_dump(analysis::TrigReason::channel_death);
+    ++ctx_.stats().channel_errors;
+  }
   recovery_timer_->cancel();
-  if (tx_override_) leave_fallback();
-
-  abort_calls(reason);
+  if (cause != Errc::ok) {
+    if (mocked()) leave_fallback();
+    abort_calls(cause);
+  }
   reclaim_windows();
-  ctx_.channel_detach_qp(*this);  // before release_qp clears the QP num
-  release_qp(/*recycle=*/true);
-  ++ctx_.stats().channel_errors;
+  drop_qp();
   ctx_.channel_closed(*this);
-  if (on_error_) on_error_(*this, reason);
+  if (cause != Errc::ok && on_error_) on_error_(*this, cause);
 }
 
 // ---------------------------------------------------------------------------
@@ -1341,14 +1340,9 @@ void Channel::handle_transport_fault(Errc reason) {
   if (state_ == State::recovering) return;  // already on it
   if (mocked() && state_ == State::established) {
     // Running on the fallback: an RDMA-side fault is moot — just shed the
-    // dead QP and stay on TCP.
+    // dead QP and stay on TCP. The keepalive now watches the stream alone.
     if (qp_.valid()) {
-      ctx_.purge_channel_wrs(id_);
-      ctx_.channel_detach_qp(*this);
-      release_qp(/*recycle=*/true);
-      peer_qp_ = rnic::kInvalidId;
-      // release_qp cancelled the keepalive timer, but it now watches the
-      // fallback stream: keep it running.
+      drop_qp();
       keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
     }
     return;
@@ -1379,17 +1373,10 @@ void Channel::start_recovery(Errc reason) {
   record(analysis::RecEvent::recovery_start, static_cast<std::uint16_t>(reason),
          recovery_budget_);
   ++stats_.recoveries_started;
-  keepalive_timer_->cancel();
-  keepalive_outstanding_ = false;
-  keepalive_posted_ = 0;
   ack_inflight_ = false;
   nop_inflight_ = false;
-  // Abandon the dead QP: purge its registered WRs (their WCs are already
-  // flushed or will never arrive), unroute it, recycle it via the QP cache.
-  ctx_.purge_channel_wrs(id_);
-  ctx_.channel_detach_qp(*this);
-  release_qp(/*recycle=*/true);
-  peer_qp_ = rnic::kInvalidId;
+  // Abandon the dead QP: its WCs are already flushed or will never arrive.
+  drop_qp();
 
   if (connector_) {
     schedule_recovery_attempt();  // first attempt fires immediately
@@ -1404,32 +1391,30 @@ void Channel::start_recovery(Errc reason) {
 }
 
 void Channel::schedule_recovery_attempt() {
-  const Config& cfg = ctx_.config();
-  // A peer that announced a drain is restarting on purpose: park the
-  // ladder for its window instead of burning budget (and CM timeouts)
-  // against a node that told us it is leaving. The timer re-fires after
-  // the window and the ladder resumes where it left off, budget intact.
-  if (const Nanos left = ctx_.health().drain_remaining(peer_); left > 0) {
-    ++stats_.drain_recovery_parks;
-    recovery_timer_->arm_after(std::max(left, cfg.recovery_backoff));
-    return;
-  }
-  if (recovery_attempt_ >= recovery_budget_) {
-    escalate_or_fail();
-    return;
-  }
+  // Drained peers park the ladder instead of burning budget (and CM
+  // timeouts) against a node that told us it is leaving.
+  if (park_for_drain()) return;
   // Circuit breaker: once the peer is declared dead, only the designated
   // half-open probers keep their ladder; everyone else fails fast onto the
   // fallback instead of burning CM timeouts.
-  if (!breaker_admits()) {
+  if (recovery_attempt_ >= recovery_budget_ || !breaker_admits()) {
     escalate_or_fail();
     return;
   }
   // Capped exponential backoff with +/-25% jitter so a fabric event does
   // not produce a synchronized reconnect storm.
-  recovery_timer_->arm_after(
-      backoff_with_jitter(cfg.recovery_backoff, recovery_attempt_,
-                          recovery_rng_));
+  recovery_timer_->arm_after(backoff_with_jitter(
+      ctx_.config().recovery_backoff, recovery_attempt_, recovery_rng_));
+}
+
+bool Channel::park_for_drain() {
+  // The timer re-fires after the window and the ladder resumes where it
+  // left off, budget intact.
+  const Nanos left = ctx_.health().drain_remaining(peer_);
+  if (left <= 0) return false;
+  ++stats_.drain_recovery_parks;
+  recovery_timer_->arm_after(std::max(left, ctx_.config().recovery_backoff));
+  return true;
 }
 
 void Channel::recovery_timer_fire() {
@@ -1439,48 +1424,37 @@ void Channel::recovery_timer_fire() {
     fail(Errc::channel_closed);
     return;
   }
-  if (state_ == State::recovering) {
-    if (!connector_) {
-      // Passive resume deadline expired: the peer never came back.
-      fail(recovery_reason_);
-      return;
-    }
-    // Re-check the drain window at fire time too — the DRAIN may have
-    // arrived while the backoff timer was armed.
-    if (const Nanos left = ctx_.health().drain_remaining(peer_); left > 0) {
-      ++stats_.drain_recovery_parks;
-      recovery_timer_->arm_after(
-          std::max(left, ctx_.config().recovery_backoff));
-      return;
-    }
-    // Re-check the breaker at fire time, not just at schedule time: when a
-    // whole peer dies, every channel declares dead in the same scan and all
-    // of them pass the schedule-time gate before any prober has been
-    // designated. The first timer to fire claims the half-open slot inside
-    // initiate_resume; the rest must fail fast here.
-    if (!breaker_admits()) {
-      escalate_or_fail();
-      return;
-    }
-    ++recovery_attempt_;
-    ++stats_.recovery_attempts;
-    record(analysis::RecEvent::recovery_attempt, 0, recovery_attempt_);
-    resume_inflight_ = true;
-    ctx_.initiate_resume(*this);
+  if (state_ == State::recovering && !connector_) {
+    // Passive resume deadline expired: the peer never came back.
+    fail(recovery_reason_);
     return;
   }
-  if (state_ == State::established && mocked() && connector_) {
-    // Background RDMA probe while riding the fallback — also behind the
-    // breaker gate: parked channels re-check on the next probe tick.
-    if (!breaker_admits()) {
+  // Otherwise the next resume attempt, or the background RDMA probe while
+  // riding the fallback.
+  const bool probe = state_ == State::established && mocked() && connector_;
+  if (state_ != State::recovering && !probe) return;
+  // Re-check the drain window at fire time too — the DRAIN may have
+  // arrived while the backoff timer was armed.
+  if (!probe && park_for_drain()) return;
+  // Re-check the breaker at fire time, not just at schedule time: when a
+  // whole peer dies, every channel declares dead in the same scan and all
+  // of them pass the schedule-time gate before any prober has been
+  // designated. The first timer to fire claims the half-open slot inside
+  // initiate_resume; the rest must fail fast here. A parked probe
+  // re-checks on the next probe tick.
+  if (!breaker_admits()) {
+    if (probe) {
       arm_rdma_probe();
-      return;
+    } else {
+      escalate_or_fail();
     }
-    ++stats_.recovery_attempts;
-    record(analysis::RecEvent::recovery_attempt, 0, 0);
-    resume_inflight_ = true;
-    ctx_.initiate_resume(*this);
+    return;
   }
+  if (!probe) ++recovery_attempt_;
+  ++stats_.recovery_attempts;
+  record(analysis::RecEvent::recovery_attempt, 0, probe ? 0 : recovery_attempt_);
+  resume_inflight_ = true;
+  ctx_.initiate_resume(*this);
 }
 
 void Channel::resume_attempt_failed(Errc) {
@@ -1500,7 +1474,7 @@ void Channel::resume_attempt_failed(Errc) {
   }
 }
 
-void Channel::resume_adopt(verbs::Qp qp, rnic::QpNum peer_qp, Seq peer_rta) {
+void Channel::resume_adopt(verbs::Qp qp, Seq peer_rta) {
   resume_inflight_ = false;
   // Adopt whenever the channel is still alive. The acceptor side routinely
   // lands here established-and-unaware: its QP's death simply hasn't
@@ -1514,25 +1488,11 @@ void Channel::resume_adopt(verbs::Qp qp, rnic::QpNum peer_qp, Seq peer_rta) {
   const bool was_recovering = state_ == State::recovering;
   const bool was_mocked = mocked();
   if (was_mocked) leave_fallback();
-  if (qp_.valid()) {
-    // Peer-initiated resume replacing a QP we still hold (its error just
-    // hasn't surfaced here yet): drop ours first.
-    ctx_.purge_channel_wrs(id_);
-    ctx_.channel_detach_qp(*this);
-    release_qp(/*recycle=*/true);
-  }
-  recovery_timer_->cancel();
+  // A peer-initiated resume may replace a QP we still hold (its error just
+  // hasn't surfaced here yet): drop ours first.
+  drop_qp();
   qp_ = std::move(qp);
-  peer_qp_ = peer_qp;
-  set_state(State::established);
-  ctx_.channel_attach_qp(*this);
-  post_bounce_buffers();
-
-  const Nanos now = ctx_.engine().now();
-  last_tx_ = last_rx_ = last_alive_ = now;
-  keepalive_outstanding_ = false;
-  keepalive_posted_ = 0;
-  keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
+  transport_up();
 
   // The resume handshake is authoritative proof of life; if it was a
   // half-open probe, the breaker closes and parked siblings get nudged.
@@ -1543,18 +1503,14 @@ void Channel::resume_adopt(verbs::Qp qp, rnic::QpNum peer_qp, Seq peer_rta) {
   // A passive QP swap on a channel that never noticed the fault is not a
   // recovery; only count channels that were actually recovering (or being
   // restored off the fallback).
+  if (was_mocked) {
+    ++stats_.fallback_restores;
+    record(analysis::RecEvent::fallback_restore);
+  }
   if (was_recovering || was_mocked) {
-    ++stats_.recoveries_completed;
-    if (was_mocked) {
-      ++stats_.fallback_restores;
-      record(analysis::RecEvent::fallback_restore);
-    }
-    ++ctx_.stats().channels_recovered;
-    if (recovery_started_ > 0) {
-      ctx_.stats().recovery_latency.record(now - recovery_started_);
+    if (const Nanos took = recovery_completed(); took > 0) {
       record(analysis::RecEvent::recovery_resumed, 0, recovery_attempt_,
-             static_cast<std::uint64_t>(now - recovery_started_));
-      recovery_started_ = 0;
+             static_cast<std::uint64_t>(took));
     }
   }
 
@@ -1622,23 +1578,9 @@ void Channel::nudge_probe() {
 
 void Channel::on_fallback_attached() {
   if (state_ != State::recovering) return;  // manual switch: nothing to replay
-  set_state(State::established);
+  transport_up();
   record(analysis::RecEvent::fallback_attach);
-  recovery_timer_->cancel();
-  const Nanos now = ctx_.engine().now();
-  last_tx_ = last_rx_ = last_alive_ = now;
-  // The keepalive watches the fallback stream from here on (NOP exchange
-  // instead of zero-byte writes); without this re-arm a silently dying
-  // stream would never be noticed.
-  keepalive_outstanding_ = false;
-  keepalive_posted_ = 0;
-  keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
-  ++stats_.recoveries_completed;
-  ++ctx_.stats().channels_recovered;
-  if (recovery_started_ > 0) {
-    ctx_.stats().recovery_latency.record(now - recovery_started_);
-    recovery_started_ = 0;
-  }
+  recovery_completed();
   // Replay the unacked window inline over the stream; interrupted
   // rendezvous pulls on the peer complete from these replays.
   retransmit_unacked();
@@ -1674,7 +1616,7 @@ void Channel::retransmit_entry(TxEntry& e) {
 }
 
 void Channel::restart_pending_pulls() {
-  if (tx_override_) return;  // fallback replays arrive inline instead
+  if (!postable()) return;
   rwin_.for_each_pending([this](Seq s, RxState& r) {
     if (r.reads_left == 0 || !r.payload_block.valid()) return;
     r.reads_left = 0;
@@ -1682,19 +1624,27 @@ void Channel::restart_pending_pulls() {
   });
 }
 
-void Channel::release_qp(bool recycle) {
+Nanos Channel::recovery_completed() {
+  ++stats_.recoveries_completed;
+  ++ctx_.stats().channels_recovered;
+  if (recovery_started_ == 0) return 0;
+  const Nanos took = ctx_.engine().now() - recovery_started_;
+  ctx_.stats().recovery_latency.record(took);
+  recovery_started_ = 0;
+  return took;
+}
+
+void Channel::drop_qp() {
+  // Purged WRs' WCs are ignored once unregistered, and unposted ones never
+  // reach the NIC.
+  ctx_.purge_channel_wrs(id_);
+  ctx_.channel_detach_qp(*this);  // before release() clears the QP num
   keepalive_timer_->cancel();
   for (const MemBlock& block : bounce_) ctx_.ctrl_cache_.free(block);
   bounce_.clear();
-  if (!qp_.valid()) return;
-  if (recycle) {
-    // Immediate RESET + recycle (§IV-E): the next connection skips QP
-    // creation entirely.
-    const rnic::QpNum qpn = qp_.release();
-    ctx_.qp_cache_.put(qpn);
-  } else {
-    qp_.reset();
-  }
+  // Immediate RESET + recycle (§IV-E): the next connection skips QP
+  // creation entirely.
+  if (qp_.valid()) ctx_.qp_cache_.put(qp_.release());
 }
 
 void Channel::free_tx_entry(TxEntry& e) {

@@ -98,7 +98,6 @@ class Channel {
   net::NodeId peer_node() const { return peer_; }
   std::uint64_t id() const { return id_; }
   rnic::QpNum qp_num() const { return qp_.num(); }
-  rnic::QpNum peer_qp_num() const { return peer_qp_; }
   Context& context() { return ctx_; }
   const ChannelStats& stats() const { return stats_; }
   /// Connection token minted at connect time: the stable identity that
@@ -188,7 +187,23 @@ class Channel {
   Channel(Context& ctx, verbs::Qp qp, net::NodeId peer, std::uint64_t id,
           std::uint32_t send_depth);
 
-  void init_established();
+  /// The one way in: a transport (a fresh QP, or the fallback stream) is
+  /// up. Marks the channel established, routes and arms a QP if it has one,
+  /// and restarts the liveness clocks and the keepalive.
+  void transport_up();
+  /// Recovery-completed accounting shared by QP resume and fallback attach.
+  /// Returns how long the recovery took, or 0 if it was not timed.
+  Nanos recovery_completed();
+  /// The one way to lose a QP: purge its WRs, unroute it, stop probing it,
+  /// return its bounce buffers and recycle it through the QP cache. Safe on
+  /// a channel with no QP.
+  void drop_qp();
+  /// The one way out. `end` is closed or error; `cause` (Errc::ok for the
+  /// FIN's own completion) is recorded and reported to on_error_. The side
+  /// with a cause tears the fallback stream down; the FIN's sender keeps it
+  /// so the FIN lands, and loses it when the peer closes the stream.
+  void finish(State end, Errc cause);
+  void fail(Errc reason) { finish(State::error, reason); }
 
   /// Flight-recorder append stamped with sim time and this channel's id.
   void record(analysis::RecEvent ev, std::uint16_t code = 0,
@@ -215,8 +230,9 @@ class Channel {
   /// Posts one data frame through the egress filter: `wqe` (the whole
   /// message, carried in the WQE itself) when non-empty, else `block`.
   void post_wire(const WireHeader& hdr, MemBlock block, Buffer wqe);
-  /// WRs may ring the NIC: established, or closing (the FIN and the data
-  /// ahead of it), with a live QP.
+  /// The one QP gate: WRs, rendezvous pulls included, may ring the NIC only
+  /// when established, or closing (the FIN and the data ahead of it), with
+  /// a live QP.
   bool postable() const {
     return (state_ == State::established || state_ == State::closing) &&
            qp_.valid();
@@ -280,17 +296,13 @@ class Channel {
   void on_keepalive_wc(Errc status);
   /// Breaker just closed for our peer: pull the next RDMA probe forward.
   void nudge_probe();
-  void on_qp_error(Errc reason);
   void post_bounce_buffers();
-  void fail(Errc reason);
   void abort_calls(Errc reason);
-  void release_qp(bool recycle);
   void free_tx_entry(TxEntry& e);
-  /// Terminal-state cleanup shared by fail() and both graceful-close
-  /// completions: drops queued sends, frees unacked window entries and
-  /// half-pulled rendezvous payloads, and purges this channel's WRs. A
-  /// channel closed with traffic still in flight (its ACK was lost) must
-  /// not keep those blocks — the X-Check balance oracle found the leak.
+  /// Terminal-state cleanup (finish): drops queued sends, frees unacked
+  /// window entries and half-pulled rendezvous payloads. A channel closed
+  /// with traffic still in flight (its ACK was lost) must not keep those
+  /// blocks — the X-Check balance oracle found the leak.
   void reclaim_windows();
 
   // Recovery (§VI-C). Any transport-level fault funnels through
@@ -298,9 +310,12 @@ class Channel {
   void handle_transport_fault(Errc reason);
   void start_recovery(Errc reason);
   void schedule_recovery_attempt();
+  /// A peer that announced a drain is restarting on purpose: park the
+  /// ladder for its window. Returns false when no drain is announced.
+  bool park_for_drain();
   void recovery_timer_fire();
   void resume_attempt_failed(Errc reason);
-  void resume_adopt(verbs::Qp qp, rnic::QpNum peer_qp, Seq peer_rta);
+  void resume_adopt(verbs::Qp qp, Seq peer_rta);
   void escalate_or_fail();
   /// Deliberate fallback teardown: detach the stream (restore hook), then
   /// drop the override.
@@ -316,7 +331,6 @@ class Channel {
   Context& ctx_;
   verbs::Qp qp_;
   net::NodeId peer_;
-  rnic::QpNum peer_qp_ = rnic::kInvalidId;
   std::uint64_t id_;
   State state_ = State::established;
 
@@ -334,7 +348,6 @@ class Channel {
   std::unique_ptr<sim::DeadlineTimer> mem_retry_timer_;
   bool ack_inflight_ = false;
   bool nop_inflight_ = false;
-  bool fin_sent_ = false;
   Seq last_scan_tx_seq_ = 0;  // deadlock-scan progress marker
 
   std::vector<MemBlock> bounce_;  // pre-posted receive buffers, wr_id = index

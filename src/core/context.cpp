@@ -178,9 +178,12 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
           srq_, {.wr_id = i, .sge = {block.addr, block.len, block.lkey}});
     }
   }
+  // A QP error reports its true cause: transport_retry_exceeded (a
+  // retryable path fault) and peer_dead (keepalive-declared silence) get
+  // different recovery budgets, and the application sees what happened.
   nic_.add_qp_error_handler([this](rnic::QpNum qpn, Errc reason) {
     auto it = by_qp_.find(qpn);
-    if (it != by_qp_.end()) it->second->on_qp_error(reason);
+    if (it != by_qp_.end()) it->second->handle_transport_fault(reason);
   });
   ctrl_cache_.enable_idle_shrink(kIdleShrink);
   data_cache_.enable_idle_shrink(kIdleShrink);
@@ -241,7 +244,7 @@ Errc Context::listen(std::uint16_t port, ChannelHandler on_channel) {
           // Peer-driven QP resume: route the fresh QP into the existing
           // channel instead of creating a new one.
           if (Channel* ch = channel_by_token(hs->token)) {
-            ch->resume_adopt(std::move(est.qp), est.peer_qp, hs->rta);
+            ch->resume_adopt(std::move(est.qp), hs->rta);
           } else {
             qp_cache_.put(est.qp.release());  // channel is gone: recycle
           }
@@ -285,35 +288,43 @@ void Context::connect(net::NodeId node, std::uint16_t port,
   // handshakes and the Mock fallback hello both key on it.
   const std::uint64_t token =
       trace_epoch_ ^ (0x9e3779b97f4a7c15ull * ++next_conn_token_);
+  dial(node, port, encode_handshake(cfg_, 0, token, 0),
+       [this, node, port, token,
+        cb = std::move(cb)](Result<verbs::cm::Established> r) {
+         recorder_.log(engine().now(), analysis::RecEvent::cm_connect,
+                       static_cast<std::uint16_t>(
+                           r.ok() ? Errc::ok : r.error()),
+                       node);
+         if (!r.ok()) {
+           cb(r.error());
+           return;
+         }
+         Channel* ch = adopt_established(std::move(r.value()),
+                                         /*connector=*/true, port, token);
+         if (!ch) {
+           // Adoption only refuses on a failed protocol negotiation.
+           cb(Errc::connection_refused);
+           return;
+         }
+         cb(ch);
+       });
+}
+
+void Context::dial(net::NodeId node, std::uint16_t port, Buffer private_data,
+                   verbs::cm::ConnectCallback done) {
   verbs::cm::ConnectOptions opts;
   opts.send_cq = send_cq_.id();
   opts.recv_cq = recv_cq_.id();
   opts.caps = qp_caps();
   opts.srq = srq_;
-  opts.private_data = encode_handshake(cfg_, 0, token, 0);
+  opts.private_data = std::move(private_data);
   opts.reuse_qp = qp_cache_.take();
   const std::optional<rnic::QpNum> reused = opts.reuse_qp;
   cm_.connect(nic_, node, port, std::move(opts),
-              [this, node, port, token, reused,
-               cb = std::move(cb)](Result<verbs::cm::Established> r) {
-                recorder_.log(engine().now(), analysis::RecEvent::cm_connect,
-                              static_cast<std::uint16_t>(
-                                  r.ok() ? Errc::ok : r.error()),
-                              node);
-                if (!r.ok()) {
-                  if (reused) qp_cache_.put(*reused);
-                  cb(r.error());
-                  return;
-                }
-                Channel* ch = adopt_established(std::move(r.value()),
-                                                /*connector=*/true, port,
-                                                token);
-                if (!ch) {
-                  // Adoption only refuses on a failed protocol negotiation.
-                  cb(Errc::connection_refused);
-                  return;
-                }
-                cb(ch);
+              [this, reused,
+               done = std::move(done)](Result<verbs::cm::Established> r) {
+                if (!r.ok() && reused) qp_cache_.put(*reused);
+                done(std::move(r));
               });
 }
 
@@ -346,10 +357,10 @@ Channel* Context::adopt_established(verbs::cm::Established est, bool connector,
     qp_cache_.put(est.qp.release());
     return nullptr;
   }
-  const std::uint64_t id = next_channel_id_++;
+  // Ids are dense and assigned in creation order: id n is channels_[n - 1].
+  const std::uint64_t id = channels_.size() + 1;
   auto ch = std::unique_ptr<Channel>(
       new Channel(*this, std::move(est.qp), est.peer_node, id, send_depth));
-  ch->peer_qp_ = est.peer_qp;
   ch->connector_ = connector;
   ch->connect_port_ = port;
   ch->conn_token_ = token;
@@ -357,27 +368,23 @@ Channel* Context::adopt_established(verbs::cm::Established est, bool connector,
   ch->proto_features_ = neg.features;
   Channel* raw = ch.get();
   channels_.push_back(std::move(ch));
-  by_qp_[raw->qp_num()] = raw;
-  by_id_[id] = raw;
   if (token != 0) by_token_[token] = raw;
   ++stats_.channels_opened;
   health_.register_channel(est.peer_node);
-  raw->init_established();
+  raw->transport_up();
   return raw;
 }
 
 void Context::channel_closed(Channel& ch) {
-  by_qp_.erase(ch.qp_num());
   if (ch.conn_token_ != 0) by_token_.erase(ch.conn_token_);
   health_.unregister_channel(ch.peer_node(), ch.id());
   ++stats_.channels_closed;
-  // The object stays alive (the application may hold a pointer); only the
-  // routing entries go away. by_id_ survives for in-flight callbacks.
+  // The object stays alive (the application may hold a pointer, in-flight
+  // callbacks look it up by id); only the routing entries go away.
 }
 
 Channel* Context::channel_by_id(std::uint64_t id) {
-  auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : it->second;
+  return id - 1 < channels_.size() ? channels_[id - 1].get() : nullptr;
 }
 
 Channel* Context::channel_by_token(std::uint64_t token) {
@@ -390,48 +397,38 @@ Channel* Context::channel_by_token(std::uint64_t token) {
 // Channel recovery plumbing.
 
 void Context::initiate_resume(Channel& ch) {
-  verbs::cm::ConnectOptions opts;
-  opts.send_cq = send_cq_.id();
-  opts.recv_cq = recv_cq_.id();
-  opts.caps = qp_caps();
-  opts.srq = srq_;
-  opts.private_data = encode_handshake(cfg_, kHsResume, ch.conn_token_,
-                                       ch.rx_rta());
-  opts.reuse_qp = qp_cache_.take();
-  const std::optional<rnic::QpNum> reused = opts.reuse_qp;
   const std::uint64_t id = ch.id();
   const net::NodeId peer = ch.peer_node();
   // Single CM choke point for resume traffic: the health plane's breaker
   // accounting (oracle 12) sees every attempt actually issued.
   health_.note_attempt(peer, id);
-  cm_.connect(nic_, ch.peer_node(), ch.connect_port_, std::move(opts),
-              [this, id, peer, reused](Result<verbs::cm::Established> r) {
-                health_.note_attempt_done(peer, id);
-                recorder_.log(engine().now(), analysis::RecEvent::cm_resume,
-                              static_cast<std::uint16_t>(
-                                  r.ok() ? Errc::ok : r.error()),
-                              peer, id);
-                Channel* ch = channel_by_id(id);
-                // The channel may have been failed/closed, or may already be
-                // running on the fallback, while the handshake was in flight.
-                const bool want =
-                    ch && (ch->state() == Channel::State::recovering ||
-                           (ch->state() == Channel::State::established &&
-                            ch->mocked()));
-                if (!r.ok()) {
-                  if (reused) qp_cache_.put(*reused);
-                  if (want) ch->resume_attempt_failed(r.error());
-                  return;
-                }
-                verbs::cm::Established est = std::move(r.value());
-                if (!want) {
-                  qp_cache_.put(est.qp.release());
-                  return;
-                }
-                const auto hs = decode_handshake(est.private_data);
-                ch->resume_adopt(std::move(est.qp), est.peer_qp,
-                                 hs ? hs->rta : 0);
-              });
+  dial(peer, ch.connect_port_,
+       encode_handshake(cfg_, kHsResume, ch.conn_token_, ch.rx_rta()),
+       [this, id, peer](Result<verbs::cm::Established> r) {
+         health_.note_attempt_done(peer, id);
+         recorder_.log(engine().now(), analysis::RecEvent::cm_resume,
+                       static_cast<std::uint16_t>(
+                           r.ok() ? Errc::ok : r.error()),
+                       peer, id);
+         Channel* ch = channel_by_id(id);
+         // The channel may have been failed/closed, or may already be
+         // running on the fallback, while the handshake was in flight.
+         const bool want =
+             ch && (ch->state() == Channel::State::recovering ||
+                    (ch->state() == Channel::State::established &&
+                     ch->mocked()));
+         if (!r.ok()) {
+           if (want) ch->resume_attempt_failed(r.error());
+           return;
+         }
+         verbs::cm::Established est = std::move(r.value());
+         if (!want) {
+           qp_cache_.put(est.qp.release());
+           return;
+         }
+         const auto hs = decode_handshake(est.private_data);
+         ch->resume_adopt(std::move(est.qp), hs ? hs->rta : 0);
+       });
 }
 
 void Context::channel_detach_qp(Channel& ch) {

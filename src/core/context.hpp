@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -299,6 +298,10 @@ class Context {
   MemBlock alloc_bounce();
 
   // Channel lifecycle.
+  /// The one CM dial, for new channels and resume handshakes alike: draws
+  /// a QP from the cache and returns it there if the connect fails.
+  void dial(net::NodeId node, std::uint16_t port, Buffer private_data,
+            verbs::cm::ConnectCallback done);
   Channel* adopt_established(verbs::cm::Established est, bool connector,
                              std::uint16_t port, std::uint64_t token);
   void channel_closed(Channel& ch);
@@ -352,11 +355,10 @@ class Context {
   QpCache qp_cache_;
   std::vector<MemBlock> srq_bounce_;  // SRQ mode: shared bounce buffers
 
-  std::list<std::unique_ptr<Channel>> channels_;
+  // Every channel ever opened, by id - 1 (channel_by_id); closed ones stay.
+  std::vector<std::unique_ptr<Channel>> channels_;
   std::unordered_map<rnic::QpNum, Channel*> by_qp_;
-  std::unordered_map<std::uint64_t, Channel*> by_id_;
   std::unordered_map<std::uint64_t, Channel*> by_token_;
-  std::uint64_t next_channel_id_ = 1;
   std::uint64_t next_conn_token_ = 0;
 
   struct PortListener {

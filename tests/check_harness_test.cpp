@@ -237,9 +237,9 @@ TEST(Determinism, GoldenTablePinsEveryShape) {
       {"flap_cycles", 5, 0xafe875b3f85ef94dULL, 563165, 181000000,
        {0x22068927c4156fd7ULL, 0x7fbb26f872de17a2ULL,
         0x92ac90f2d519a7dcULL}},
-      {"brownout_delay_us", 6, 0xbada8b8a0e642874ULL, 364213, 115000000,
-       {0x9c9fd8597f4e5634ULL, 0xb009d17443566d0aULL,
-        0x1578869a40ccfe05ULL}},
+      {"brownout_delay_us", 6, 0xbe6e471bcf62f138ULL, 291747, 91000000,
+       {0xfe8d00f100a7812dULL, 0x1c31952675d3cbe3ULL,
+        0xb36e2c658462818bULL}},
       {"drain_cycles", 7, 0x8a2ef618e41ec2d9ULL, 533795, 173000000,
        {0x47fbfbec7b650862ULL, 0x50dc6d6777676340ULL,
         0xaad3737fecb1c45aULL}},

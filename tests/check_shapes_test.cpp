@@ -1,8 +1,8 @@
 // X-Check shape table: every schedule shape is one row — the preset its
-// plane is tested with, the expectations each run must meet and the
-// expectations the summed sweep must meet. Three tests run over every row: a
-// smoke_seeds(20) sweep, a same-seed determinism check and a replay round
-// trip. One soak walks the rows on fresh seeds. Tests about one shape's
+// plane is tested with, the expectations each run must meet, the
+// expectations the summed sweep must meet and the sweep indices pinned as
+// regressions. Four tests run over every row: a smoke_seeds(20) sweep, the
+// pinned indices, a same-seed determinism check and a replay round trip. One soak walks the rows on fresh seeds. Tests about one shape's
 // generator rather than a sweep sit below the table. See TESTING.md.
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <iterator>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "check/harness.hpp"
 #include "check/schedule.hpp"
@@ -135,6 +136,9 @@ struct Shape {
   /// Expectations on the sweep's summed report (nullptr = none): the proof
   /// that the shape drove its plane, not just that no oracle fired.
   void (*total)(const RunReport& sum);
+  /// Sweep indices past the smoke sweep that once failed this row, each
+  /// run with smoke_seed(i) and params(i) as a regression.
+  std::vector<std::size_t> pinned = {};
 };
 
 void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.name; }
@@ -176,7 +180,11 @@ const Shape kShapes[] = {
        // brownout delay.
        EXPECT_GT(r.faults_injected, 0u) << describe(r);
      },
-     nullptr},
+     nullptr,
+     // Stalls: a rendezvous descriptor delayed past its QP's death pulled
+     // through the dead QP and failed the channel mid-recovery.
+     {34, 47, 54, 56, 108, 128, 136, 226, 252, 291, 414, 415, 434, 440, 444,
+      529, 546, 590, 678, 685, 735, 750, 835, 843, 899, 942}},
     {"drain", [](std::size_t i) { return drain_params(i % 2 == 1); }, nullptr,
      [](const RunReport& sum) {
        EXPECT_GT(sum.ctx.drains_started, 0u);
@@ -270,6 +278,18 @@ void expect_same(const core::HealthStats& a, const core::HealthStats& b) {
 
 class ShapeTest : public testing::TestWithParam<Shape> {};
 
+/// One sweep run: `seed` with the row's preset for index `i`, held to every
+/// oracle and the row's per-run expectations.
+RunReport check_index(const Shape& shape, std::uint64_t seed, std::size_t i) {
+  SCOPED_TRACE(testing::Message() << "XCHECK_SEED=" << seed << " index " << i);
+  const RunReport r =
+      check_seed(seed, shape.params(i), dumping_options(shape, seed));
+  EXPECT_TRUE(r.passed()) << describe(r);
+  EXPECT_GT(r.msgs_delivered, 0u) << describe(r);
+  if (shape.each) shape.each(r);
+  return r;
+}
+
 // Smoke sweep: every oracle holds across the row's seeds. XCHECK_SEED /
 // XCHECK_SMOKE_COUNT select the seeds (see smoke_seeds); a seed's index
 // picks the row's alternating mode.
@@ -278,16 +298,16 @@ TEST_P(ShapeTest, SeedsSatisfyAllOracles) {
   RunReport sum;
   std::size_t i = 0;
   for (const std::uint64_t seed : smoke_seeds(20)) {
-    SCOPED_TRACE(testing::Message()
-                 << "XCHECK_SEED=" << seed << " index " << i);
-    const RunReport r =
-        check_seed(seed, shape.params(i++), dumping_options(shape, seed));
-    EXPECT_TRUE(r.passed()) << describe(r);
-    EXPECT_GT(r.msgs_delivered, 0u) << describe(r);
-    if (shape.each) shape.each(r);
-    add_to(sum, r);
+    add_to(sum, check_index(shape, seed, i++));
   }
   if (shape.total) shape.total(sum);
+}
+
+// Pinned regressions: every index the row pins, whatever the environment
+// selects for the sweep.
+TEST_P(ShapeTest, PinnedIndicesSatisfyAllOracles) {
+  const Shape& shape = GetParam();
+  for (const std::size_t i : shape.pinned) check_index(shape, smoke_seed(i), i);
 }
 
 // Every timer, control message and recorder write rides the engine; none of

@@ -112,8 +112,50 @@ TEST(Recovery, ServerSideQpKillAlsoHealsTransparently) {
   EXPECT_EQ(t.server_ch->state(), Channel::State::established);
 }
 
+TEST(Recovery, DescriptorDelayedPastQpDeathParksItsPull) {
+  // The ingress filter holds a rendezvous descriptor back while the
+  // receiver's QP dies, so it lands on a recovering channel with nothing to
+  // read through. The pull must park until the resume, not post into the
+  // dead QP and fail the channel.
+  Pair t;
+  t.establish();
+  bool held = false;
+  t.server.set_filter([&](Channel&, const WireHeader& hdr) {
+    Context::FilterDecision d;
+    if (!held && hdr.is_data() && hdr.has(kFlagLarge)) {
+      held = true;
+      d.action = Context::FilterAction::delay;
+      d.delay = millis(1);
+    }
+    return d;
+  });
+  std::vector<std::size_t> got;
+  t.server_ch->set_on_msg(
+      [&](Channel&, Msg&& m) { got.push_back(m.payload.size()); });
+  bool server_error = false;
+  t.server_ch->set_on_error([&](Channel&, Errc) { server_error = true; });
+
+  t.client_ch->send_msg(Buffer::make(200000));
+  t.run(micros(100));
+  ASSERT_TRUE(held);
+  rnic::QpAttr dead;  // what Filter::kill_qp does, without its ingress hook
+  dead.state = rnic::QpState::error;
+  t.server.nic().modify_qp(t.server_ch->qp_num(), dead);
+  ASSERT_EQ(t.server_ch->state(), Channel::State::recovering);
+  t.run(millis(2));  // the descriptor lands mid-recovery
+  EXPECT_EQ(t.server_ch->state(), Channel::State::recovering);
+  EXPECT_TRUE(got.empty());
+
+  t.run(millis(200));
+  EXPECT_EQ(got, std::vector<std::size_t>{200000});  // exactly once
+  EXPECT_FALSE(server_error);
+  EXPECT_EQ(t.server_ch->state(), Channel::State::established);
+  EXPECT_EQ(t.client_ch->state(), Channel::State::established);
+  EXPECT_GE(t.server_ch->stats().recoveries_completed, 1u);
+}
+
 TEST(Recovery, TrueCauseReportedAndRetryableGetsFullBudget) {
-  // Satellite: on_qp_error no longer collapses everything into peer_dead.
+  // A QP error does not collapse every cause into peer_dead.
   // A locally flushed QP (wr_flush_error) is a retryable fault: the channel
   // burns the FULL recovery budget and, when every attempt fails with no
   // fallback available, reports the true original cause.
@@ -233,6 +275,33 @@ TEST(Recovery, CmFailuresEscalateToTcpFallbackThenRestore) {
   ASSERT_EQ(got.size(), 4u);
   EXPECT_EQ(got.back(), "rdma-again");
   EXPECT_GT(t.cluster.rnic(0).stats().tx_packets, rnic_tx_before);
+}
+
+TEST(Recovery, GracefulCloseOverFallbackLeavesNoBridge) {
+  // The FIN's receiver tears the stream down, the FIN's sender loses it
+  // when the peer closes it. The acceptor never called enable_auto: its
+  // MockFallback server alone must be able to close the stream.
+  Pair t;
+  t.establish();
+  MockFallback server_mock(t.server, t.cluster.host(1).tcp(), 9350);
+  MockFallback::enable_auto(t.client, t.cluster.host(0).tcp(), 9350);
+  Filter filter(t.client, /*seed=*/23);
+  filter.add_rule({FaultKind::cm_timeout, 1.0, 0, -1, 0});  // resume never works
+  filter.kill_qp(*t.client_ch);
+  t.run(millis(150));
+  ASSERT_TRUE(t.client_ch->mocked());
+  ASSERT_TRUE(t.server_ch->mocked());
+
+  std::vector<Errc> server_errors;
+  t.server_ch->set_on_error(
+      [&](Channel&, Errc e) { server_errors.push_back(e); });
+  t.client_ch->close();
+  t.run(millis(20));
+  EXPECT_EQ(t.client_ch->state(), Channel::State::closed);
+  EXPECT_EQ(t.server_ch->state(), Channel::State::closed);
+  EXPECT_FALSE(t.client_ch->mocked());
+  EXPECT_FALSE(t.server_ch->mocked());
+  EXPECT_EQ(server_errors, std::vector<Errc>{Errc::channel_closed});
 }
 
 TEST(Recovery, SustainedLoadAcrossFallbackAndRestore) {
