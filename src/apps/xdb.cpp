@@ -66,19 +66,13 @@ void XdbClient::run_txn() {
                    [this, started](Result<core::Msg> w) {
                      if (w.ok()) {
                        ++committed_;
-                       const Nanos now = ctx_.engine().now();
-                       latency_.record(now - started);
-                       tps_meter_.add(now, 1);
+                       latency_.record(ctx_.engine().now() - started);
                      } else {
                        ++aborted_;
                      }
                      run_txn();
                    });
   });
-}
-
-double XdbClient::tps_now() {
-  return tps_meter_.bytes_per_sec(ctx_.engine().now());
 }
 
 }  // namespace xrdma::apps

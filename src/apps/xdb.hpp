@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/histogram.hpp"
-#include "common/rate.hpp"
 #include "common/rng.hpp"
 #include "core/context.hpp"
 #include "testbed/cluster.hpp"
@@ -55,7 +54,6 @@ class XdbClient {
   std::uint64_t committed() const { return committed_; }
   std::uint64_t aborted() const { return aborted_; }
   const Histogram& txn_latency() const { return latency_; }
-  double tps_now();
   core::Context& ctx() { return ctx_; }
 
  private:
@@ -69,7 +67,6 @@ class XdbClient {
   std::uint64_t committed_ = 0;
   std::uint64_t aborted_ = 0;
   Histogram latency_;
-  RateMeter tps_meter_{millis(50)};
 };
 
 }  // namespace xrdma::apps

@@ -30,10 +30,9 @@ Nanos send_path_cost(const Config& cfg) {
 }
 }  // namespace
 
-Channel::Channel(Context& ctx, verbs::Qp qp, net::NodeId peer,
-                 std::uint64_t id, std::uint32_t send_depth)
+Channel::Channel(Context& ctx, net::NodeId peer, std::uint64_t id,
+                 std::uint32_t send_depth)
     : ctx_(ctx),
-      qp_(std::move(qp)),
       peer_(peer),
       id_(id),
       swin_(send_depth),
@@ -50,7 +49,7 @@ Channel::Channel(Context& ctx, verbs::Qp qp, net::NodeId peer,
 Channel::~Channel() {
   // Normal teardown happens through finish(); this is the context
   // destructor path, where a live QP destroys itself.
-  for (const MemBlock& block : bounce_) ctx_.ctrl_cache_.free(block);
+  for (const MemBlock& block : link_.bounce) ctx_.ctrl_cache_.free(block);
 }
 
 void Channel::record(analysis::RecEvent ev, std::uint16_t code,
@@ -66,18 +65,17 @@ void Channel::set_state(State next, Errc why) {
   state_ = next;
 }
 
-void Channel::transport_up() {
+void Channel::transport_up(verbs::Qp qp) {
   recovery_timer_->cancel();
   set_state(State::established);
-  if (qp_.valid()) {
-    ctx_.channel_attach_qp(*this);
+  link_.qp = std::move(qp);
+  if (link_.qp.valid()) {
+    ctx_.by_qp_[link_.qp.num()] = this;
     post_bounce_buffers();
   }
   last_tx_ = last_rx_ = last_alive_ = ctx_.engine().now();
   // On the fallback the keepalive watches the stream (NOP exchange instead
   // of zero-byte writes): a silently dying stream is noticed too.
-  keepalive_outstanding_ = false;
-  keepalive_posted_ = 0;
   keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
 }
 
@@ -88,12 +86,13 @@ void Channel::post_bounce_buffers() {
   // (standalone ACKs, NOPs, FIN). The sender's window bound plus this
   // pre-posting is what makes the protocol RNR-free (§V-B).
   const std::uint32_t count = 2 * cfg.window_depth + 8;
-  bounce_.reserve(count);
+  link_.bounce.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     MemBlock block = ctx_.alloc_bounce();
     if (!block.valid()) break;
-    bounce_.push_back(block);
-    qp_.post_recv({.wr_id = i, .sge = {block.addr, block.len, block.lkey}});
+    link_.bounce.push_back(block);
+    link_.qp.post_recv(
+        {.wr_id = i, .sge = {block.addr, block.len, block.lkey}});
   }
 }
 
@@ -529,11 +528,11 @@ void Channel::post_control(std::uint16_t flags, std::uint64_t aux_id,
   rwin_.note_ack_sent();
 
   if (flags & kFlagAckOnly) {
-    ack_inflight_ = true;
+    link_.ack_inflight = true;
     ++stats_.acks_tx;
   }
   if (flags & kFlagNop) {
-    nop_inflight_ = true;
+    link_.nop_inflight = true;
     ++stats_.nops_tx;
   }
   last_tx_ = ctx_.engine().now();
@@ -565,8 +564,8 @@ void Channel::post_control(std::uint16_t flags, std::uint64_t aux_id,
     // come back for this message — the old code silently leaked them, so a
     // dropped FIN hung close() forever) and surface the FIN failure.
     ++stats_.ctrl_alloc_failures;
-    if (flags & kFlagAckOnly) ack_inflight_ = false;
-    if (flags & kFlagNop) nop_inflight_ = false;
+    if (flags & kFlagAckOnly) link_.ack_inflight = false;
+    if (flags & kFlagNop) link_.nop_inflight = false;
     if (flags & kFlagFin) fail(Errc::resource_exhausted);
     return;
   }
@@ -706,8 +705,8 @@ bool Channel::quiescent() {
 }
 
 void Channel::on_send_wc_control(std::uint16_t flags) {
-  if (flags & kFlagAckOnly) ack_inflight_ = false;
-  if (flags & kFlagNop) nop_inflight_ = false;
+  if (flags & kFlagAckOnly) link_.ack_inflight = false;
+  if (flags & kFlagNop) link_.nop_inflight = false;
   if ((flags & kFlagFin) && state_ == State::closing) {
     finish(State::closed, Errc::ok);
   }
@@ -738,14 +737,14 @@ void Channel::reclaim_windows() {
 
 void Channel::on_recv_wc(const verbs::Wc& wc) {
   if (wc.status != Errc::ok) return;  // flush during teardown
-  if (wc.wr_id >= bounce_.size()) return;
-  const MemBlock& block = bounce_[static_cast<std::size_t>(wc.wr_id)];
+  if (wc.wr_id >= link_.bounce.size()) return;
+  const MemBlock& block = link_.bounce[static_cast<std::size_t>(wc.wr_id)];
   const std::uint8_t* bytes = ctx_.ctrl_cache_.data(block);
   if (bytes) process_wire(bytes, wc.byte_len);
   // Re-arm the bounce buffer immediately (run-to-complete), keeping the
   // receive queue topped up — the other half of RNR-freedom.
   if (state_ == State::established || state_ == State::closing) {
-    qp_.post_recv(
+    link_.qp.post_recv(
         {.wr_id = wc.wr_id, .sge = {block.addr, block.len, block.lkey}});
   }
 }
@@ -1144,21 +1143,18 @@ void Channel::deliver(Seq seq, RxState& rx) {
 }
 
 void Channel::force_ack() {
-  if (state_ != State::established || ack_inflight_) return;
+  if (state_ != State::established || link_.ack_inflight) return;
   post_control(kFlagAckOnly);
 }
 
 void Channel::maybe_standalone_ack() {
-  if (state_ != State::established) return;
-  if (ack_inflight_) return;
   // Ack after N completions — but never let a small peer window starve:
   // once half the peer's in-flight budget is consumed, flush the ack even
   // if N hasn't been reached (otherwise a one-way stream with a tiny
   // window would only progress at NOP-scan pace).
   const std::uint32_t threshold = std::min(
       ctx_.config().ack_every, std::max<std::uint32_t>(1, swin_.depth() / 2));
-  if (rwin_.unacked() < threshold) return;
-  post_control(kFlagAckOnly);
+  if (rwin_.unacked() >= threshold) force_ack();
 }
 
 // ---------------------------------------------------------------------------
@@ -1172,8 +1168,8 @@ void Channel::deadlock_tick() {
   const bool idle_since_scan = swin_.next_seq() == last_scan_tx_seq_ &&
                                ctx_.engine().now() - last_tx_ >=
                                    ctx_.config().deadlock_scan_period;
-  if (rwin_.unacked() > 0 && idle_since_scan && !nop_inflight_ &&
-      !ack_inflight_) {
+  if (rwin_.unacked() > 0 && idle_since_scan && !link_.nop_inflight &&
+      !link_.ack_inflight) {
     post_control(kFlagNop);
   }
   last_scan_tx_seq_ = swin_.next_seq();
@@ -1224,7 +1220,7 @@ void Channel::keepalive_fire() {
     return;
   }
 
-  if (!qp_.valid()) return;
+  if (!link_.qp.valid()) return;
   const Nanos idle = now - std::max(last_tx_, last_rx_);
   if (idle < cfg.keepalive_intv) {
     // Activity since the probe was armed: push the deadline out (lazy
@@ -1236,8 +1232,8 @@ void Channel::keepalive_fire() {
   // completion: after a busy-with-data stretch (data WCs do not refresh
   // last_alive_) the first probe starts the clock — a probe that has been
   // in flight for less than the bound is still a question, not an answer.
-  if (keepalive_outstanding_ &&
-      now - std::max(last_alive_, keepalive_posted_) >= bound) {
+  if (link_.keepalive_outstanding &&
+      now - std::max(last_alive_, link_.keepalive_posted) >= bound) {
     ctx_.health().note_peer_dead(peer_, id_);
     handle_transport_fault(Errc::peer_dead);
     return;
@@ -1250,8 +1246,8 @@ void Channel::keepalive_fire() {
   wr.opcode = verbs::Opcode::write;
   if (ctx_.ring_doorbell(*this, &wr, 1) == Errc::ok) {
     ++stats_.keepalive_probes;
-    if (!keepalive_outstanding_) keepalive_posted_ = now;
-    keepalive_outstanding_ = true;
+    if (!link_.keepalive_outstanding) link_.keepalive_posted = now;
+    link_.keepalive_outstanding = true;
   } else {
     ctx_.retire(wr.wr_id);
   }
@@ -1260,11 +1256,11 @@ void Channel::keepalive_fire() {
 
 void Channel::on_keepalive_wc(Errc status) {
   if (status == Errc::ok) {
-    keepalive_outstanding_ = false;
+    link_.keepalive_outstanding = false;
     const Nanos now = ctx_.engine().now();
-    if (keepalive_posted_ > 0) {
-      ctx_.health().note_probe_rtt(peer_, now - keepalive_posted_);
-      keepalive_posted_ = 0;
+    if (link_.keepalive_posted > 0) {
+      ctx_.health().note_probe_rtt(peer_, now - link_.keepalive_posted);
+      link_.keepalive_posted = 0;
     }
     last_alive_ = now;
     ctx_.health().note_proof_of_life(peer_);
@@ -1341,7 +1337,7 @@ void Channel::handle_transport_fault(Errc reason) {
   if (mocked() && state_ == State::established) {
     // Running on the fallback: an RDMA-side fault is moot — just shed the
     // dead QP and stay on TCP. The keepalive now watches the stream alone.
-    if (qp_.valid()) {
+    if (link_.qp.valid()) {
       drop_qp();
       keepalive_timer_->arm_after(ctx_.config().keepalive_intv);
     }
@@ -1373,8 +1369,6 @@ void Channel::start_recovery(Errc reason) {
   record(analysis::RecEvent::recovery_start, static_cast<std::uint16_t>(reason),
          recovery_budget_);
   ++stats_.recoveries_started;
-  ack_inflight_ = false;
-  nop_inflight_ = false;
   // Abandon the dead QP: its WCs are already flushed or will never arrive.
   drop_qp();
 
@@ -1466,7 +1460,7 @@ void Channel::resume_attempt_failed(Errc) {
   if (state_ == State::established) {
     if (mocked()) {
       arm_rdma_probe();
-    } else if (!qp_.valid()) {
+    } else if (!link_.qp.valid()) {
       // The fallback died while this probe was in flight and the probe
       // failed too: no transport left — recover from scratch.
       handle_transport_fault(Errc::connection_reset);
@@ -1491,8 +1485,7 @@ void Channel::resume_adopt(verbs::Qp qp, Seq peer_rta) {
   // A peer-initiated resume may replace a QP we still hold (its error just
   // hasn't surfaced here yet): drop ours first.
   drop_qp();
-  qp_ = std::move(qp);
-  transport_up();
+  transport_up(std::move(qp));
 
   // The resume handshake is authoritative proof of life; if it was a
   // half-open probe, the breaker closes and parked siblings get nudged.
@@ -1541,10 +1534,10 @@ void Channel::escalate_or_fail() {
 }
 
 void Channel::leave_fallback() {
-  restoring_ = true;  // on_fallback_lost: the teardown is deliberate
+  restoring_ = true;  // deliberate: on_fallback_lost only ends the stream
   if (ctx_.fallback_restore_) ctx_.fallback_restore_(*this);
+  on_fallback_lost();
   restoring_ = false;
-  tx_override_ = nullptr;
 }
 
 bool Channel::breaker_admits() {
@@ -1578,7 +1571,7 @@ void Channel::nudge_probe() {
 
 void Channel::on_fallback_attached() {
   if (state_ != State::recovering) return;  // manual switch: nothing to replay
-  transport_up();
+  transport_up(verbs::Qp{});
   record(analysis::RecEvent::fallback_attach);
   recovery_completed();
   // Replay the unacked window inline over the stream; interrupted
@@ -1591,7 +1584,7 @@ void Channel::on_fallback_attached() {
 void Channel::on_fallback_lost() {
   tx_override_ = nullptr;
   if (restoring_ || resume_inflight_) return;
-  if (state_ == State::established && !qp_.valid()) {
+  if (state_ == State::established && !link_.qp.valid()) {
     handle_transport_fault(Errc::connection_reset);
   }
 }
@@ -1638,13 +1631,15 @@ void Channel::drop_qp() {
   // Purged WRs' WCs are ignored once unregistered, and unposted ones never
   // reach the NIC.
   ctx_.purge_channel_wrs(id_);
-  ctx_.channel_detach_qp(*this);  // before release() clears the QP num
   keepalive_timer_->cancel();
-  for (const MemBlock& block : bounce_) ctx_.ctrl_cache_.free(block);
-  bounce_.clear();
-  // Immediate RESET + recycle (§IV-E): the next connection skips QP
-  // creation entirely.
-  if (qp_.valid()) ctx_.qp_cache_.put(qp_.release());
+  for (const MemBlock& block : link_.bounce) ctx_.ctrl_cache_.free(block);
+  if (link_.qp.valid()) {
+    // Unroute, then RESET + recycle (§IV-E): the next connection skips QP
+    // creation entirely.
+    ctx_.by_qp_.erase(link_.qp.num());
+    ctx_.qp_cache_.put(link_.qp.release());
+  }
+  link_ = Link{};
 }
 
 void Channel::free_tx_entry(TxEntry& e) {

@@ -97,7 +97,7 @@ class Channel {
   bool usable() const { return state_ == State::established; }
   net::NodeId peer_node() const { return peer_; }
   std::uint64_t id() const { return id_; }
-  rnic::QpNum qp_num() const { return qp_.num(); }
+  rnic::QpNum qp_num() const { return link_.qp.num(); }
   Context& context() { return ctx_; }
   const ChannelStats& stats() const { return stats_; }
   /// Connection token minted at connect time: the stable identity that
@@ -143,8 +143,8 @@ class Channel {
   /// the new path and, on the connector side, keeps probing RDMA so the
   /// channel migrates back when the path heals.
   void on_fallback_attached();
-  /// The fallback stream died or was torn down. Unsolicited loss while the
-  /// QP is also gone re-enters recovery.
+  /// The fallback stream died or was torn down: the one place it ends.
+  /// Unsolicited loss while the QP is also gone re-enters recovery.
   void on_fallback_lost();
 
  private:
@@ -182,21 +182,38 @@ class Channel {
                                  // descriptor retransmit to retry the pull
   };
 
+  /// Everything bound to one QP incarnation (§VI-C: only the seq-ack window
+  /// and sequence state survive a resume). transport_up() hands it its QP
+  /// and drop_qp() ends it with `link_ = Link{}`, so a field added here is
+  /// reset by construction. The liveness clocks (last_tx_, last_rx_,
+  /// last_alive_) are not here: the fallback shortcut in
+  /// handle_transport_fault drops the QP while the stream lives on, and the
+  /// fallback keepalive reads them, so they belong to the transport.
+  struct Link {
+    verbs::Qp qp;
+    std::vector<MemBlock> bounce;  // pre-posted receive buffers, wr_id = index
+    bool ack_inflight = false;  // a standalone ACK awaits its send WC
+    bool nop_inflight = false;  // a deadlock-break NOP awaits its send WC
+    bool keepalive_outstanding = false;  // a zero-byte probe is unanswered
+    Nanos keepalive_posted = 0;  // post time of the outstanding probe (RTT)
+  };
+
   /// `send_depth` is the negotiated in-flight depth (min of both sides'
   /// window_depth, exchanged in the CM private data).
-  Channel(Context& ctx, verbs::Qp qp, net::NodeId peer, std::uint64_t id,
+  Channel(Context& ctx, net::NodeId peer, std::uint64_t id,
           std::uint32_t send_depth);
 
-  /// The one way in: a transport (a fresh QP, or the fallback stream) is
-  /// up. Marks the channel established, routes and arms a QP if it has one,
+  /// The one way in, and the only place a QP enters the channel: a
+  /// transport (`qp`, or the fallback stream with an empty `qp`) is up.
+  /// Marks the channel established, routes and arms the QP if there is one,
   /// and restarts the liveness clocks and the keepalive.
-  void transport_up();
+  void transport_up(verbs::Qp qp);
   /// Recovery-completed accounting shared by QP resume and fallback attach.
   /// Returns how long the recovery took, or 0 if it was not timed.
   Nanos recovery_completed();
   /// The one way to lose a QP: purge its WRs, unroute it, stop probing it,
-  /// return its bounce buffers and recycle it through the QP cache. Safe on
-  /// a channel with no QP.
+  /// return its bounce buffers, recycle it through the QP cache and reset
+  /// the link. Safe on a channel with no QP.
   void drop_qp();
   /// The one way out. `end` is closed or error; `cause` (Errc::ok for the
   /// FIN's own completion) is recorded and reported to on_error_. The side
@@ -235,7 +252,7 @@ class Channel {
   /// a live QP.
   bool postable() const {
     return (state_ == State::established || state_ == State::closing) &&
-           qp_.valid();
+           link_.qp.valid();
   }
   /// Windowless control message. `aux_id`/`aux` ride in rpc_id/rv_addr
   /// (kFlagNak: the NAK'd seq and the retry-after hint in ns).
@@ -318,7 +335,7 @@ class Channel {
   void resume_adopt(verbs::Qp qp, Seq peer_rta);
   void escalate_or_fail();
   /// Deliberate fallback teardown: detach the stream (restore hook), then
-  /// drop the override.
+  /// end it through on_fallback_lost, which re-enters nothing.
   void leave_fallback();
   /// Circuit-breaker gate for one RDMA attempt. A denial is counted,
   /// recorded and reported to the health plane.
@@ -329,7 +346,7 @@ class Channel {
   void restart_pending_pulls();
 
   Context& ctx_;
-  verbs::Qp qp_;
+  Link link_;
   net::NodeId peer_;
   std::uint64_t id_;
   State state_ = State::established;
@@ -346,11 +363,7 @@ class Channel {
   bool tx_blocked_ = false;          // a send was rejected; edge for writable
   bool retransmit_pending_ = false;  // retransmit parked on memory pressure
   std::unique_ptr<sim::DeadlineTimer> mem_retry_timer_;
-  bool ack_inflight_ = false;
-  bool nop_inflight_ = false;
   Seq last_scan_tx_seq_ = 0;  // deadlock-scan progress marker
-
-  std::vector<MemBlock> bounce_;  // pre-posted receive buffers, wr_id = index
 
   std::uint64_t next_rpc_id_ = 1;
   struct PendingCall {
@@ -361,8 +374,6 @@ class Channel {
   std::map<std::uint64_t, PendingCall> calls_;
 
   std::unique_ptr<sim::DeadlineTimer> keepalive_timer_;
-  bool keepalive_outstanding_ = false;
-  Nanos keepalive_posted_ = 0;  // post time of the outstanding probe (RTT)
   Nanos last_alive_ = 0;  // last hardware-level proof the peer RNIC lives
   Nanos last_tx_ = 0;
   Nanos last_rx_ = 0;

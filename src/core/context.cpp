@@ -360,7 +360,7 @@ Channel* Context::adopt_established(verbs::cm::Established est, bool connector,
   // Ids are dense and assigned in creation order: id n is channels_[n - 1].
   const std::uint64_t id = channels_.size() + 1;
   auto ch = std::unique_ptr<Channel>(
-      new Channel(*this, std::move(est.qp), est.peer_node, id, send_depth));
+      new Channel(*this, est.peer_node, id, send_depth));
   ch->connector_ = connector;
   ch->connect_port_ = port;
   ch->conn_token_ = token;
@@ -371,7 +371,7 @@ Channel* Context::adopt_established(verbs::cm::Established est, bool connector,
   if (token != 0) by_token_[token] = raw;
   ++stats_.channels_opened;
   health_.register_channel(est.peer_node);
-  raw->transport_up();
+  raw->transport_up(std::move(est.qp));
   return raw;
 }
 
@@ -430,13 +430,6 @@ void Context::initiate_resume(Channel& ch) {
          ch->resume_adopt(std::move(est.qp), hs ? hs->rta : 0);
        });
 }
-
-void Context::channel_detach_qp(Channel& ch) {
-  auto it = by_qp_.find(ch.qp_num());
-  if (it != by_qp_.end() && it->second == &ch) by_qp_.erase(it);
-}
-
-void Context::channel_attach_qp(Channel& ch) { by_qp_[ch.qp_num()] = &ch; }
 
 void Context::purge_channel_wrs(std::uint64_t channel_id) {
   // Batched WRs never hit the NIC either: drop the accumulator first so
@@ -502,7 +495,7 @@ std::optional<Context::WrInfo> Context::retire(std::uint64_t wr_id) {
 
 Errc Context::ring_doorbell(Channel& ch, const verbs::SendWr* wrs,
                             std::size_t n) {
-  const Errc rc = ch.qp_.post_send_batch(wrs, n);
+  const Errc rc = ch.link_.qp.post_send_batch(wrs, n);
   if (rc == Errc::ok) {
     ++ch.stats_.doorbells;
     ch.stats_.doorbell_wrs += n;

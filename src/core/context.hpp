@@ -311,10 +311,6 @@ class Context {
   /// the connection token and our rwin RTA in the private data. Lands in
   /// Channel::resume_adopt on success, resume_attempt_failed otherwise.
   void initiate_resume(Channel& ch);
-  /// Remove the by_qp_ routing entry while the channel has no QP.
-  void channel_detach_qp(Channel& ch);
-  /// Re-register the channel under its fresh QP.
-  void channel_attach_qp(Channel& ch);
   /// Drop every registered WR of a channel whose QP is being abandoned,
   /// returning the flow-control credits they held (their WCs either sit in
   /// the CQ already — ignored once unregistered — or will never arrive).

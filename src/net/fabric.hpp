@@ -110,8 +110,6 @@ class Endpoint {
   std::uint64_t tx_queue_bytes(TrafficClass c) const;
   bool tx_paused(TrafficClass c) const;
 
-  /// Cumulative time the host's egress was PFC-paused (Fig. 10's TX pause).
-  Nanos tx_pause_time() const;
   const PortStats& tx_stats() const;
 
   /// Invoked when a PFC pause on the host's egress lifts, so the NIC can

@@ -24,6 +24,14 @@ void put(std::vector<T>& table, std::uint32_t id, T value) {
   if (table.size() <= id) table.resize(id + 1);
   table[id] = std::move(value);
 }
+
+/// [addr, addr + len) lies inside the MR [base, base + size). Neither end
+/// is summed: a peer-chosen addr near 2^64 would wrap `addr + len` past
+/// the check.
+bool in_mr(std::uint64_t base, std::uint64_t size, std::uint64_t addr,
+           std::uint64_t len) {
+  return addr >= base && len <= size && addr - base <= size - len;
+}
 }  // namespace
 
 Rnic::Rnic(sim::Engine& engine, net::Endpoint& endpoint, RnicConfig config)
@@ -76,10 +84,7 @@ Rnic::Mr* Rnic::find_mr_by_addr(std::uint64_t addr, std::uint64_t len) {
   if (it == mrs_by_addr_.begin()) return nullptr;
   --it;
   Mr* mr = it->second.get();
-  if (addr >= mr->info.addr && addr + len <= mr->info.addr + mr->info.size) {
-    return mr;
-  }
-  return nullptr;
+  return in_mr(mr->info.addr, mr->info.size, addr, len) ? mr : nullptr;
 }
 
 std::uint8_t* Rnic::mr_ptr(std::uint64_t addr, std::uint64_t len) {
@@ -117,11 +122,6 @@ int Rnic::poll_cq(CqId cqid, Wc* out, int max) {
     cq->wcs.pop_front();
   }
   return n;
-}
-
-std::size_t Rnic::cq_depth_used(CqId cqid) const {
-  const Cq* cq = find_cq(cqid);
-  return cq ? cq->wcs.size() : 0;
 }
 
 void Rnic::arm_cq(CqId cqid, std::function<void()> on_event) {
@@ -203,12 +203,6 @@ QpState Rnic::qp_state(QpNum qpn) const {
   return qp ? qp->state : QpState::error;
 }
 
-std::size_t Rnic::send_queue_depth(QpNum qpn) const {
-  const Qp* qp = find_qp(qpn);
-  if (!qp) return 0;
-  return qp->sq.size() + qp->resend.size() + qp->inflight.size();
-}
-
 Errc Rnic::modify_qp(QpNum qpn, const QpAttr& attr) {
   Qp* qp = find_qp(qpn);
   if (!qp) return Errc::not_found;
@@ -288,8 +282,8 @@ Errc Rnic::validate_send(Qp& qp, const SendWr& wr) {
   } else if (wr.local.length > 0) {
     // Local SGE validation at post time, like a real NIC's WQE check.
     Mr* mr = find_mr_by_lkey(wr.local.lkey);
-    if (!mr || wr.local.addr < mr->info.addr ||
-        wr.local.addr + wr.local.length > mr->info.addr + mr->info.size) {
+    if (!mr ||
+        !in_mr(mr->info.addr, mr->info.size, wr.local.addr, wr.local.length)) {
       return Errc::local_protection_error;
     }
   }
@@ -918,9 +912,8 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
       if (pkt.first) touch_qp_cache(qp);
       if (pkt.data.size() > 0) {
         Mr* mr = find_mr_by_rkey(pkt.rkey);
-        if (!mr || pkt.remote_addr < mr->info.addr ||
-            pkt.remote_addr + pkt.data.size() >
-                mr->info.addr + mr->info.size) {
+        if (!mr || !in_mr(mr->info.addr, mr->info.size, pkt.remote_addr,
+                          pkt.data.size())) {
           send_control(qp, PktType::nak_remote_access, pkt.psn);
           qp_to_error(qp, Errc::remote_access_error);
           return;
@@ -960,8 +953,8 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
       touch_qp_cache(qp);
       Mr* mr = find_mr_by_rkey(pkt.rkey);
       if (pkt.read_len > 0 &&
-          (!mr || pkt.remote_addr < mr->info.addr ||
-           pkt.remote_addr + pkt.read_len > mr->info.addr + mr->info.size)) {
+          (!mr || !in_mr(mr->info.addr, mr->info.size, pkt.remote_addr,
+                         pkt.read_len))) {
         send_control(qp, PktType::nak_remote_access, pkt.psn);
         qp_to_error(qp, Errc::remote_access_error);
         return;
@@ -979,8 +972,7 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
     case PktType::atomic_req: {
       touch_qp_cache(qp);
       Mr* mr = find_mr_by_rkey(pkt.rkey);
-      if (!mr || pkt.remote_addr < mr->info.addr ||
-          pkt.remote_addr + 8 > mr->info.addr + mr->info.size) {
+      if (!mr || !in_mr(mr->info.addr, mr->info.size, pkt.remote_addr, 8)) {
         send_control(qp, PktType::nak_remote_access, pkt.psn);
         qp_to_error(qp, Errc::remote_access_error);
         return;

@@ -66,7 +66,6 @@ class Rnic {
   bool cq_empty(CqId cq) const {
     return cq >= cqs_.size() || !cqs_[cq] || cqs_[cq]->wcs.empty();
   }
-  std::size_t cq_depth_used(CqId cq) const;
   /// Event-mode notification: fires once when the next WC arrives, then
   /// must be re-armed (mirrors ibv_req_notify_cq).
   void arm_cq(CqId cq, std::function<void()> on_event);
@@ -91,7 +90,6 @@ class Rnic {
   /// queue headroom for the whole chain) enqueue none of the WRs.
   Errc post_send(QpNum qpn, const SendWr* wrs, std::size_t count);
   Errc post_recv(QpNum qpn, const RecvWr& wr);
-  std::size_t send_queue_depth(QpNum qpn) const;
 
   /// Async error notification (QP transitioned to error), the analogue of
   /// the ibverbs async event channel. Keepalive relies on this. Several

@@ -48,9 +48,6 @@ class XrAdm {
     set_all("lifecycle_drain", 0, std::move(done));
   }
 
-  /// Per-node `xr_adm drain <node>`: target a single context.
-  void drain_node(net::NodeId node, std::function<void(AdmResult)> done = nullptr);
-
   /// `xr_adm dump`: after the propagation delay, mark a manual trigger in
   /// every managed context's flight recorder and write its ring to
   /// `<prefix>.node<N>.xrd`. `done` receives the paths written (a path is

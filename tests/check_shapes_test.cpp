@@ -162,7 +162,10 @@ const Shape kShapes[] = {
        // not collapse).
        EXPECT_GT(sum.msgs_rejected, 0u);
        EXPECT_GT(sum.msgs_delivered, sum.msgs_rejected);
-     }},
+     },
+     // Stalls: a passive QP swap purged an in-flight ACK or NOP whose flag
+     // outlived it, so the acceptor never acked again.
+     {140, 288}},
     {"flap", [](std::size_t i) { return flap_params(i % 2 == 1); },
      [](const RunReport& r) {
        EXPECT_GT(r.faults_injected, 0u) << describe(r);
@@ -490,6 +493,20 @@ TEST(CorruptionShapes, CorruptFaultsAreActuallyGenerated) {
     }
   }
   EXPECT_GT(corrupt_faults, 0u);
+}
+
+TEST(MixSeeds, IncastUnderBatchingRetiresEveryEntry) {
+  // Shapes combined through the fields they set, every other field at its
+  // default. This seed once stalled like `overload` 140 and 288: all
+  // delivered, one entry left in flight after a passive QP swap.
+  ScheduleParams p;
+  p.incast = true;
+  p.batch_shape = 1;
+  const std::uint64_t seed = 1372354551948;
+  SCOPED_TRACE(testing::Message() << "XCHECK_SEED=" << seed);
+  const RunReport r = check_seed(seed, p, quiet());
+  EXPECT_TRUE(r.passed()) << describe(r);
+  EXPECT_GT(r.msgs_delivered, 0u) << describe(r);
 }
 
 TEST(CorruptionShapes, ComposesWithMixedVersionsAndRemainsGreen) {

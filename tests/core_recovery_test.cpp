@@ -154,6 +154,45 @@ TEST(Recovery, DescriptorDelayedPastQpDeathParksItsPull) {
   EXPECT_GE(t.server_ch->stats().recoveries_completed, 1u);
 }
 
+TEST(Recovery, PassiveQpSwapWithAckInFlightStillAcksTheLastEntry) {
+  // The acceptor posts a standalone ACK just as the connector's QP dies, so
+  // the ACK never completes. The connector's resume then swaps the
+  // acceptor's QP while its channel is still established. The swap purges
+  // the ACK's WR; a flag that outlived it would keep the acceptor from ever
+  // acking again (standalone ACK and deadlock NOP alike), and the
+  // connector's next message would stay in flight for good.
+  Pair t;
+  t.establish();
+  const std::uint32_t ack_every = t.server.config().ack_every;
+  std::uint32_t got = 0;
+  t.server_ch->set_on_msg([&](Channel&, Msg&&) {
+    if (++got != ack_every) return;
+    // This delivery reaches the ACK threshold: the ACK posts as soon as the
+    // handler returns, toward a QP that is already dead.
+    rnic::QpAttr dead;
+    dead.state = rnic::QpState::error;
+    t.client.nic().modify_qp(t.client_ch->qp_num(), dead);
+  });
+  const rnic::QpNum server_qp = t.server_ch->qp_num();
+  for (std::uint32_t i = 0; i < ack_every; ++i) {
+    t.client_ch->send_msg(Buffer::make(64));
+  }
+  t.run(millis(3));
+  ASSERT_EQ(got, ack_every);
+  ASSERT_EQ(t.client_ch->state(), Channel::State::established);
+  ASSERT_GE(t.client_ch->stats().recoveries_completed, 1u);
+  // A passive swap: the acceptor took a new QP without ever recovering.
+  ASSERT_NE(t.server_ch->qp_num(), server_qp);
+  ASSERT_EQ(t.server_ch->stats().recoveries_started, 0u);
+  EXPECT_EQ(t.client_ch->inflight_msgs(), 0u);  // the resume REP's RTA
+
+  t.client_ch->send_msg(Buffer::make(64));
+  t.run(millis(5));
+  EXPECT_EQ(got, ack_every + 1);
+  EXPECT_EQ(t.client_ch->inflight_msgs(), 0u);
+  EXPECT_EQ(t.server_ch->state(), Channel::State::established);
+}
+
 TEST(Recovery, TrueCauseReportedAndRetryableGetsFullBudget) {
   // A QP error does not collapse every cause into peer_dead.
   // A locally flushed QP (wr_flush_error) is a retryable fault: the channel

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -337,6 +338,35 @@ TEST(RcVerbs, OutOfBoundsReadRejected) {
   RcPair::drain(t.scq0, swc);
   ASSERT_EQ(swc.size(), 1u);
   EXPECT_EQ(swc[0].status, Errc::remote_access_error);
+}
+
+TEST(RcVerbs, RemoteRangeWrappingPast2To64GetsAccessNak) {
+  // remote_addr 2^64 - 8 with a valid rkey: `remote_addr + len` wraps past
+  // 2^64, so a bound written as that sum passes and the responder writes or
+  // reads far outside the MR.
+  const std::pair<Opcode, std::uint32_t> ops[] = {
+      {Opcode::write, 16},
+      {Opcode::read, 16},
+      {Opcode::atomic_fetch_add, 8},
+      {Opcode::atomic_cmp_swap, 8}};
+  for (const auto& [opcode, len] : ops) {
+    SCOPED_TRACE(static_cast<int>(opcode));
+    RcPair t;
+    Mr local = t.pd0.reg_mr(16);
+    Mr remote = t.pd1.reg_mr(4096);
+    ASSERT_EQ(t.qp0.post_send({.wr_id = 1,
+                               .opcode = opcode,
+                               .local = {local.addr(), len, local.lkey()},
+                               .remote_addr = ~std::uint64_t{0} - 7,
+                               .rkey = remote.rkey()}),
+              Errc::ok);
+    t.cluster.run();
+    std::vector<Wc> swc;
+    RcPair::drain(t.scq0, swc);
+    ASSERT_EQ(swc.size(), 1u);
+    EXPECT_EQ(swc[0].status, Errc::remote_access_error);
+    EXPECT_EQ(t.qp0.state(), QpState::error);
+  }
 }
 
 TEST(RcVerbs, BadLkeyRejectedAtPostTime) {
