@@ -32,6 +32,18 @@ bool in_mr(std::uint64_t base, std::uint64_t size, std::uint64_t addr,
            std::uint64_t len) {
   return addr >= base && len <= size && addr - base <= size - len;
 }
+
+/// Outgoing bytes from a placed range: a copy, or length only when the MR
+/// is synthetic or gone since the access was checked.
+Buffer copy_out(const Result<std::uint8_t*>& src, std::size_t len) {
+  return src.ok() && *src ? Buffer::copy_of(*src, len) : Buffer::synthetic(len);
+}
+
+/// Incoming bytes into a placed range; synthetic on either side writes
+/// nothing.
+void copy_in(std::uint8_t* dst, const Buffer& data) {
+  if (dst && data.data()) std::memcpy(dst, data.data(), data.size());
+}
 }  // namespace
 
 Rnic::Rnic(sim::Engine& engine, net::Endpoint& endpoint, RnicConfig config)
@@ -61,7 +73,7 @@ MrInfo Rnic::reg_mr(std::uint64_t size, bool real_memory) {
 }
 
 bool Rnic::dereg_mr(std::uint32_t lkey) {
-  Mr* mr = find_mr_by_lkey(lkey);
+  Mr* mr = find_mr_by_key(lkey, Access::local);
   if (!mr) return false;
   mr_by_key_[mr->info.lkey] = nullptr;
   mr_by_key_[mr->info.rkey] = nullptr;
@@ -69,14 +81,12 @@ bool Rnic::dereg_mr(std::uint32_t lkey) {
   return true;
 }
 
-Rnic::Mr* Rnic::find_mr_by_lkey(std::uint32_t lkey) {
-  Mr* mr = lkey < mr_by_key_.size() ? mr_by_key_[lkey] : nullptr;
-  return mr && mr->info.lkey == lkey ? mr : nullptr;
-}
-
-Rnic::Mr* Rnic::find_mr_by_rkey(std::uint32_t rkey) {
-  Mr* mr = rkey < mr_by_key_.size() ? mr_by_key_[rkey] : nullptr;
-  return mr && mr->info.rkey == rkey ? mr : nullptr;
+Rnic::Mr* Rnic::find_mr_by_key(std::uint32_t key, Access access) {
+  Mr* mr = key < mr_by_key_.size() ? mr_by_key_[key] : nullptr;
+  if (!mr) return nullptr;
+  return (access == Access::local ? mr->info.lkey : mr->info.rkey) == key
+             ? mr
+             : nullptr;
 }
 
 Rnic::Mr* Rnic::find_mr_by_addr(std::uint64_t addr, std::uint64_t len) {
@@ -89,8 +99,30 @@ Rnic::Mr* Rnic::find_mr_by_addr(std::uint64_t addr, std::uint64_t len) {
 
 std::uint8_t* Rnic::mr_ptr(std::uint64_t addr, std::uint64_t len) {
   Mr* mr = find_mr_by_addr(addr, len);
-  if (!mr || !mr->real) return nullptr;
+  return mr ? place(Access::local, mr->info.lkey, addr, len).value_or(nullptr)
+            : nullptr;
+}
+
+Result<std::uint8_t*> Rnic::place(Access access, std::uint32_t key,
+                                  std::uint64_t addr, std::uint64_t len) {
+  Mr* mr = find_mr_by_key(key, access);
+  if (!mr || !in_mr(mr->info.addr, mr->info.size, addr, len)) {
+    return access == Access::local ? Errc::local_protection_error
+                                   : Errc::remote_access_error;
+  }
+  if (!mr->real) return nullptr;
   return mr->storage.data() + (addr - mr->info.addr);
+}
+
+Result<std::uint8_t*> Rnic::place(const Sge& sge, std::uint64_t off,
+                                  std::uint64_t len) {
+  if (off > sge.length || len > sge.length - off) {
+    return Errc::local_length_error;
+  }
+  if (len == 0) return nullptr;
+  // The SGE was checked against its MR at post time, so sge.addr + off
+  // cannot wrap.
+  return place(Access::local, sge.lkey, sge.addr + off, len);
 }
 
 // --------------------------------------------------------------------------
@@ -160,6 +192,7 @@ Errc Rnic::post_srq_recv(SrqId srqid, const RecvWr& wr) {
   Srq* srq = find_srq(srqid);
   if (!srq) return Errc::not_found;
   if (srq->wqes.size() >= srq->depth) return Errc::resource_exhausted;
+  if (!place(wr.sge, 0, wr.sge.length)) return Errc::local_protection_error;
   srq->wqes.push_back(wr);
   return Errc::ok;
 }
@@ -258,9 +291,7 @@ Errc Rnic::post_recv(QpNum qpn, const RecvWr& wr) {
   if (qp->srq != kInvalidId) return Errc::invalid_argument;  // use the SRQ
   if (qp->state == QpState::reset) return Errc::invalid_argument;
   if (qp->rq.size() >= qp->caps.max_recv_wr) return Errc::resource_exhausted;
-  if (wr.sge.length > 0 && !find_mr_by_lkey(wr.sge.lkey)) {
-    return Errc::local_protection_error;
-  }
+  if (!place(wr.sge, 0, wr.sge.length)) return Errc::local_protection_error;
   qp->rq.push_back(wr);
   return Errc::ok;
 }
@@ -279,13 +310,9 @@ Errc Rnic::validate_send(Qp& qp, const SendWr& wr) {
     if (wr.local.length > config_.max_inline_data) {
       return Errc::payload_too_large;
     }
-  } else if (wr.local.length > 0) {
+  } else if (!place(wr.local, 0, wr.local.length)) {
     // Local SGE validation at post time, like a real NIC's WQE check.
-    Mr* mr = find_mr_by_lkey(wr.local.lkey);
-    if (!mr ||
-        !in_mr(mr->info.addr, mr->info.size, wr.local.addr, wr.local.length)) {
-      return Errc::local_protection_error;
-    }
+    return Errc::local_protection_error;
   }
   if (is_atomic && wr.local.length != 8) return Errc::invalid_argument;
   if (qp.type == QpType::ud) {
@@ -488,13 +515,8 @@ RnicPacketPtr Rnic::next_packet(Qp& qp, std::uint32_t& wire_bytes) {
       pkt->msg_len = job.total;
       pkt->frag_off = job.off;
       pkt->first = job.off == 0;
-      Mr* mr = find_mr_by_addr(job.addr + job.off, frag);
-      if (mr && mr->real && frag > 0) {
-        pkt->data = Buffer::copy_of(
-            mr->storage.data() + (job.addr + job.off - mr->info.addr), frag);
-      } else {
-        pkt->data = Buffer::synthetic(frag);
-      }
+      pkt->data = copy_out(
+          place(Access::remote, job.rkey, job.addr + job.off, frag), frag);
       job.off += frag;
       pkt->last = job.off >= job.total;
       if (pkt->last) qp.responses.pop_front();
@@ -511,138 +533,106 @@ RnicPacketPtr Rnic::next_packet(Qp& qp, std::uint32_t& wire_bytes) {
 RnicPacketPtr Rnic::segment_next(Qp& qp) {
   PendingWr& p = qp.sq.front();
   const SendWr& wr = p.wr;
+  InflightPkt ip;
+  ip.rnr_budget = qp.attr.rnr_retry;
+
+  if (wr.opcode == Opcode::read || wr.opcode == Opcode::atomic_fetch_add ||
+      wr.opcode == Opcode::atomic_cmp_swap) {
+    ReadTrack track;
+    track.msg_id = p.msg_id;
+    track.wr = wr;
+    track.deadline = engine_.now() + config_.retransmit_timeout;
+    track.is_atomic = wr.opcode != Opcode::read;
+    ip.pkt = request_packet(qp, track);
+    ip.wire_bytes = wire_size(*ip.pkt);
+    qp.inflight.push_back(ip);
+    qp.reads.push_back(std::move(track));
+    qp.sq.pop_front();
+    arm_qp_timer(qp);
+    return ip.pkt;
+  }
+
+  // Send or Write: the next fragment.
   auto pkt = make_packet();
   pkt->src_qp = qp.num;
   pkt->dst_qp = qp.type == QpType::ud ? wr.dest_qp : qp.attr.dest_qp;
   pkt->msg_id = p.msg_id;
-
-  InflightPkt ip;
-  ip.rnr_budget = qp.attr.rnr_retry;
-
-  auto fill_data = [&](std::uint32_t off, std::uint32_t frag) {
-    if (wr.inline_data) {
-      // Payload came in the WQE — no MR walk, no DMA fetch.
-      if (frag > 0 && wr.inline_payload.data() &&
-          !wr.inline_payload.is_synthetic()) {
-        pkt->data = Buffer::copy_of(wr.inline_payload.data() + off, frag);
-      } else {
-        pkt->data = Buffer::synthetic(frag);
-      }
-      return;
-    }
-    Mr* mr = wr.local.length > 0 ? find_mr_by_lkey(wr.local.lkey) : nullptr;
-    if (mr && mr->real && frag > 0) {
-      pkt->data = Buffer::copy_of(
-          mr->storage.data() + (wr.local.addr + off - mr->info.addr), frag);
-    } else {
-      pkt->data = Buffer::synthetic(frag);
-    }
-  };
-
-  switch (wr.opcode) {
-    case Opcode::send:
-    case Opcode::send_imm:
-    case Opcode::write:
-    case Opcode::write_imm: {
-      const bool is_send =
-          wr.opcode == Opcode::send || wr.opcode == Opcode::send_imm;
-      const std::uint32_t len = wr.local.length;
-      const std::uint32_t frag =
-          std::min<std::uint32_t>(config_.mtu, len - p.seg_off);
-      pkt->type = qp.type == QpType::ud
-                      ? PktType::ud_send
-                      : (is_send ? PktType::data_send : PktType::data_write);
-      pkt->msg_len = len;
-      pkt->frag_off = p.seg_off;
-      pkt->first = p.seg_off == 0;
-      pkt->last = p.seg_off + frag >= len;
-      if (wr.opcode == Opcode::send_imm || wr.opcode == Opcode::write_imm) {
-        pkt->has_imm = true;
-        pkt->imm = wr.imm;
-      }
-      if (!is_send) {
-        pkt->remote_addr = wr.remote_addr + p.seg_off;
-        pkt->rkey = wr.rkey;
-      }
-      fill_data(p.seg_off, frag);
-      p.seg_off += frag;
-
-      if (qp.type == QpType::ud) {
-        // Unreliable: complete at transmit time, nothing in flight.
-        pkt->ud_dest = wr.dest_node;
-        if (wr.signaled) {
-          Wc wc;
-          wc.wr_id = wr.wr_id;
-          wc.opcode = WcOpcode::send;
-          wc.byte_len = len;
-          wc.qp_num = qp.num;
-          push_wc(qp.send_cq, wc);
-        }
-        qp.sq.pop_front();
-        return pkt;
-      }
-
-      pkt->psn = qp.snd_nxt++;
-      ip.pkt = pkt;
-      ip.wire_bytes = wire_size(*pkt);
-      if (pkt->last) {
-        ip.completes_wr = true;
-        ip.wr_id = wr.wr_id;
-        ip.wc_op = is_send ? WcOpcode::send : WcOpcode::write;
-        ip.signaled = wr.signaled;
-        ip.byte_len = len;
-        qp.sq.pop_front();
-      }
-      qp.inflight.push_back(ip);
-      arm_qp_timer(qp);
-      return pkt;
-    }
-    case Opcode::read: {
-      pkt->type = PktType::read_req;
-      pkt->psn = qp.snd_nxt++;
-      pkt->remote_addr = wr.remote_addr;
-      pkt->rkey = wr.rkey;
-      pkt->read_len = wr.local.length;
-      pkt->first = pkt->last = true;
-      ip.pkt = pkt;
-      ip.wire_bytes = wire_size(*pkt);
-      qp.inflight.push_back(ip);
-
-      ReadTrack track;
-      track.msg_id = p.msg_id;
-      track.wr = wr;
-      track.deadline = engine_.now() + config_.retransmit_timeout;
-      qp.reads.push_back(track);
-      qp.sq.pop_front();
-      arm_qp_timer(qp);
-      return pkt;
-    }
-    case Opcode::atomic_fetch_add:
-    case Opcode::atomic_cmp_swap: {
-      pkt->type = PktType::atomic_req;
-      pkt->psn = qp.snd_nxt++;
-      pkt->remote_addr = wr.remote_addr;
-      pkt->rkey = wr.rkey;
-      pkt->atomic_is_cas = wr.opcode == Opcode::atomic_cmp_swap;
-      pkt->atomic_compare_add = wr.compare_add;
-      pkt->atomic_swap = wr.swap;
-      pkt->first = pkt->last = true;
-      ip.pkt = pkt;
-      ip.wire_bytes = wire_size(*pkt);
-      qp.inflight.push_back(ip);
-
-      ReadTrack track;
-      track.msg_id = p.msg_id;
-      track.wr = wr;
-      track.deadline = engine_.now() + config_.retransmit_timeout;
-      track.is_atomic = true;
-      qp.reads.push_back(track);
-      qp.sq.pop_front();
-      arm_qp_timer(qp);
-      return pkt;
-    }
+  const bool is_send =
+      wr.opcode == Opcode::send || wr.opcode == Opcode::send_imm;
+  const std::uint32_t len = wr.local.length;
+  const std::uint32_t frag =
+      std::min<std::uint32_t>(config_.mtu, len - p.seg_off);
+  pkt->type = qp.type == QpType::ud
+                  ? PktType::ud_send
+                  : (is_send ? PktType::data_send : PktType::data_write);
+  pkt->msg_len = len;
+  pkt->frag_off = p.seg_off;
+  pkt->first = p.seg_off == 0;
+  pkt->last = p.seg_off + frag >= len;
+  if (wr.opcode == Opcode::send_imm || wr.opcode == Opcode::write_imm) {
+    pkt->has_imm = true;
+    pkt->imm = wr.imm;
   }
-  return nullptr;
+  if (!is_send) {
+    pkt->remote_addr = wr.remote_addr + p.seg_off;
+    pkt->rkey = wr.rkey;
+  }
+  if (!wr.inline_data) {
+    pkt->data = copy_out(place(wr.local, p.seg_off, frag), frag);
+  } else if (frag > 0 && wr.inline_payload.data()) {
+    // Payload came in the WQE — no MR walk, no DMA fetch.
+    pkt->data = Buffer::copy_of(wr.inline_payload.data() + p.seg_off, frag);
+  } else {
+    pkt->data = Buffer::synthetic(frag);
+  }
+  p.seg_off += frag;
+
+  if (qp.type == QpType::ud) {
+    // Unreliable: complete at transmit time, nothing in flight.
+    pkt->ud_dest = wr.dest_node;
+    if (wr.signaled) {
+      Wc wc;
+      wc.wr_id = wr.wr_id;
+      wc.opcode = WcOpcode::send;
+      wc.byte_len = len;
+      wc.qp_num = qp.num;
+      push_wc(qp.send_cq, wc);
+    }
+    qp.sq.pop_front();
+    return pkt;
+  }
+
+  pkt->psn = qp.snd_nxt++;
+  ip.pkt = pkt;
+  ip.wire_bytes = wire_size(*pkt);
+  if (pkt->last) {
+    ip.completes_wr = true;
+    ip.wr_id = wr.wr_id;
+    ip.wc_op = is_send ? WcOpcode::send : WcOpcode::write;
+    ip.signaled = wr.signaled;
+    ip.byte_len = len;
+    qp.sq.pop_front();
+  }
+  qp.inflight.push_back(ip);
+  arm_qp_timer(qp);
+  return pkt;
+}
+
+RnicPacketPtr Rnic::request_packet(Qp& qp, const ReadTrack& track) {
+  auto pkt = make_packet();
+  pkt->type = track.is_atomic ? PktType::atomic_req : PktType::read_req;
+  pkt->src_qp = qp.num;
+  pkt->dst_qp = qp.attr.dest_qp;
+  pkt->psn = qp.snd_nxt++;
+  pkt->msg_id = track.msg_id;
+  pkt->remote_addr = track.wr.remote_addr;
+  pkt->rkey = track.wr.rkey;
+  pkt->read_len = track.wr.local.length;
+  pkt->atomic_is_cas = track.wr.opcode == Opcode::atomic_cmp_swap;
+  pkt->atomic_compare_add = track.wr.compare_add;
+  pkt->atomic_swap = track.wr.swap;
+  pkt->first = pkt->last = true;
+  return pkt;
 }
 
 std::uint32_t Rnic::wire_size(const RnicPacket& pkt) const {
@@ -744,6 +734,9 @@ void Rnic::handle_packet(net::NodeId src_node, const RnicPacket& pkt,
   Qp* qp = find_qp(pkt.dst_qp);
   if (!qp) return;
   if (qp->state != QpState::rtr && qp->state != QpState::rts) return;
+  // A packet of the other transport is dropped: a UD QP has no connected
+  // peer to answer, and an RC QP takes no datagram.
+  if ((pkt.type == PktType::ud_send) != (qp->type == QpType::ud)) return;
 
   switch (pkt.type) {
     case PktType::cnp: {
@@ -763,42 +756,30 @@ void Rnic::handle_packet(net::NodeId src_node, const RnicPacket& pkt,
     case PktType::atomic_resp:
       // Read responses are bulk data: congestion marks on them must feed
       // DCQCN at the responder just like marks on requester data.
-      if (ecn_ce) maybe_cnp(*qp, src_node);
+      if (ecn_ce) maybe_cnp(*qp);
       handle_read_resp(*qp, pkt);
       return;
     case PktType::ud_send: {
-      RecvWr rqe;
-      bool from_srq = false;
-      if (!consume_rqe(*qp, rqe, from_srq)) return;  // UD: silent drop
-      Wc wc;
-      wc.wr_id = rqe.wr_id;
-      wc.opcode = WcOpcode::recv;
-      wc.qp_num = qp->num;
-      if (pkt.data.size() > rqe.sge.length) {
-        // The datagram overruns the receive buffer: the RQE completes in
+      const std::optional<RecvWr> rqe = consume_rqe(*qp);
+      if (!rqe) return;  // UD: silent drop
+      const auto dst = place(rqe->sge, 0, pkt.data.size());
+      if (!dst) {
+        // A datagram that overruns the receive buffer completes the RQE in
         // error (IBV_WC_LOC_LEN_ERR) so its owner can re-post it, and no
         // byte is written.
-        wc.status = Errc::local_length_error;
-        push_wc(qp->recv_cq, wc);
+        complete_recv(*qp, rqe->wr_id, dst.error());
         return;
       }
-      if (std::uint8_t* dst = mr_ptr(rqe.sge.addr, pkt.data.size());
-          dst && pkt.data.data()) {
-        std::memcpy(dst, pkt.data.data(), pkt.data.size());
-      }
-      wc.byte_len = static_cast<std::uint32_t>(pkt.data.size());
-      wc.imm = pkt.imm;
-      wc.has_imm = pkt.has_imm;
-      wc.src_qp = pkt.src_qp;
-      wc.src_node = src_node;
-      push_wc(qp->recv_cq, wc);
+      copy_in(*dst, pkt.data);
+      complete_recv(*qp, rqe->wr_id, Errc::ok, &pkt, src_node,
+                    static_cast<std::uint32_t>(pkt.data.size()));
       return;
     }
     case PktType::data_send:
     case PktType::data_write:
     case PktType::read_req:
     case PktType::atomic_req: {
-      if (ecn_ce) maybe_cnp(*qp, src_node);
+      if (ecn_ce) maybe_cnp(*qp);
       // RC sequencing.
       if (pkt.psn < qp->exp_psn) {
         // Duplicate of something already processed: re-ack to unstick peer.
@@ -819,37 +800,60 @@ void Rnic::handle_packet(net::NodeId src_node, const RnicPacket& pkt,
   }
 }
 
-void Rnic::recv_length_error(Qp& qp, std::uint64_t wr_id,
-                             std::uint64_t psn) {
+void Rnic::complete_recv(Qp& qp, std::uint64_t wr_id, Errc status,
+                         const RnicPacket* tail, net::NodeId src_node,
+                         std::uint32_t byte_len) {
   Wc wc;
   wc.wr_id = wr_id;
-  wc.status = Errc::local_length_error;
+  wc.status = status;
   wc.opcode = WcOpcode::recv;
   wc.qp_num = qp.num;
+  if (tail) {
+    if (tail->type == PktType::data_write) wc.opcode = WcOpcode::recv_imm;
+    wc.byte_len = byte_len;
+    wc.imm = tail->imm;
+    wc.has_imm = tail->has_imm;
+    wc.src_qp = tail->src_qp;
+    wc.src_node = src_node;
+  }
   push_wc(qp.recv_cq, wc);
-  send_control(qp, PktType::nak_remote_access, psn);
-  qp_to_error(qp, Errc::local_length_error);
 }
 
-bool Rnic::consume_rqe(Qp& qp, RecvWr& out, bool& from_srq) {
+void Rnic::recv_error(Qp& qp, std::uint64_t wr_id, std::uint64_t psn,
+                      Errc reason) {
+  complete_recv(qp, wr_id, reason);
+  nak_to_error(qp, psn, reason);
+}
+
+void Rnic::nak_to_error(Qp& qp, std::uint64_t psn, Errc reason) {
+  send_control(qp, PktType::nak_remote_access, psn);
+  qp_to_error(qp, reason);
+}
+
+std::optional<RecvWr> Rnic::consume_rqe(Qp& qp) {
+  std::deque<RecvWr>* queue = &qp.rq;
   if (qp.srq != kInvalidId) {
     Srq* srq = find_srq(qp.srq);
-    if (!srq || srq->wqes.empty()) return false;
-    out = srq->wqes.front();
-    srq->wqes.pop_front();
-    from_srq = true;
-    return true;
+    if (!srq) return std::nullopt;
+    queue = &srq->wqes;
   }
-  if (qp.rq.empty()) return false;
-  out = qp.rq.front();
-  qp.rq.pop_front();
-  from_srq = false;
-  return true;
+  if (queue->empty()) return std::nullopt;
+  RecvWr rqe = queue->front();
+  queue->pop_front();
+  return rqe;
+}
+
+std::optional<RecvWr> Rnic::rqe_or_rnr(Qp& qp, std::uint64_t psn) {
+  std::optional<RecvWr> rqe = consume_rqe(qp);
+  if (!rqe) {
+    ++stats_.rnr_naks_sent;
+    send_control(qp, PktType::nak_rnr, psn);
+  }
+  return rqe;
 }
 
 void Rnic::responder_data(Qp& qp, net::NodeId src_node,
                           const RnicPacket& pkt) {
-  (void)src_node;
   qp.nak_sent_for_gap = false;
   bool msg_tail = false;
 
@@ -857,112 +861,79 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
     case PktType::data_send: {
       if (pkt.first) {
         touch_qp_cache(qp);
-        RecvWr rqe;
-        bool from_srq = false;
-        if (!consume_rqe(qp, rqe, from_srq)) {
-          // Receiver not ready: NAK and expect retransmission of the whole
-          // message from this PSN.
-          ++stats_.rnr_naks_sent;
-          send_control(qp, PktType::nak_rnr, pkt.psn);
-          return;  // exp_psn unchanged
-        }
-        if (pkt.msg_len > rqe.sge.length) {
-          recv_length_error(qp, rqe.wr_id, pkt.psn);
+        // No RQE: exp_psn stays, and the sender retransmits the message.
+        const std::optional<RecvWr> rqe = rqe_or_rnr(qp, pkt.psn);
+        if (!rqe) return;
+        if (pkt.msg_len > rqe->sge.length) {
+          recv_error(qp, rqe->wr_id, pkt.psn, Errc::local_length_error);
           return;
         }
-        qp.assembly.active = true;
-        qp.assembly.msg_id = pkt.msg_id;
-        qp.assembly.rqe = rqe;
-        qp.assembly.from_srq = from_srq;
+        qp.assembly = RecvAssembly{true, pkt.msg_id, *rqe};
       }
       if (!qp.assembly.active || qp.assembly.msg_id != pkt.msg_id) return;
       // Every fragment stays inside the posted SGE, whatever offset the
       // packet claims: the RNIC is the only writer of a receive buffer,
       // so this bound is what keeps it from a neighbouring one.
-      if (pkt.frag_off > qp.assembly.rqe.sge.length ||
-          pkt.data.size() > qp.assembly.rqe.sge.length - pkt.frag_off) {
+      const auto dst =
+          place(qp.assembly.rqe.sge, pkt.frag_off, pkt.data.size());
+      if (!dst) {
         qp.assembly.active = false;
-        recv_length_error(qp, qp.assembly.rqe.wr_id, pkt.psn);
+        recv_error(qp, qp.assembly.rqe.wr_id, pkt.psn, dst.error());
         return;
       }
       qp.exp_psn = pkt.psn + 1;
-      if (pkt.data.size() > 0 && pkt.data.data()) {
-        if (std::uint8_t* dst =
-                mr_ptr(qp.assembly.rqe.sge.addr + pkt.frag_off, pkt.data.size())) {
-          std::memcpy(dst, pkt.data.data(), pkt.data.size());
-        }
-      }
+      copy_in(*dst, pkt.data);
       if (pkt.last) {
         msg_tail = true;
-        Wc wc;
-        wc.wr_id = qp.assembly.rqe.wr_id;
-        wc.opcode = WcOpcode::recv;
-        wc.byte_len = pkt.msg_len;
-        wc.imm = pkt.imm;
-        wc.has_imm = pkt.has_imm;
-        wc.qp_num = qp.num;
-        wc.src_qp = pkt.src_qp;
-        wc.src_node = src_node;
-        push_wc(qp.recv_cq, wc);
         qp.assembly.active = false;
+        // The message ends where its tail does, inside the SGE.
+        complete_recv(
+            qp, qp.assembly.rqe.wr_id, Errc::ok, &pkt, src_node,
+            pkt.frag_off + static_cast<std::uint32_t>(pkt.data.size()));
       }
       break;
     }
     case PktType::data_write: {
       if (pkt.first) touch_qp_cache(qp);
-      if (pkt.data.size() > 0) {
-        Mr* mr = find_mr_by_rkey(pkt.rkey);
-        if (!mr || !in_mr(mr->info.addr, mr->info.size, pkt.remote_addr,
-                          pkt.data.size())) {
-          send_control(qp, PktType::nak_remote_access, pkt.psn);
-          qp_to_error(qp, Errc::remote_access_error);
+      // A zero-byte Write (the keepalive probe) touches nothing and needs
+      // no key.
+      if (!pkt.data.empty()) {
+        const auto dst = place(Access::remote, pkt.rkey, pkt.remote_addr,
+                               pkt.data.size());
+        if (!dst) {
+          nak_to_error(qp, pkt.psn, dst.error());
           return;
         }
-        if (mr->real && pkt.data.data()) {
-          std::memcpy(mr->storage.data() + (pkt.remote_addr - mr->info.addr),
-                      pkt.data.data(), pkt.data.size());
-        }
+        copy_in(*dst, pkt.data);
       }
+      std::optional<RecvWr> rqe;
       if (pkt.last && pkt.has_imm) {
-        RecvWr rqe;
-        bool from_srq = false;
-        if (!consume_rqe(qp, rqe, from_srq)) {
-          ++stats_.rnr_naks_sent;
-          send_control(qp, PktType::nak_rnr, pkt.psn);
-          return;
-        }
-        qp.exp_psn = pkt.psn + 1;
-        msg_tail = true;
-        Wc wc;
-        wc.wr_id = rqe.wr_id;
-        wc.opcode = WcOpcode::recv_imm;
-        wc.byte_len = pkt.msg_len;
-        wc.imm = pkt.imm;
-        wc.has_imm = true;
-        wc.qp_num = qp.num;
-        wc.src_qp = pkt.src_qp;
-        wc.src_node = src_node;
-        push_wc(qp.recv_cq, wc);
-      } else {
-        qp.exp_psn = pkt.psn + 1;
-        msg_tail = pkt.last;
+        rqe = rqe_or_rnr(qp, pkt.psn);
+        if (!rqe) return;
+      }
+      qp.exp_psn = pkt.psn + 1;
+      msg_tail = pkt.last;
+      if (rqe) {
+        complete_recv(qp, rqe->wr_id, Errc::ok, &pkt, src_node, pkt.msg_len);
       }
       break;
     }
     case PktType::read_req: {
       touch_qp_cache(qp);
-      Mr* mr = find_mr_by_rkey(pkt.rkey);
-      if (pkt.read_len > 0 &&
-          (!mr || !in_mr(mr->info.addr, mr->info.size, pkt.remote_addr,
-                         pkt.read_len))) {
-        send_control(qp, PktType::nak_remote_access, pkt.psn);
-        qp_to_error(qp, Errc::remote_access_error);
-        return;
+      // A zero-length Read touches nothing and needs no key.
+      if (pkt.read_len > 0) {
+        const auto src = place(Access::remote, pkt.rkey, pkt.remote_addr,
+                               pkt.read_len);
+        if (!src) {
+          nak_to_error(qp, pkt.psn, src.error());
+          return;
+        }
       }
       qp.exp_psn = pkt.psn + 1;
       msg_tail = true;
       RespJob job;
       job.msg_id = pkt.msg_id;
+      job.rkey = pkt.rkey;
       job.addr = pkt.remote_addr;
       job.total = pkt.read_len;
       qp.responses.push_back(job);
@@ -971,17 +942,16 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
     }
     case PktType::atomic_req: {
       touch_qp_cache(qp);
-      Mr* mr = find_mr_by_rkey(pkt.rkey);
-      if (!mr || !in_mr(mr->info.addr, mr->info.size, pkt.remote_addr, 8)) {
-        send_control(qp, PktType::nak_remote_access, pkt.psn);
-        qp_to_error(qp, Errc::remote_access_error);
+      const auto target =
+          place(Access::remote, pkt.rkey, pkt.remote_addr, 8);
+      if (!target) {
+        nak_to_error(qp, pkt.psn, target.error());
         return;
       }
       qp.exp_psn = pkt.psn + 1;
       msg_tail = true;
       std::uint64_t original = 0;
-      if (mr->real) {
-        std::uint8_t* p = mr->storage.data() + (pkt.remote_addr - mr->info.addr);
+      if (std::uint8_t* p = *target) {
         std::memcpy(&original, p, 8);
         std::uint64_t updated = original;
         if (pkt.atomic_is_cas) {
@@ -1002,10 +972,10 @@ void Rnic::responder_data(Qp& qp, net::NodeId src_node,
     default:
       return;
   }
-  maybe_ack(qp, src_node, msg_tail);
+  maybe_ack(qp, msg_tail);
 }
 
-void Rnic::maybe_ack(Qp& qp, net::NodeId /*src_node*/, bool msg_tail) {
+void Rnic::maybe_ack(Qp& qp, bool msg_tail) {
   ++qp.unacked_pkts;
   if (msg_tail || qp.unacked_pkts >= config_.ack_coalesce) {
     qp.unacked_pkts = 0;
@@ -1013,7 +983,7 @@ void Rnic::maybe_ack(Qp& qp, net::NodeId /*src_node*/, bool msg_tail) {
   }
 }
 
-void Rnic::maybe_cnp(Qp& qp, net::NodeId /*src_node*/) {
+void Rnic::maybe_cnp(Qp& qp) {
   const Nanos now = engine_.now();
   if (now - qp.last_cnp_sent < config_.dcqcn.cnp_min_interval) return;
   qp.last_cnp_sent = now;
@@ -1083,6 +1053,10 @@ void Rnic::handle_read_resp(Qp& qp, const RnicPacket& pkt) {
   ReadTrack& track = *it;
 
   if (pkt.type == PktType::atomic_resp) {
+    // The result lands before the completion that reports it.
+    if (const auto dst = place(track.wr.local, 0, 8); dst && *dst) {
+      std::memcpy(*dst, &pkt.atomic_result, 8);
+    }
     if (track.wr.signaled) {
       Wc wc;
       wc.wr_id = track.wr.wr_id;
@@ -1092,9 +1066,6 @@ void Rnic::handle_read_resp(Qp& qp, const RnicPacket& pkt) {
       wc.atomic_result = pkt.atomic_result;
       push_wc(qp.send_cq, wc);
     }
-    if (std::uint8_t* dst = mr_ptr(track.wr.local.addr, 8)) {
-      std::memcpy(dst, &pkt.atomic_result, 8);
-    }
     qp.reads.erase(it);
     return;
   }
@@ -1102,26 +1073,22 @@ void Rnic::handle_read_resp(Qp& qp, const RnicPacket& pkt) {
   // Read response fragment: accept only the next expected offset so
   // duplicate streams after a reissue are ignored.
   if (pkt.frag_off != track.next_off) return;
-  if (std::uint64_t{pkt.frag_off} + pkt.data.size() > track.wr.local.length) {
+  const auto dst = place(track.wr.local, pkt.frag_off, pkt.data.size());
+  if (!dst) {
     // The fragment overruns the SGE the read was posted with: the WR
     // completes in error (IBV_WC_LOC_LEN_ERR), no byte is written, and the
     // QP goes to error, as for an oversized receive.
     Wc wc;
     wc.wr_id = track.wr.wr_id;
-    wc.status = Errc::local_length_error;
+    wc.status = dst.error();
     wc.opcode = WcOpcode::read;
     wc.qp_num = qp.num;
     push_wc(qp.send_cq, wc);
     qp.reads.erase(it);
-    qp_to_error(qp, Errc::local_length_error);
+    qp_to_error(qp, dst.error());
     return;
   }
-  if (pkt.data.size() > 0 && pkt.data.data()) {
-    if (std::uint8_t* dst =
-            mr_ptr(track.wr.local.addr + pkt.frag_off, pkt.data.size())) {
-      std::memcpy(dst, pkt.data.data(), pkt.data.size());
-    }
-  }
+  copy_in(*dst, pkt.data);
   track.next_off += static_cast<std::uint32_t>(pkt.data.size());
   track.deadline = engine_.now() + config_.retransmit_timeout;
   if (track.next_off >= track.wr.local.length) {
@@ -1186,22 +1153,9 @@ void Rnic::qp_timer_fired(QpNum qpn) {
       return;
     }
     ++stats_.timeouts;
-    auto pkt = make_packet();
-    pkt->type = track.is_atomic ? PktType::atomic_req : PktType::read_req;
-    pkt->src_qp = qp->num;
-    pkt->dst_qp = qp->attr.dest_qp;
-    pkt->psn = qp->snd_nxt++;
-    pkt->msg_id = track.msg_id;
-    pkt->remote_addr = track.wr.remote_addr;
-    pkt->rkey = track.wr.rkey;
-    pkt->read_len = track.wr.local.length;
-    pkt->atomic_is_cas = track.wr.opcode == Opcode::atomic_cmp_swap;
-    pkt->atomic_compare_add = track.wr.compare_add;
-    pkt->atomic_swap = track.wr.swap;
-    pkt->first = pkt->last = true;
     InflightPkt ip;
-    ip.pkt = pkt;
-    ip.wire_bytes = wire_size(*pkt);
+    ip.pkt = request_packet(*qp, track);
+    ip.wire_bytes = wire_size(*ip.pkt);
     ip.rnr_budget = qp->attr.rnr_retry;
     qp->resend.push_back(std::move(ip));
     track.deadline = now + config_.retransmit_timeout;
@@ -1270,22 +1224,10 @@ void Rnic::flush_queues(Qp& qp, Errc head_reason) {
 
   // Receive side: flush posted RQEs (SRQ entries stay shared).
   if (qp.assembly.active) {
-    Wc wc;
-    wc.wr_id = qp.assembly.rqe.wr_id;
-    wc.status = Errc::wr_flush_error;
-    wc.opcode = WcOpcode::recv;
-    wc.qp_num = qp.num;
-    push_wc(qp.recv_cq, wc);
+    complete_recv(qp, qp.assembly.rqe.wr_id, Errc::wr_flush_error);
     qp.assembly.active = false;
   }
-  for (auto& rqe : qp.rq) {
-    Wc wc;
-    wc.wr_id = rqe.wr_id;
-    wc.status = Errc::wr_flush_error;
-    wc.opcode = WcOpcode::recv;
-    wc.qp_num = qp.num;
-    push_wc(qp.recv_cq, wc);
-  }
+  for (auto& rqe : qp.rq) complete_recv(qp, rqe.wr_id, Errc::wr_flush_error);
   qp.rq.clear();
 }
 

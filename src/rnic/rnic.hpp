@@ -16,6 +16,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -107,6 +108,9 @@ class Rnic {
   const RnicStats& stats() const { return stats_; }
 
  private:
+  /// Which of an MR's two keys an access names.
+  enum class Access : std::uint8_t { local, remote };
+
   struct Mr {
     MrInfo info;
     PageArena storage;  // unmapped for synthetic MRs
@@ -160,7 +164,6 @@ class Rnic {
     bool active = false;
     std::uint64_t msg_id = 0;
     RecvWr rqe;
-    bool from_srq = false;
   };
 
   /// Responder-side read/atomic response generation, materialized one
@@ -169,6 +172,7 @@ class Rnic {
   struct RespJob {
     std::uint64_t msg_id = 0;
     std::uint64_t addr = 0;
+    std::uint32_t rkey = 0;  // the request's key: every fragment re-checks it
     std::uint32_t total = 0;
     std::uint32_t off = 0;
     bool atomic = false;
@@ -226,9 +230,23 @@ class Rnic {
   };
 
   // Lifecycle / tables.
-  Mr* find_mr_by_lkey(std::uint32_t lkey);
-  Mr* find_mr_by_rkey(std::uint32_t rkey);
+  Mr* find_mr_by_key(std::uint32_t key, Access access);
+  /// Host API only (mr_ptr): the datapath finds MRs by key.
   Mr* find_mr_by_addr(std::uint64_t addr, std::uint64_t len);
+
+  /// The one placement rule: every RNIC access to registered memory, read
+  /// or write, goes through here. The MR is the one `key` names, never the
+  /// one an address happens to fall in, and [addr, addr + len) must lie
+  /// inside it (overflow-safe). Yields the first byte, or nullptr for a
+  /// synthetic MR; fails with local_protection_error (local key) or
+  /// remote_access_error (remote key).
+  Result<std::uint8_t*> place(Access access, std::uint32_t key,
+                              std::uint64_t addr, std::uint64_t len);
+  /// SGE-relative form: [off, off + len) of `sge`. Past the SGE is
+  /// local_length_error; a zero-length access touches nothing and, like a
+  /// zero-length SGE at post time, needs no key.
+  Result<std::uint8_t*> place(const Sge& sge, std::uint64_t off,
+                              std::uint64_t len);
   Qp* find_qp(QpNum qpn);
   const Qp* find_qp(QpNum qpn) const;
   Cq* find_cq(CqId cq);
@@ -252,6 +270,9 @@ class Rnic {
   /// Appends requester packets to the inflight window as a side effect.
   RnicPacketPtr next_packet(Qp& qp, std::uint32_t& wire_bytes);
   RnicPacketPtr segment_next(Qp& qp);
+  /// The read or atomic request for `track` at the next PSN: first issue
+  /// and every reissue.
+  RnicPacketPtr request_packet(Qp& qp, const ReadTrack& track);
   void transmit(Qp& qp, RnicPacketPtr pkt, std::uint32_t wire_bytes);
   void send_control(Qp& qp, PktType type, std::uint64_t ack_psn);
   std::uint32_t wire_size(const RnicPacket& pkt) const;
@@ -262,12 +283,26 @@ class Rnic {
   void responder_data(Qp& qp, net::NodeId src_node, const RnicPacket& pkt);
   void requester_ack(Qp& qp, const RnicPacket& pkt);
   void handle_read_resp(Qp& qp, const RnicPacket& pkt);
-  void maybe_ack(Qp& qp, net::NodeId src_node, bool msg_tail);
-  void maybe_cnp(Qp& qp, net::NodeId src_node);
-  bool consume_rqe(Qp& qp, RecvWr& out, bool& from_srq);
-  /// An RC receive that would overrun its RQE's SGE: complete the RQE with
-  /// local_length_error, NAK the sender and move the QP to error.
-  void recv_length_error(Qp& qp, std::uint64_t wr_id, std::uint64_t psn);
+  void maybe_ack(Qp& qp, bool msg_tail);
+  void maybe_cnp(Qp& qp);
+  std::optional<RecvWr> consume_rqe(Qp& qp);
+  /// The RQE for a message that needs one, or an RNR NAK from `psn` (the
+  /// sender retransmits the message) and nullopt.
+  std::optional<RecvWr> rqe_or_rnr(Qp& qp, std::uint64_t psn);
+  /// Every receive completion. `tail` is the packet that completed the
+  /// message (null for an error or a flush); it names the opcode and
+  /// carries the immediate and the source.
+  void complete_recv(Qp& qp, std::uint64_t wr_id, Errc status,
+                     const RnicPacket* tail = nullptr,
+                     net::NodeId src_node = net::kInvalidNode,
+                     std::uint32_t byte_len = 0);
+  /// An RC receive that cannot be placed: complete the RQE with `reason`,
+  /// then NAK the sender and move the QP to error.
+  void recv_error(Qp& qp, std::uint64_t wr_id, std::uint64_t psn,
+                  Errc reason);
+  /// The responder's refusal: NAK the packet at `psn` and move the QP to
+  /// error with `reason`.
+  void nak_to_error(Qp& qp, std::uint64_t psn, Errc reason);
 
   // Retransmission timer.
   void arm_qp_timer(Qp& qp);

@@ -5,8 +5,11 @@
 // memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +17,7 @@
 #include <unistd.h>
 
 #include "rnic/wire.hpp"
+#include "test_seed.hpp"
 #include "testbed/cluster.hpp"
 #include "verbs/verbs.hpp"
 
@@ -218,6 +222,10 @@ TEST(RcVerbs, AtomicFetchAddReturnsOriginalAndUpdates) {
   Mr remote = t.pd1.reg_mr(8);
   std::uint64_t init = 100;
   std::memcpy(remote.data(), &init, 8);
+  // The original value is in the local buffer by the time the completion
+  // event fires.
+  std::uint64_t at_event = 0;
+  t.scq0.arm([&] { std::memcpy(&at_event, local.data(), 8); });
   t.qp0.post_send({.wr_id = 1,
                    .opcode = Opcode::atomic_fetch_add,
                    .local = {local.addr(), 8, local.lkey()},
@@ -229,6 +237,7 @@ TEST(RcVerbs, AtomicFetchAddReturnsOriginalAndUpdates) {
   RcPair::drain(t.scq0, swc);
   ASSERT_EQ(swc.size(), 1u);
   EXPECT_EQ(swc[0].atomic_result, 100u);
+  EXPECT_EQ(at_event, 100u);
   std::uint64_t updated = 0;
   std::memcpy(&updated, remote.data(), 8);
   EXPECT_EQ(updated, 142u);
@@ -971,6 +980,269 @@ TEST(RcVerbs, ForgedReadResponsePastTheSgeIsRejected) {
   EXPECT_EQ(swc[0].status, Errc::local_length_error);
   EXPECT_EQ(t.qp0.state(), QpState::error);
   for (int i = 0; i < 200; ++i) EXPECT_EQ(lmr.data()[i], 0xee) << i;
+}
+
+// Receive SGEs are checked at post time, as send SGEs are: the lkey must
+// name an MR and the SGE must lie inside it. Receives are placed by that
+// key, so no SGE steers a peer's bytes into another MR.
+TEST(RecvSgeCheck, SgeOutsideItsMrIsRejectedAtPostTime) {
+  RcPair t;
+  auto& nic = t.cluster.rnic(1);
+  Cq cq = t.pd1.create_cq(16);
+  Qp ud = t.pd1.create_qp(QpType::ud, cq, cq);
+  for (QpState s : {QpState::init, QpState::rtr, QpState::rts}) {
+    QpAttr attr;
+    attr.state = s;
+    ASSERT_EQ(ud.modify(attr), Errc::ok);
+  }
+  const SrqId srq = nic.create_srq(16);
+  Mr mine = t.pd1.reg_mr(256);
+  Mr other = t.pd1.reg_mr(256);
+
+  struct Queue {
+    const char* name;
+    std::function<Errc(const RecvWr&)> post;
+  };
+  const Queue queues[] = {
+      {"RC post_recv", [&](const RecvWr& wr) { return t.qp1.post_recv(wr); }},
+      {"UD post_recv", [&](const RecvWr& wr) { return ud.post_recv(wr); }},
+      {"post_srq_recv",
+       [&](const RecvWr& wr) { return nic.post_srq_recv(srq, wr); }},
+  };
+  struct Case {
+    const char* name;
+    Sge sge;
+  };
+  const Case bad[] = {
+      {"SGE in another MR", {other.addr(), 64, mine.lkey()}},
+      {"SGE at 2^64 - 9", {~std::uint64_t{0} - 8, 64, mine.lkey()}},
+      {"unknown lkey", {mine.addr(), 64, 9999}},
+  };
+  for (const Queue& q : queues) {
+    for (const Case& c : bad) {
+      EXPECT_EQ(q.post({.wr_id = 1, .sge = c.sge}),
+                Errc::local_protection_error)
+          << q.name << ", " << c.name;
+    }
+    // An SGE inside its own MR is taken, and a zero-length one needs no key.
+    EXPECT_EQ(q.post({.wr_id = 2, .sge = {mine.addr(), 64, mine.lkey()}}),
+              Errc::ok)
+        << q.name;
+    EXPECT_EQ(q.post({.wr_id = 3, .sge = {0, 0, 9999}}), Errc::ok) << q.name;
+  }
+}
+
+// A packet of the other transport is dropped. Answering an RC packet on a
+// UD QP would address the node a UD QP never has, and a datagram has no
+// business in an RC receive queue.
+TEST(RnicForgery, PacketsOfTheOtherTransportAreDropped) {
+  RcPair t;
+  Cq ucq = t.pd1.create_cq(16);
+  Qp ud = t.pd1.create_qp(QpType::ud, ucq, ucq);
+  for (QpState s : {QpState::init, QpState::rtr, QpState::rts}) {
+    QpAttr attr;
+    attr.state = s;
+    ASSERT_EQ(ud.modify(attr), Errc::ok);
+  }
+  Mr rmr = t.pd1.reg_mr(64);
+  ASSERT_EQ(ud.post_recv({.wr_id = 1, .sge = {rmr.addr(), 64, rmr.lkey()}}),
+            Errc::ok);
+  ASSERT_EQ(t.qp1.post_recv({.wr_id = 2, .sge = {rmr.addr(), 64, rmr.lkey()}}),
+            Errc::ok);
+  const std::uint8_t bytes[8] = {0x11};
+  for (const auto& [type, dst] :
+       {std::pair{rnic::PktType::data_send, ud.num()},
+        std::pair{rnic::PktType::ud_send, t.qp1.num()}}) {
+    auto pkt = rnic::make_packet();
+    pkt->type = type;
+    pkt->src_qp = t.qp0.num();
+    pkt->dst_qp = dst;
+    pkt->msg_id = 1;
+    pkt->msg_len = sizeof bytes;
+    pkt->first = pkt->last = true;
+    pkt->data = Buffer::copy_of(bytes, sizeof bytes);
+    net::Packet np;
+    np.src = 0;
+    np.dst = 1;
+    np.wire_bytes = 64 + sizeof bytes;
+    np.payload = std::move(pkt);
+    t.cluster.rnic(1).on_packet(std::move(np));
+  }
+  t.cluster.run();
+  Wc wc[4];
+  EXPECT_EQ(ucq.poll(wc, 4), 0);
+  EXPECT_EQ(t.rcq1.poll(wc, 4), 0);
+  EXPECT_EQ(t.cluster.rnic(1).stats().tx_packets, 0u);  // nothing answered
+  EXPECT_EQ(rmr.data()[0], 0u);
+}
+
+// Forged packets of every type into one RC and one UD QP, with offsets,
+// lengths, addresses and PSNs drawn near the edges that matter: 0, the SGE
+// and MR ends, 2^32 and 2^64. Whatever a peer claims, the RNIC writes only
+// what it granted: posted receive SGEs, the local SGEs of its own reads and
+// atomics, and the MR whose rkey it advertised. The guard bytes between the
+// SGEs and a never-advertised MR stay as they were, and no receive placed
+// into an SGE completes with more bytes than the SGE holds.
+TEST(RnicForgery, SeededPacketsStayInsideGrantedRanges) {
+  XRDMA_CASE_SEED(seed);
+  std::mt19937_64 rng(seed);
+  RcPair t;
+  auto& engine = t.engine();
+  t.cluster.rnic(0).set_alive(false);  // the forger speaks for host 0
+  Cq ucq = t.pd1.create_cq(1024);
+  Qp ud = t.pd1.create_qp(QpType::ud, ucq, ucq);
+
+  // Every local SGE lives in `local`, in its own slot, kGuard bytes apart:
+  // slots 0-5 take receives, 6 a read and 7 an atomic.
+  constexpr std::uint32_t kSge = 300, kGuard = 64, kSlots = 8;
+  Mr local = t.pd1.reg_mr(kGuard + kSlots * (kSge + kGuard));
+  Mr target = t.pd1.reg_mr(4096);  // its rkey is the one advertised
+  Mr victim = t.pd1.reg_mr(4096);  // never advertised
+  std::memset(local.data(), 0xee, local.size());
+  std::memset(victim.data(), 0x5a, victim.size());
+  std::vector<bool> granted(local.size());
+  std::uint64_t next_wr = 1;
+  auto sge = [&](std::uint32_t slot, std::uint32_t len) {
+    const std::uint64_t off = kGuard + slot * (kSge + kGuard);
+    for (std::uint64_t i = off; i < off + len; ++i) granted[i] = true;
+    return Sge{local.addr() + off, len, local.lkey()};
+  };
+  auto post_recvs = [&](Qp& qp, std::uint32_t first_slot) {
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      qp.post_recv({.wr_id = next_wr++, .sge = sge(first_slot + i, kSge)});
+    }
+  };
+  auto rearm = [&](Qp& qp, bool rc) {
+    QpAttr attr;
+    attr.state = QpState::reset;
+    ASSERT_EQ(qp.modify(attr), Errc::ok);
+    if (!rc) {
+      for (QpState s : {QpState::init, QpState::rtr, QpState::rts}) {
+        attr.state = s;
+        ASSERT_EQ(qp.modify(attr), Errc::ok);
+      }
+      return;
+    }
+    RcPair::wire(qp, 0, t.qp0.num(), 7);
+    // msg_ids 1 and 2: a read and an atomic the dead peer never answers.
+    ASSERT_EQ(qp.post_send({.wr_id = next_wr++,
+                            .opcode = Opcode::read,
+                            .local = sge(6, kSge),
+                            .remote_addr = 0x1000,
+                            .rkey = 1}),
+              Errc::ok);
+    ASSERT_EQ(qp.post_send({.wr_id = next_wr++,
+                            .opcode = Opcode::atomic_fetch_add,
+                            .local = sge(7, 8),
+                            .remote_addr = 0x1000,
+                            .rkey = 1}),
+              Errc::ok);
+  };
+
+  // A value at one of `edges`, nudged by up to 2 either way half the time.
+  auto near = [&](std::initializer_list<std::uint64_t> edges) {
+    const std::uint64_t edge = edges.begin()[rng() % edges.size()];
+    return rng() % 2 ? edge : edge + rng() % 5 - 2;
+  };
+  const std::uint64_t kTop = ~std::uint64_t{0};  // 2^64 - 1
+  const std::uint32_t mtu = t.cluster.rnic(1).config().mtu;
+  const std::vector<std::uint8_t> bytes(mtu + 2, 0x11);
+  // The responder's expected PSN as far as the forger can tell: zero after a
+  // re-arm, one up per in-order request. A wrong guess stalls the QP only
+  // until the next re-arm.
+  std::uint64_t psn_guess = 0;
+  auto forge = [&](QpNum dst_qp) {
+    auto pkt = rnic::make_packet();
+    pkt->type = static_cast<rnic::PktType>(
+        rng() % (static_cast<int>(rnic::PktType::ud_send) + 1));
+    pkt->src_qp = t.qp0.num();
+    pkt->dst_qp = dst_qp;
+    pkt->psn = rng() % 4 ? psn_guess : near({0, kTop, psn_guess});
+    pkt->msg_id = 1 + rng() % 3;
+    pkt->msg_len = static_cast<std::uint32_t>(
+        near({0, kSge, mtu, target.size(), std::uint64_t{1} << 32}));
+    pkt->frag_off = static_cast<std::uint32_t>(
+        near({0, kSge, mtu, std::uint64_t{1} << 32}));
+    pkt->read_len = static_cast<std::uint32_t>(
+        near({0, 8, kSge, target.size(), std::uint64_t{1} << 32}));
+    pkt->remote_addr =
+        near({0, kTop, target.addr(), target.addr() + target.size(),
+              target.addr() + target.size() - 8, victim.addr(),
+              victim.addr() + victim.size(), local.addr()});
+    const std::uint32_t keys[] = {target.rkey(), target.rkey(),
+                                  target.lkey(), 0, 9999};
+    pkt->rkey = keys[rng() % 5];
+    pkt->first = rng() % 2;
+    pkt->last = rng() % 2;
+    pkt->has_imm = rng() % 2;
+    pkt->ack_psn = near({0, 1, 2, kTop});
+    const std::uint64_t len =
+        std::min<std::uint64_t>(near({0, 1, 8, kSge, mtu}), bytes.size());
+    pkt->data =
+        rng() % 4 ? Buffer::copy_of(bytes.data(), len) : Buffer::synthetic(len);
+    switch (pkt->type) {
+      case rnic::PktType::data_send:
+      case rnic::PktType::data_write:
+      case rnic::PktType::read_req:
+      case rnic::PktType::atomic_req:
+        if (pkt->psn == psn_guess) ++psn_guess;
+        break;
+      default:
+        break;
+    }
+    net::Packet np;
+    np.src = 0;
+    np.dst = 1;
+    np.wire_bytes = 64 + static_cast<std::uint32_t>(len);
+    np.payload = std::move(pkt);
+    t.cluster.rnic(1).on_packet(std::move(np));
+  };
+
+  std::size_t placed = 0, refused = 0;
+  auto check_completions = [&](Cq& cq) {
+    Wc wc[64];
+    int n;
+    while ((n = cq.poll(wc, 64)) > 0) {
+      for (int i = 0; i < n; ++i) {
+        if (wc[i].opcode != WcOpcode::recv) continue;
+        if (wc[i].status == Errc::ok) {
+          ++placed;
+          ASSERT_LE(wc[i].byte_len, kSge) << "wr " << wc[i].wr_id;
+        } else if (wc[i].status == Errc::local_length_error) {
+          ++refused;
+        }
+      }
+    }
+  };
+
+  constexpr int kPacketsPerQp = 24000, kBatch = 4, kRearmEvery = 32;
+  for (const bool rc : {true, false}) {
+    Qp& qp = rc ? t.qp1 : ud;
+    for (int n = 0; n < kPacketsPerQp; n += kBatch) {
+      if (n % kRearmEvery == 0 || qp.state() != QpState::rts) {
+        rearm(qp, rc);
+        psn_guess = 0;
+      }
+      post_recvs(qp, rc ? 0 : 3);
+      for (int k = 0; k < kBatch; ++k) forge(qp.num());
+      engine.run_until(engine.now() + micros(1));
+      check_completions(t.rcq1);
+      check_completions(t.scq1);
+      check_completions(ucq);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // Both outcomes occurred, so the stream reached the placement checks.
+  EXPECT_GT(placed, 0u);
+  EXPECT_GT(refused, 0u);
+  for (std::size_t i = 0; i < granted.size(); ++i) {
+    if (!granted[i]) {
+      ASSERT_EQ(local.data()[i], 0xee) << "local byte " << i;
+    }
+  }
+  for (std::uint64_t i = 0; i < victim.size(); ++i) {
+    ASSERT_EQ(victim.data()[i], 0x5a) << "victim byte " << i;
+  }
 }
 
 // Registered memory is demand-zero: registering costs no resident pages,
