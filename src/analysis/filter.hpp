@@ -26,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -65,11 +64,6 @@ struct FaultRule {
 const char* to_string(FaultKind kind);
 std::optional<FaultKind> fault_kind_from_string(std::string_view name);
 
-/// One-line textual form of a rule ("kind prob channel budget delay_ns"),
-/// and its inverse. Used by the X-Check schedule (de)serializer.
-std::string format_rule(const FaultRule& rule);
-std::optional<FaultRule> parse_rule(std::string_view line);
-
 class Filter {
  public:
   /// Installs this filter on `ctx`'s ingress/egress hooks and on the CM
@@ -95,8 +89,6 @@ class Filter {
   std::uint64_t injected(FaultKind kind) const {
     return injected_[static_cast<std::size_t>(kind)];
   }
-  core::Context& context() { return ctx_; }
-  Rng& rng() { return rng_; }
 
  private:
   struct Slot {
@@ -118,65 +110,6 @@ class Filter {
   // (go-back-N semantics — RC would treat an overtaken packet as lost).
   std::map<std::uint64_t, Nanos> ingress_floor_;
   std::map<std::uint64_t, Nanos> egress_floor_;
-};
-
-/// A seeded random fault schedule for soak testing: probabilistic ingress
-/// drops/delays plus QP kills at randomized intervals against randomly
-/// chosen established channels. Deterministic for a given seed.
-class FaultSchedule {
- public:
-  struct Config {
-    std::uint64_t seed = 42;
-    Nanos mean_kill_interval = millis(5);
-    double drop_prob = 0.0;   // ingress drop probability while running
-    double delay_prob = 0.0;  // ingress delay probability while running
-    Nanos max_delay = micros(200);
-    std::uint32_t max_kills = 8;  // stop killing after this many
-    // Brownout shape: sustained bounded delay on BOTH directions — latency
-    // inflation that must never trip the failure detector (oracle 11).
-    double brownout_prob = 0.0;
-    Nanos brownout_delay = 0;
-    // Flap shape: toggle the flap hook down for flap_down out of every
-    // flap_period (the caller binds the hook to host liveness or a link).
-    Nanos flap_period = 0;
-    Nanos flap_down = 0;
-  };
-
-  FaultSchedule(Filter& filter, Config cfg);
-  ~FaultSchedule();
-
-  /// Target of the flap shape: called with true when the link/host goes
-  /// down, false when it comes back. Must be set before start() for
-  /// flap_period to have any effect.
-  void set_flap_hook(std::function<void(bool down)> hook) {
-    flap_hook_ = std::move(hook);
-  }
-
-  void start();
-  /// Removes the probabilistic rules and stops scheduling kills/flaps (a
-  /// down flap target is brought back up). Already dropped messages stay
-  /// dropped — follow with a flush (e.g. one final kill per channel) if the
-  /// workload must complete.
-  void stop();
-  std::uint32_t kills() const { return kills_; }
-  std::uint32_t flap_cycles() const { return flap_cycles_; }
-
- private:
-  void arm_next_kill();
-  void fire_kill();
-  void flap_tick();
-
-  Filter& filter_;
-  Config cfg_;
-  Rng rng_;
-  std::unique_ptr<sim::DeadlineTimer> kill_timer_;
-  std::unique_ptr<sim::DeadlineTimer> flap_timer_;
-  std::function<void(bool)> flap_hook_;
-  std::vector<std::size_t> rule_ids_;
-  std::uint32_t kills_ = 0;
-  std::uint32_t flap_cycles_ = 0;
-  bool flap_is_down_ = false;
-  bool running_ = false;
 };
 
 }  // namespace xrdma::analysis

@@ -1,128 +1,96 @@
 #include "analysis/mock.hpp"
 
 #include <cstring>
-#include <map>
-#include <deque>
+#include <vector>
 
 namespace xrdma::analysis {
 
 namespace {
 constexpr std::uint32_t kMockMagic = 0x584d4f43;  // "XMOC"
 
-struct Bridge;
-/// Active fallback bridges by channel, so restore_rdma can find and close
-/// the stream (which flips the peer back too). Simulation is
-/// single-threaded; a plain map suffices.
-std::map<core::Channel*, std::shared_ptr<Bridge>>& bridge_registry() {
-  static std::map<core::Channel*, std::shared_ptr<Bridge>> reg;
-  return reg;
-}
-
-/// Per-connection stream state: reassembles length-prefixed frames and
-/// bridges them into the channel.
-struct Bridge : std::enable_shared_from_this<Bridge> {
+/// One end of a fallback stream: frames the channel's wire messages onto
+/// the TCP connection (4-byte length prefix) and reassembles the peer's.
+/// The connection's handlers keep it alive; the channel holds it while
+/// attached. The server end first waits for the hello frame naming its
+/// channel by connection token.
+struct Bridge : core::AltStream, std::enable_shared_from_this<Bridge> {
   tcpsim::TcpConn* conn = nullptr;
-  core::Channel* channel = nullptr;
-  std::deque<std::uint8_t> rxbuf;
-  bool handshaken = false;  // server side: waiting for the id frame
+  core::Channel* channel = nullptr;  // set while attached; cleared by close
+  core::Context* awaiting_hello = nullptr;  // server end, before the hello
+  std::vector<std::uint8_t> rxbuf;
+  std::size_t rxoff = 0;  // first byte of rxbuf not yet framed
 
-  void attach_channel(core::Channel& ch) {
-    channel = &ch;
-    auto self = shared_from_this();
-    bridge_registry()[&ch] = self;
-    ch.set_tx_override([self](Buffer wire) -> Errc {
-      if (!self->conn || !self->conn->open()) return Errc::connection_reset;
-      Buffer framed = Buffer::make(4 + wire.size());
-      const std::uint32_t len = static_cast<std::uint32_t>(wire.size());
-      std::memcpy(framed.data(), &len, 4);
-      if (wire.data()) {
-        std::memcpy(framed.data() + 4, wire.data(), wire.size());
-      }
-      return self->conn->send(std::move(framed));
-    });
-    // A recovering channel resumes here (window replay + RDMA probing); an
-    // established one (manual switch) treats this as a no-op.
-    ch.on_fallback_attached();
+  void send(Buffer wire) override {
+    const std::uint32_t len = static_cast<std::uint32_t>(wire.size());
+    Buffer framed = Buffer::make(4 + len);
+    std::memcpy(framed.data(), &len, 4);
+    std::memcpy(framed.data() + 4, wire.data(), len);
+    conn->send(std::move(framed));  // a closed connection drops it
   }
 
-  void detach() {
-    if (channel) {
-      channel->set_tx_override(nullptr);
-      bridge_registry().erase(channel);
-    }
-    if (conn && conn->open()) conn->close();
+  void close() override {
     channel = nullptr;
+    conn->close();  // no local loss notice; the peer's end sees a FIN
   }
 
   void on_data(const Buffer& chunk) {
-    for (std::size_t i = 0; i < chunk.size(); ++i) {
-      rxbuf.push_back(chunk.data() ? chunk.data()[i] : 0);
-    }
-    pump();
-  }
-
-  void pump() {
-    while (rxbuf.size() >= 4) {
-      std::uint8_t lenb[4];
-      for (int i = 0; i < 4; ++i) lenb[i] = rxbuf[static_cast<std::size_t>(i)];
+    rxbuf.insert(rxbuf.end(), chunk.data(), chunk.data() + chunk.size());
+    // Both lengths are in hand before a frame is taken, and the check
+    // subtracts instead of adding, so no prefix value can wrap it.
+    while (rxbuf.size() - rxoff >= 4) {
       std::uint32_t len = 0;
-      std::memcpy(&len, lenb, 4);
-      if (rxbuf.size() < 4 + len) return;
-      std::vector<std::uint8_t> frame(len);
-      rxbuf.erase(rxbuf.begin(), rxbuf.begin() + 4);
-      for (std::uint32_t i = 0; i < len; ++i) {
-        frame[i] = rxbuf.front();
-        rxbuf.pop_front();
-      }
-      handle_frame(frame.data(), len);
+      std::memcpy(&len, rxbuf.data() + rxoff, 4);
+      if (rxbuf.size() - rxoff - 4 < len) break;
+      rxoff += 4 + static_cast<std::size_t>(len);
+      handle_frame(rxbuf.data() + rxoff - len, len);
     }
+    rxbuf.erase(rxbuf.begin(),
+                rxbuf.begin() + static_cast<std::ptrdiff_t>(rxoff));
+    rxoff = 0;
   }
 
-  virtual void handle_frame(const std::uint8_t* data, std::uint32_t len) {
-    if (channel) channel->on_alt_rx(data, len);
-  }
-
-  virtual ~Bridge() = default;
-};
-
-struct ServerBridge : Bridge {
-  core::Context* ctx = nullptr;
-
-  void handle_frame(const std::uint8_t* data, std::uint32_t len) override {
-    if (!handshaken) {
-      handshaken = true;
-      if (len < 12) return;
-      std::uint32_t magic = 0;
-      std::uint64_t token = 0;
-      std::memcpy(&magic, data, 4);
-      std::memcpy(&token, data + 4, 8);
-      if (magic != kMockMagic) return;
-      core::Channel* ch = ctx->channel_by_token(token);
-      // Accept recovering channels too: fallback escalation usually finds
-      // this side mid-recovery (its QP died with the peer's).
-      if (ch && (ch->state() == core::Channel::State::established ||
-                 ch->state() == core::Channel::State::recovering)) {
-        attach_channel(*ch);
-      }
+  void handle_frame(const std::uint8_t* data, std::uint32_t len) {
+    if (channel) {
+      channel->on_alt_rx(data, len);
       return;
     }
-    Bridge::handle_frame(data, len);
+    core::Context* ctx = awaiting_hello;
+    if (!ctx) return;
+    awaiting_hello = nullptr;
+    if (len < 12) return;
+    std::uint32_t magic = 0;
+    std::uint64_t token = 0;
+    std::memcpy(&magic, data, 4);
+    std::memcpy(&token, data + 4, 8);
+    if (magic != kMockMagic) return;
+    core::Channel* ch = ctx->channel_by_token(token);
+    // Accept recovering channels too: fallback escalation usually finds
+    // this side mid-recovery (its QP died with the peer's).
+    if (ch && (ch->state() == core::Channel::State::established ||
+               ch->state() == core::Channel::State::recovering)) {
+      attach(*ch);
+    }
+  }
+
+  void attach(core::Channel& ch) {
+    channel = &ch;
+    ch.attach_stream(shared_from_this());
   }
 };
 
-void wire_conn(std::shared_ptr<Bridge> bridge, tcpsim::TcpConn& conn) {
+std::shared_ptr<Bridge> make_bridge(tcpsim::TcpConn& conn) {
+  auto bridge = std::make_shared<Bridge>();
   bridge->conn = &conn;
   conn.set_on_data([bridge](Buffer chunk) { bridge->on_data(chunk); });
   conn.set_on_error([bridge](Errc) {
-    // Stream died or was closed. The channel decides what that means: a
-    // deliberate restore reverts to RDMA, an unsolicited loss with no QP
-    // re-enters recovery.
-    if (bridge->channel) {
-      bridge_registry().erase(bridge->channel);
-      bridge->channel->on_fallback_lost();
+    // Stream died or the peer closed it. The channel decides what that
+    // means: an unsolicited loss with no QP re-enters recovery.
+    if (core::Channel* ch = bridge->channel) {
+      bridge->channel = nullptr;
+      ch->on_stream_lost(*bridge);
     }
-    bridge->channel = nullptr;
   });
+  return bridge;
 }
 
 }  // namespace
@@ -130,13 +98,8 @@ void wire_conn(std::shared_ptr<Bridge> bridge, tcpsim::TcpConn& conn) {
 MockFallback::MockFallback(core::Context& ctx, tcpsim::TcpStack& tcp,
                            std::uint16_t port)
     : ctx_(ctx) {
-  // The restore hook lets a channel here tear its stream down (a received
-  // FIN, a failure) even when this context never called enable_auto.
-  ctx.set_fallback_restore([](core::Channel& ch) { restore_rdma(ch); });
   tcp.listen(port, [this](tcpsim::TcpConn& conn) {
-    auto bridge = std::make_shared<ServerBridge>();
-    bridge->ctx = &ctx_;
-    wire_conn(bridge, conn);
+    make_bridge(conn)->awaiting_hello = &ctx_;
   });
 }
 
@@ -149,8 +112,7 @@ void MockFallback::switch_to_tcp(core::Channel& ch, tcpsim::TcpStack& tcp,
                   if (done) done(r.error());
                   return;
                 }
-                auto bridge = std::make_shared<Bridge>();
-                wire_conn(bridge, *r.value());
+                auto bridge = make_bridge(*r.value());
                 // Identify ourselves by the connection token — the channel
                 // identity that survives QP replacement, so fallback works
                 // even after the QPs are gone.
@@ -161,20 +123,12 @@ void MockFallback::switch_to_tcp(core::Channel& ch, tcpsim::TcpStack& tcp,
                 const std::uint64_t token = ch.conn_token();
                 std::memcpy(hello.data() + 8, &token, 8);
                 r.value()->send(std::move(hello));
-                bridge->attach_channel(ch);
+                bridge->attach(ch);
                 if (done) done(Errc::ok);
               });
 }
 
-void MockFallback::restore_rdma(core::Channel& ch) {
-  auto it = bridge_registry().find(&ch);
-  if (it != bridge_registry().end()) {
-    auto bridge = it->second;  // keep alive across detach's erase
-    bridge->detach();          // closes the stream; the peer reverts on error
-  } else {
-    ch.set_tx_override(nullptr);
-  }
-}
+void MockFallback::restore_rdma(core::Channel& ch) { ch.leave_fallback(); }
 
 void MockFallback::enable_auto(core::Context& ctx, tcpsim::TcpStack& tcp,
                                std::uint16_t peer_port) {
@@ -182,7 +136,6 @@ void MockFallback::enable_auto(core::Context& ctx, tcpsim::TcpStack& tcp,
       [&tcp, peer_port](core::Channel& ch, std::function<void(Errc)> done) {
         switch_to_tcp(ch, tcp, peer_port, std::move(done));
       });
-  ctx.set_fallback_restore([](core::Channel& ch) { restore_rdma(ch); });
 }
 
 }  // namespace xrdma::analysis

@@ -4,14 +4,15 @@
 // the paper temporarily reroutes a channel's traffic over TCP without the
 // application noticing. Here: the server side listens on a TCP port; the
 // client side connects, identifies which channel it is speaking for (by
-// the connection token, which survives QP loss), and both ends install a
-// tx_override so encoded messages travel the TCP stream (length-prefixed
-// frames) while the seq-ack protocol above stays untouched.
-// restore_rdma() switches back.
+// the connection token, which survives QP loss), and both ends attach the
+// stream to their channel (core::AltStream) so encoded messages travel it
+// as length-prefixed frames while the seq-ack protocol above stays
+// untouched. The channel holds its stream and is the one that closes it;
+// restore_rdma() asks it to, which switches both ends back.
 //
 // enable_auto() wires this into channel recovery: once a channel exhausts
-// its QP-resume budget it escalates here automatically, and the restore
-// hook migrates it back when the background RDMA probe succeeds.
+// its QP-resume budget it escalates here automatically, and the channel
+// leaves the stream itself when the background RDMA probe succeeds.
 #pragma once
 
 #include <functional>
@@ -25,8 +26,7 @@ namespace xrdma::analysis {
 class MockFallback {
  public:
   /// Server side: accept TCP fallback connections for channels owned by
-  /// `ctx`, and install `ctx`'s restore hook. Keep the object alive while
-  /// fallback may occur.
+  /// `ctx`. Keep the object alive while fallback may occur.
   MockFallback(core::Context& ctx, tcpsim::TcpStack& tcp, std::uint16_t port);
 
   /// Client side: switch `ch` onto TCP toward the peer's fallback port.
@@ -41,8 +41,7 @@ class MockFallback {
 
   /// Install automatic escalation on `ctx`: channels that exhaust their
   /// recovery budget switch onto TCP toward `peer_port` (the peer must run
-  /// a MockFallback server there), and restore through restore_rdma once
-  /// RDMA heals.
+  /// a MockFallback server there), and leave it once RDMA heals.
   static void enable_auto(core::Context& ctx, tcpsim::TcpStack& tcp,
                           std::uint16_t peer_port);
 

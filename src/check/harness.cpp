@@ -755,12 +755,12 @@ void Runner::check_balance() {
     // Oracle 14 terminal form: with every channel closed, no WR may still
     // be parked in a batch accumulator — an unflushed chain is a lost
     // doorbell and, one hop later, lost messages.
-    if (ctx.batch_pending() != 0) {
+    if (ctx.stats().batch_pending != 0) {
       log_.add(now(), strfmt("doorbell batch not flushed on node %u: %llu "
                              "WRs still parked in accumulators",
                              ctx.node(),
                              static_cast<unsigned long long>(
-                                 ctx.batch_pending())));
+                                 ctx.stats().batch_pending)));
     }
     const rnic::Rnic& nic = cluster_->rnic(static_cast<net::NodeId>(i));
     if (nic.num_qps() != ctx.qp_cache().size()) {
@@ -791,10 +791,6 @@ void Runner::finish_report() {
     rep_.chan += c->channel_stats();
     rep_.ctx += c->stats();
     rep_.health += c->health().stats();
-    rep_.batch_accumulated += c->batch_accumulated();
-    rep_.batch_posted += c->batch_posted();
-    rep_.batch_deferred += c->batch_deferred();
-    rep_.batch_dropped += c->batch_dropped();
   }
 
   std::uint64_t d = 0xcbf29ce484222325ULL;

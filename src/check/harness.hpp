@@ -100,11 +100,6 @@ struct RunReport {
   core::ChannelStats chan;
   core::ContextStats ctx;
   core::HealthStats health;
-  // The contexts' doorbell-batch ledgers (oracle 14), summed the same way.
-  std::uint64_t batch_accumulated = 0;
-  std::uint64_t batch_posted = 0;
-  std::uint64_t batch_deferred = 0;
-  std::uint64_t batch_dropped = 0;
   // Delivery anomalies observed on flows WITHOUT negotiated CRC protection
   // under corruption_shape — the legacy expected-fail class, tolerated and
   // counted instead of failing the run.

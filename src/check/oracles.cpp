@@ -267,25 +267,21 @@ void LiveOracle::observe(Nanos now) {
     // purged channel. An imbalance means a chain was lost in the
     // accumulator (messages that never hit the wire) or double-posted
     // (duplicate delivery one hop later).
+    const core::ContextStats& cs = ctx->stats();
     if (!batch_violation_reported_ &&
-        ctx->batch_accumulated() !=
-            ctx->batch_posted() + ctx->batch_deferred() +
-                ctx->batch_dropped() + ctx->batch_pending()) {
+        cs.batch_accumulated != cs.batch_posted + cs.batch_deferred +
+                                    cs.batch_dropped + cs.batch_pending) {
       batch_violation_reported_ = true;
       log_->add(now, strfmt("batch conservation broken on node %u: "
                             "accumulated %llu != posted %llu + deferred %llu "
                             "+ dropped %llu + pending %llu",
                             ctx->node(),
                             static_cast<unsigned long long>(
-                                ctx->batch_accumulated()),
-                            static_cast<unsigned long long>(
-                                ctx->batch_posted()),
-                            static_cast<unsigned long long>(
-                                ctx->batch_deferred()),
-                            static_cast<unsigned long long>(
-                                ctx->batch_dropped()),
-                            static_cast<unsigned long long>(
-                                ctx->batch_pending())));
+                                cs.batch_accumulated),
+                            static_cast<unsigned long long>(cs.batch_posted),
+                            static_cast<unsigned long long>(cs.batch_deferred),
+                            static_cast<unsigned long long>(cs.batch_dropped),
+                            static_cast<unsigned long long>(cs.batch_pending)));
     }
     // Oracle 12: breaker consistency — no CM connect attempt ever passed a
     // closed gate (the HealthMonitor counts them at the resume choke point).

@@ -48,8 +48,10 @@ Channel::Channel(Context& ctx, net::NodeId peer, std::uint64_t id,
 
 Channel::~Channel() {
   // Normal teardown happens through finish(); this is the context
-  // destructor path, where a live QP destroys itself.
+  // destructor path, where a live QP destroys itself. The stream is closed
+  // here too, so it never outlives the channel it calls into.
   for (const MemBlock& block : link_.bounce) ctx_.ctrl_cache_.free(block);
+  if (stream_) stream_->close();
 }
 
 void Channel::record(analysis::RecEvent ev, std::uint16_t code,
@@ -312,7 +314,7 @@ bool Channel::emit_data(PendingSend& p) {
 }
 
 // The shape rule, in order:
-//   1. stream      tx_override_ is set: the whole message rides the Mock
+//   1. stream      a stream is attached: the whole message rides the Mock
 //                  fallback (a descriptor is useless without a QP to pull
 //                  through);
 //   2. rendezvous  len > small_msg_size or the payload sits in a data block
@@ -408,7 +410,7 @@ bool Channel::transmit(TxEntry& e, bool first) {
     copy_payload(e, wire.data() + hdr.wire_size());
     if (stream) {
       ++stats_.mock_tx;
-      tx_override_(std::move(wire));
+      stream_->send(std::move(wire));
     } else {
       ++stats_.inline_sends;
       post_wire(hdr, MemBlock{}, std::move(wire));
@@ -548,10 +550,10 @@ void Channel::post_control(std::uint16_t flags, std::uint64_t aux_id,
     }
   }
 
-  if (tx_override_) {
+  if (stream_) {
     Buffer wire = Buffer::make(hdr.wire_size());
     encode_stamped(hdr, wire.data());
-    tx_override_(std::move(wire));
+    stream_->send(std::move(wire));
     on_send_wc_control(flags);  // no WC will come back
     return;
   }
@@ -734,20 +736,6 @@ void Channel::reclaim_windows() {
 
 // ---------------------------------------------------------------------------
 // RX path.
-
-void Channel::on_recv_wc(const verbs::Wc& wc) {
-  if (wc.status != Errc::ok) return;  // flush during teardown
-  if (wc.wr_id >= link_.bounce.size()) return;
-  const MemBlock& block = link_.bounce[static_cast<std::size_t>(wc.wr_id)];
-  const std::uint8_t* bytes = ctx_.ctrl_cache_.data(block);
-  if (bytes) process_wire(bytes, wc.byte_len);
-  // Re-arm the bounce buffer immediately (run-to-complete), keeping the
-  // receive queue topped up — the other half of RNR-freedom.
-  if (state_ == State::established || state_ == State::closing) {
-    link_.qp.post_recv(
-        {.wr_id = wc.wr_id, .sge = {block.addr, block.len, block.lkey}});
-  }
-}
 
 void Channel::on_alt_rx(const std::uint8_t* data, std::uint32_t len) {
   process_wire(data, len);
@@ -1207,8 +1195,8 @@ void Channel::keepalive_fire() {
     // the peer's NOPs keep ours.
     const Nanos proof = std::max(last_rx_, last_alive_);
     if (now - proof >= cfg.keepalive_intv + bound) {
-      // The fallback went silent too: no transport left. Drop the
-      // override first so handle_transport_fault cannot take its
+      // The fallback went silent too: no transport left. Leave the
+      // stream first so handle_transport_fault cannot take its
       // running-on-the-fallback shortcut.
       ctx_.health().note_peer_dead(peer_, id_);
       leave_fallback();
@@ -1524,7 +1512,7 @@ void Channel::escalate_or_fail() {
     ctx_.fallback_provider_(*this, [ctx = &ctx_, cid](Errc err) {
       Channel* ch = ctx->channel_by_id(cid);
       if (!ch || ch->state_ != State::recovering) return;
-      // Success lands through on_fallback_attached; only failures (the
+      // Success lands through attach_stream; only failures (the
       // fallback could not be built either) arrive here still recovering.
       if (err != Errc::ok) ch->fail(ch->recovery_reason_);
     });
@@ -1534,10 +1522,11 @@ void Channel::escalate_or_fail() {
 }
 
 void Channel::leave_fallback() {
-  restoring_ = true;  // deliberate: on_fallback_lost only ends the stream
-  if (ctx_.fallback_restore_) ctx_.fallback_restore_(*this);
-  on_fallback_lost();
-  restoring_ = false;
+  // Detach before closing: a loss notice the close provokes names a stream
+  // this channel no longer holds, so it is ignored.
+  if (const std::shared_ptr<AltStream> stream = std::move(stream_)) {
+    stream->close();
+  }
 }
 
 bool Channel::breaker_admits() {
@@ -1569,7 +1558,13 @@ void Channel::nudge_probe() {
                                       ctx_.health().probe_holddown(peer_)));
 }
 
-void Channel::on_fallback_attached() {
+void Channel::attach_stream(std::shared_ptr<AltStream> stream) {
+  if (state_ == State::closed || state_ == State::error) {
+    stream->close();
+    return;
+  }
+  leave_fallback();
+  stream_ = std::move(stream);
   if (state_ != State::recovering) return;  // manual switch: nothing to replay
   transport_up(verbs::Qp{});
   record(analysis::RecEvent::fallback_attach);
@@ -1581,9 +1576,10 @@ void Channel::on_fallback_attached() {
   arm_rdma_probe();  // keep probing RDMA; migrate back when it heals
 }
 
-void Channel::on_fallback_lost() {
-  tx_override_ = nullptr;
-  if (restoring_ || resume_inflight_) return;
+void Channel::on_stream_lost(const AltStream& stream) {
+  if (stream_.get() != &stream) return;
+  stream_.reset();
+  if (resume_inflight_) return;
   if (state_ == State::established && !link_.qp.valid()) {
     handle_transport_fault(Errc::connection_reset);
   }

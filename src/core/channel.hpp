@@ -46,6 +46,20 @@ namespace xrdma::core {
 
 class Context;
 
+/// An alternate transport a channel can ride instead of its QP: the Mock
+/// TCP fallback (§VI-C), implemented on the analysis side. The channel
+/// holds the one attached stream and is the only one that ends it: it
+/// calls close() when it leaves the fallback, fails, or is destroyed. A
+/// stream that dies on its own reports through Channel::on_stream_lost.
+struct AltStream {
+  virtual ~AltStream() = default;
+  /// Carry one whole encoded wire message to the peer.
+  virtual void send(Buffer wire) = 0;
+  /// End the stream; the peer's end sees it lost. After this the stream
+  /// never calls into the channel again.
+  virtual void close() = 0;
+};
+
 class Channel {
  public:
   enum class State : std::uint8_t {
@@ -128,24 +142,25 @@ class Channel {
   std::uint32_t recv_window_depth() const { return rwin_.depth(); }
 
   // --- Alternate transport (Mock, §VI-C) ------------------------------------
-  /// When set, encoded messages bypass the QP and go through this hook
+  /// While a stream is attached, encoded messages bypass the QP and ride it
   /// (the TCP fallback). Every message rides the stream whole: there is no
   /// QP to pull a rendezvous payload through.
-  void set_tx_override(std::function<Errc(Buffer)> f) {
-    tx_override_ = std::move(f);
-  }
-  bool mocked() const { return static_cast<bool>(tx_override_); }
-  /// Ingress for bytes arriving over the alternate transport (one whole
-  /// wire message per call).
-  void on_alt_rx(const std::uint8_t* data, std::uint32_t len);
-  /// The fallback transport finished attaching (tx_override installed). A
-  /// recovering channel resumes here: it replays the unacked window over
+  bool mocked() const { return stream_ != nullptr; }
+  /// Ride `stream` from now on; a stream already attached is closed first.
+  /// A recovering channel resumes here: it replays the unacked window over
   /// the new path and, on the connector side, keeps probing RDMA so the
-  /// channel migrates back when the path heals.
-  void on_fallback_attached();
-  /// The fallback stream died or was torn down: the one place it ends.
-  /// Unsolicited loss while the QP is also gone re-enters recovery.
-  void on_fallback_lost();
+  /// channel migrates back when the path heals. A closed channel closes
+  /// `stream` at once.
+  void attach_stream(std::shared_ptr<AltStream> stream);
+  /// Ingress for bytes arriving over the stream (one whole wire message per
+  /// call).
+  void on_alt_rx(const std::uint8_t* data, std::uint32_t len);
+  /// `stream` died under us. Ignored unless it is the attached stream; an
+  /// unsolicited loss while the QP is also gone re-enters recovery.
+  void on_stream_lost(const AltStream& stream);
+  /// Deliberate teardown: close the attached stream (which flips the peer
+  /// too) and carry on over the QP, if there is one.
+  void leave_fallback();
 
  private:
   friend class Context;
@@ -293,7 +308,6 @@ class Channel {
   void mem_retry_fire();
 
   // RX path.
-  void on_recv_wc(const verbs::Wc& wc);
   void process_wire(const std::uint8_t* bytes, std::uint32_t len);
   /// `bytes` holds the whole frame; process_wire checked that an eager
   /// payload lies inside it.
@@ -334,9 +348,6 @@ class Channel {
   void resume_attempt_failed(Errc reason);
   void resume_adopt(verbs::Qp qp, Seq peer_rta);
   void escalate_or_fail();
-  /// Deliberate fallback teardown: detach the stream (restore hook), then
-  /// end it through on_fallback_lost, which re-enters nothing.
-  void leave_fallback();
   /// Circuit-breaker gate for one RDMA attempt. A denial is counted,
   /// recorded and reported to the health plane.
   bool breaker_admits();
@@ -394,9 +405,8 @@ class Channel {
   std::unique_ptr<sim::DeadlineTimer> recovery_timer_;
   Rng recovery_rng_;  // backoff jitter (seeded per channel, deterministic)
   bool resume_inflight_ = false;
-  bool restoring_ = false;  // deliberate fallback teardown in progress
 
-  std::function<Errc(Buffer)> tx_override_;
+  std::shared_ptr<AltStream> stream_;  // the Mock fallback, while attached
 
   MsgHandler on_msg_;
   ErrorHandler on_error_;

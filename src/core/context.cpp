@@ -546,7 +546,7 @@ Context::Submitted Context::submit(Channel& ch, verbs::SendWr* wrs,
   }
   r.deferred = n - r.posted;
   if (head) {
-    requeued_heads_ += r.deferred;
+    stats_.requeued_heads += r.deferred;
     for (std::size_t i = n; i-- > r.posted;) {
       deferred_wrs_.push_front({ch.id(), std::move(wrs[i])});
     }
@@ -587,8 +587,8 @@ void Context::accumulate_wr(Channel& ch, verbs::SendWr wr) {
     submit(ch, &wr, 1);  // batching off: one doorbell per WR
     return;
   }
-  ++batch_accumulated_;
-  ++batch_pending_;
+  ++stats_.batch_accumulated;
+  ++stats_.batch_pending;
   ch.tx_batch_bytes_ += wr.local.length;
   ch.tx_batch_.push_back(std::move(wr));
   if (ch.tx_batch_.size() >= cfg_.tx_batch_max_wrs ||
@@ -617,11 +617,11 @@ void Context::flush_tx_batch(Channel& ch) {
   std::vector<verbs::SendWr> batch;
   batch.swap(ch.tx_batch_);
   ch.tx_batch_bytes_ = 0;
-  batch_pending_ -= batch.size();
+  stats_.batch_pending -= batch.size();
   const Submitted r = submit(ch, batch.data(), batch.size());
-  batch_posted_ += r.posted;
-  batch_deferred_ += r.deferred;
-  batch_dropped_ += r.dropped;
+  stats_.batch_posted += r.posted;
+  stats_.batch_deferred += r.deferred;
+  stats_.batch_dropped += r.dropped;
   std::uint64_t posted_bytes = 0;
   for (std::size_t i = 0; i < r.posted; ++i) {
     posted_bytes += batch[i].local.length;
@@ -634,8 +634,8 @@ void Context::flush_tx_batch(Channel& ch) {
 
 void Context::drop_tx_batch(Channel& ch) {
   if (ch.tx_batch_.empty()) return;
-  batch_pending_ -= ch.tx_batch_.size();
-  batch_dropped_ += ch.tx_batch_.size();
+  stats_.batch_pending -= ch.tx_batch_.size();
+  stats_.batch_dropped += ch.tx_batch_.size();
   ch.tx_batch_.clear();
   ch.tx_batch_bytes_ = 0;
 }
@@ -686,7 +686,7 @@ int Context::polling(int budget) {
   // Poll-end doorbell flush: anything the completion handlers accumulated
   // this iteration rings one chained doorbell per channel instead of
   // waiting for the same-timestamp fallback event.
-  if (cfg_.tx_batch_flush_on_poll_end && batch_pending_ > 0) {
+  if (cfg_.tx_batch_flush_on_poll_end && stats_.batch_pending > 0) {
     for (auto& ch : channels_) {
       if (!ch->tx_batch_.empty()) flush_tx_batch(*ch);
     }
@@ -734,23 +734,37 @@ void Context::dispatch_send_wc(const verbs::Wc& wc) {
 }
 
 void Context::dispatch_recv_wc(const verbs::Wc& wc) {
+  // The one receive rule, for shared (SRQ) and per-QP bounce slots alike.
   auto it = by_qp_.find(wc.qp_num);
-  if (it == by_qp_.end()) return;
-  Channel* ch = it->second;
-
-  if (cfg_.use_srq) {
-    if (wc.status != Errc::ok) return;
-    if (wc.wr_id >= srq_bounce_.size()) return;
-    const MemBlock& block = srq_bounce_[static_cast<std::size_t>(wc.wr_id)];
-    if (const std::uint8_t* bytes = ctrl_cache_.data(block)) {
-      ch->process_wire(bytes, wc.byte_len);
+  Channel* ch = it == by_qp_.end() ? nullptr : it->second;
+  const std::vector<MemBlock>* slots =
+      cfg_.use_srq ? &srq_bounce_ : ch ? &ch->link_.bounce : nullptr;
+  if (!slots || wc.wr_id >= slots->size()) return;
+  // By value: handling the frame may drop the QP and its slots.
+  const MemBlock block = (*slots)[static_cast<std::size_t>(wc.wr_id)];
+  if (ch && wc.status == Errc::ok) {
+    // Only a SEND fills a bounce slot. A Write-with-imm that consumed one
+    // reports the Write's length, which the peer chooses.
+    if (wc.opcode == verbs::WcOpcode::recv && wc.byte_len <= block.len) {
+      if (const std::uint8_t* bytes = ctrl_cache_.data(block)) {
+        ch->process_wire(bytes, wc.byte_len);
+      }
+    } else {
+      ++ch->stats_.bad_messages;
     }
-    nic_.post_srq_recv(srq_,
-                       {.wr_id = wc.wr_id,
-                        .sge = {block.addr, block.len, block.lkey}});
-    return;
   }
-  ch->on_recv_wc(wc);
+  const verbs::RecvWr slot{.wr_id = wc.wr_id,
+                           .sge = {block.addr, block.len, block.lkey}};
+  if (cfg_.use_srq) {
+    // Every consumed shared slot goes back, whatever became of its QP: a
+    // flushed assembly and an unrouted QP consumed one too.
+    nic_.post_srq_recv(srq_, slot);
+  } else if (wc.status == Errc::ok && ch->postable() &&
+             ch->link_.qp.num() == wc.qp_num) {
+    // Re-arm at once (run-to-complete), keeping the receive queue topped
+    // up: the other half of RNR-freedom. drop_qp frees the rest.
+    ch->link_.qp.post_recv(slot);
+  }
 }
 
 int Context::process_event() {

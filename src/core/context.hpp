@@ -159,22 +159,12 @@ class Context {
   MemCache& ctrl_cache() { return ctrl_cache_; }
   MemCache& data_cache() { return data_cache_; }
   QpCache& qp_cache() { return qp_cache_; }
+  /// The shared receive queue in SRQ mode (kInvalidId otherwise).
+  rnic::SrqId srq() const { return srq_; }
   /// Flow-control state (§V-C), exposed for the X-Check cap oracle: posted
   /// WRs counted against max_outstanding_wrs, and the deferred queue depth.
   std::uint32_t outstanding_wrs() const { return outstanding_wrs_; }
   std::size_t deferred_wr_count() const { return deferred_wrs_.size(); }
-  /// Doorbell-batching conservation ledger (X-Check oracle 14): every WR
-  /// that entered the batch accumulator is eventually posted, deferred to
-  /// the flow-control queue, or dropped (purge/dead channel) — never lost,
-  /// never double-posted. pending counts WRs sitting in accumulators now.
-  std::uint64_t batch_accumulated() const { return batch_accumulated_; }
-  std::uint64_t batch_posted() const { return batch_posted_; }
-  std::uint64_t batch_deferred() const { return batch_deferred_; }
-  std::uint64_t batch_dropped() const { return batch_dropped_; }
-  std::uint64_t batch_pending() const { return batch_pending_; }
-  /// Reposts of the oldest deferred WR that found its QP's send queue still
-  /// full and went back to the front of the queue.
-  std::uint64_t requeued_heads() const { return requeued_heads_; }
 
   // --- Overload control ------------------------------------------------------
   /// Aggregate bytes parked in every channel's bounded tx queue — the value
@@ -217,10 +207,6 @@ class Context {
   using FallbackProvider = std::function<void(Channel&, std::function<void(Errc)>)>;
   void set_fallback_provider(FallbackProvider f) {
     fallback_provider_ = std::move(f);
-  }
-  /// Undo hook: detach `ch` from the alternate transport (RDMA healed).
-  void set_fallback_restore(std::function<void(Channel&)> f) {
-    fallback_restore_ = std::move(f);
   }
 
   verbs::cm::CmService& cm() { return cm_; }
@@ -369,15 +355,6 @@ class Context {
   std::uint32_t outstanding_wrs_ = 0;
   std::deque<DeferredWr> deferred_wrs_;
 
-  // Batch-conservation ledger: accumulated == posted + deferred + dropped
-  // + pending at every instant (X-Check oracle 14).
-  std::uint64_t batch_accumulated_ = 0;
-  std::uint64_t batch_posted_ = 0;
-  std::uint64_t batch_deferred_ = 0;
-  std::uint64_t batch_dropped_ = 0;
-  std::uint64_t batch_pending_ = 0;
-  std::uint64_t requeued_heads_ = 0;
-
   sim::PeriodicTimer scan_timer_;
   EventFd event_fd_;
   int event_fd_id_;
@@ -400,7 +377,6 @@ class Context {
   FilterHook filter_;
   FilterHook egress_filter_;
   FallbackProvider fallback_provider_;
-  std::function<void(Channel&)> fallback_restore_;
   DumpHook dump_hook_;
   ContextStats stats_;
   SpanSink* span_sink_ = nullptr;

@@ -127,7 +127,18 @@ namespace xrdma::core {
   X(drains_started, "ctx.drains_started") /* active -> draining */            \
   X(drains_completed, "ctx.drains_completed") /* draining -> drained */       \
   /* Connects/accepts refused while draining (would_block surface). */        \
-  X(lifecycle_rejects, "ctx.lifecycle_rejects")
+  X(lifecycle_rejects, "ctx.lifecycle_rejects")                               \
+  /* Doorbell-batch ledger (X-Check oracle 14): every WR that entered an */   \
+  /* accumulator is posted, deferred to the flow-control queue, or */         \
+  /* dropped (purge/dead channel), or is pending in an accumulator now. */    \
+  X(batch_accumulated, nullptr)                                               \
+  X(batch_posted, nullptr)                                                    \
+  X(batch_deferred, nullptr)                                                  \
+  X(batch_dropped, nullptr)                                                   \
+  X(batch_pending, nullptr)                                                   \
+  /* Reposts of the oldest deferred WR that found its QP's send queue */      \
+  /* still full and went back to the front of the queue. */                   \
+  X(requeued_heads, nullptr)
 
 #define XR_STAT_FIELD(field, name) std::uint64_t field = 0;
 #define XR_STAT_ADD(field, name) field += o.field;

@@ -1,6 +1,6 @@
 // Fault-injection subsystem (Filter, §VI-C): one unit test per fault kind,
-// plus a seeded FaultSchedule soak across multiple channels asserting
-// exactly-once in-order delivery and zero leaked memory blocks.
+// plus a seeded soak across multiple channels (drops, delays, QP kills)
+// asserting exactly-once in-order delivery and zero leaked memory blocks.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -260,7 +260,7 @@ TEST(Filter, RulesCanBeChannelScoped) {
   EXPECT_EQ(got_second, 1);
 }
 
-TEST(Filter, SeededFaultScheduleSoakDeliversExactlyOnceInOrderNoLeaks) {
+TEST(Filter, SeededSoakWithQpKillsDeliversExactlyOnceInOrderNoLeaks) {
   Config cfg;
   Pair t(cfg);
   std::vector<Channel*> server_chs;
@@ -298,14 +298,14 @@ TEST(Filter, SeededFaultScheduleSoakDeliversExactlyOnceInOrderNoLeaks) {
   Filter rx_filter(t.server, /*seed=*/501);   // data-path drops at the sink
   Filter tx_filter(t.client, /*seed=*/502);   // kills + delays at the source
   rx_filter.add_rule({FaultKind::ingress_drop, 0.03, 0, /*budget=*/-1, 0});
-  FaultSchedule::Config scfg;
-  scfg.seed = 99;
-  scfg.mean_kill_interval = millis(8);
-  scfg.delay_prob = 0.1;
-  scfg.max_delay = micros(150);
-  scfg.max_kills = 6;
-  FaultSchedule schedule(tx_filter, scfg);
-  schedule.start();
+  tx_filter.add_rule(
+      {FaultKind::ingress_delay, 0.1, 0, /*budget=*/-1, micros(150)});
+  // Six QP kills, every 15 ms, round-robin over the channels: each channel
+  // is killed twice, and each kill lands after the last one healed.
+  for (int k = 0; k < 6; ++k) {
+    tx_filter.kill_qp_after(client_chs[static_cast<std::size_t>(k % 3)]->id(),
+                            millis(3 + 15 * k));
+  }
 
   const std::uint32_t kPerChannel = 40;
   for (std::uint32_t i = 0; i < kPerChannel; ++i) {
@@ -317,12 +317,12 @@ TEST(Filter, SeededFaultScheduleSoakDeliversExactlyOnceInOrderNoLeaks) {
     }
   }
   t.run(millis(120));
-  schedule.stop();
-  EXPECT_GT(schedule.kills(), 0u);
+  EXPECT_EQ(tx_filter.injected(FaultKind::qp_kill), 6u);
 
   // Stop injecting losses, then force one last recovery pass per channel so
   // everything still parked in a send window gets retransmitted.
   rx_filter.clear();
+  tx_filter.clear();
   for (Channel* ch : client_chs) {
     if (ch->usable()) tx_filter.kill_qp(*ch);
   }

@@ -1,8 +1,11 @@
 // Analysis framework + tools: Monitor series/log collection, clock sync,
-// Mock TCP fallback, XR-Stat, XR-Ping mesh, XR-Perf, XR-adm.
+// Mock TCP fallback and its stream framing, XR-Stat, XR-Ping mesh, XR-Perf,
+// XR-adm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -225,6 +228,120 @@ TEST(Mock, RestoreReturnsToRdma) {
   t.run(millis(10));
   EXPECT_EQ(got, 2);
   EXPECT_GT(t.cluster.rnic(0).stats().tx_packets, rnic_msgs_before);
+}
+
+// The Mock stream's framing, driven byte by byte: a raw TCP connection to
+// the server's MockFallback port says hello for the pair's channel, then
+// hands the server whatever chunks a test cuts. CRC is off, so a frame is
+// a bare header plus payload.
+struct RawMockPeer {
+  using Bytes = std::vector<std::uint8_t>;
+  Pair t{[] {
+    Config cfg;
+    cfg.e2e_crc = false;
+    return cfg;
+  }()};
+  MockFallback mock{t.server, t.cluster.host(1).tcp(), 9150};
+  tcpsim::TcpConn* conn = nullptr;
+  std::vector<std::string> got;
+  core::Seq next_seq = 0;
+
+  RawMockPeer() {
+    t.establish();
+    t.server_ch->set_on_msg(
+        [this](Channel&, Msg&& m) { got.push_back(m.payload.to_string()); });
+    next_seq = t.client_ch->tx_seq();
+    t.cluster.host(0).tcp().connect(1, 9150,
+                                    [this](Result<tcpsim::TcpConn*> r) {
+                                      if (r.ok()) conn = r.value();
+                                    });
+    t.run(millis(1));
+    Bytes hello(12);
+    const std::uint32_t magic = 0x584d4f43;  // "XMOC"
+    const std::uint64_t token = t.server_ch->conn_token();
+    std::memcpy(hello.data(), &magic, 4);
+    std::memcpy(hello.data() + 4, &token, 8);
+    push(frame(hello));
+  }
+
+  /// A stream frame: the 4-byte length prefix `len`, then `body`.
+  static Bytes frame(const Bytes& body, std::uint32_t len) {
+    Bytes out(4 + body.size());
+    std::memcpy(out.data(), &len, 4);
+    std::copy(body.begin(), body.end(), out.begin() + 4);
+    return out;
+  }
+  static Bytes frame(const Bytes& body) {
+    return frame(body, static_cast<std::uint32_t>(body.size()));
+  }
+
+  /// The next in-order eager message carrying `text`, as the client's
+  /// channel would encode it.
+  Bytes message(const std::string& text) {
+    core::WireHeader hdr;
+    hdr.version = t.client_ch->proto_version();
+    hdr.seq = next_seq++;
+    hdr.ack = t.server_ch->tx_acked();
+    hdr.payload_len = static_cast<std::uint32_t>(text.size());
+    Bytes body(hdr.wire_size() + text.size());
+    hdr.encode(body.data());
+    std::copy(text.begin(), text.end(), body.begin() + hdr.wire_size());
+    return frame(body);
+  }
+
+  /// One TCP send, which reaches the server as one chunk (it is below the
+  /// MSS and nothing else is queued).
+  void push(const Bytes& bytes) {
+    ASSERT_NE(conn, nullptr);
+    conn->send(Buffer::copy_of(bytes.data(), bytes.size()));
+    t.run(micros(200));
+  }
+};
+
+TEST(MockFraming, FrameSplitAcrossChunksIsDeliveredOnceWhole) {
+  RawMockPeer p;
+  ASSERT_TRUE(p.t.server_ch->mocked());
+  const RawMockPeer::Bytes m = p.message("split");
+  // Cut inside the length prefix, then inside the payload.
+  p.push({m.begin(), m.begin() + 2});
+  p.push({m.begin() + 2, m.end() - 3});
+  EXPECT_TRUE(p.got.empty());
+  p.push({m.end() - 3, m.end()});
+  EXPECT_EQ(p.got, std::vector<std::string>{"split"});
+}
+
+TEST(MockFraming, SeveralFramesInOneChunkAreDeliveredInOrder) {
+  RawMockPeer p;
+  ASSERT_TRUE(p.t.server_ch->mocked());
+  RawMockPeer::Bytes chunk;
+  for (const char* text : {"a", "bb", "ccc"}) {
+    const RawMockPeer::Bytes m = p.message(text);
+    chunk.insert(chunk.end(), m.begin(), m.end());
+  }
+  // The chunk ends with the head of a fourth frame.
+  const RawMockPeer::Bytes last = p.message("dddd");
+  chunk.insert(chunk.end(), last.begin(), last.begin() + 10);
+  p.push(chunk);
+  EXPECT_EQ(p.got, (std::vector<std::string>{"a", "bb", "ccc"}));
+  p.push({last.begin() + 10, last.end()});
+  EXPECT_EQ(p.got, (std::vector<std::string>{"a", "bb", "ccc", "dddd"}));
+}
+
+TEST(MockFraming, LengthPrefixNearTwoToThe32WaitsForItsBytes) {
+  // 4 + len wraps to 0..3 in 32 bits for these prefixes. Reassembly must
+  // wait for the bytes (which never come) rather than take a frame that
+  // long out of the few bytes that follow.
+  for (std::uint32_t len = 0xfffffffcu; len != 0; ++len) {
+    SCOPED_TRACE(testing::Message() << "prefix " << len);
+    RawMockPeer p;
+    ASSERT_TRUE(p.t.server_ch->mocked());
+    const std::uint64_t bad = p.t.server_ch->stats().bad_messages;
+    p.push(RawMockPeer::frame(RawMockPeer::Bytes(8, 0xab), len));
+    EXPECT_TRUE(p.got.empty());
+    EXPECT_EQ(p.t.server_ch->stats().bad_messages, bad);
+    EXPECT_TRUE(p.t.server_ch->mocked());
+    EXPECT_EQ(p.t.server_ch->state(), Channel::State::established);
+  }
 }
 
 TEST(XrStat, RendersChannelRowsAndSummaries) {

@@ -207,8 +207,8 @@ const Shape kShapes[] = {
        // sends must have fired, and at least one doorbell must have carried
        // more than one WQE: a sweep that only ever took the single-WR slow
        // path proves nothing about chaining.
-       EXPECT_GT(sum.batch_accumulated, 0u);
-       EXPECT_GT(sum.batch_posted, 0u);
+       EXPECT_GT(sum.ctx.batch_accumulated, 0u);
+       EXPECT_GT(sum.ctx.batch_posted, 0u);
        EXPECT_GT(sum.chan.inline_sends, 0u);
        EXPECT_GT(sum.chan.doorbell_wrs, sum.chan.doorbells);
        // Production knobs chain too; what only the shape does is skew 80% of
@@ -241,8 +241,6 @@ void add_to(RunReport& sum, const RunReport& r) {
   sum.health += r.health;
   sum.msgs_delivered += r.msgs_delivered;
   sum.msgs_rejected += r.msgs_rejected;
-  sum.batch_accumulated += r.batch_accumulated;
-  sum.batch_posted += r.batch_posted;
 }
 
 /// A failing run dumps its replay file, and under XCHECK_REPLAY_DIR its
@@ -325,10 +323,6 @@ TEST_P(ShapeTest, SameSeedIsBitIdentical) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.violations, b.violations);
   EXPECT_EQ(a.msgs_rejected, b.msgs_rejected);
-  EXPECT_EQ(a.batch_accumulated, b.batch_accumulated);
-  EXPECT_EQ(a.batch_posted, b.batch_posted);
-  EXPECT_EQ(a.batch_deferred, b.batch_deferred);
-  EXPECT_EQ(a.batch_dropped, b.batch_dropped);
   EXPECT_EQ(a.unprotected_anomalies, b.unprotected_anomalies);
   expect_same(a.chan, b.chan);
   expect_same(a.ctx, b.ctx);

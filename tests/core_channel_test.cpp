@@ -670,12 +670,13 @@ TEST(ChannelBatch, ChainStraddlesWrFlowControlCap) {
   }
   t.run(millis(20));
   EXPECT_EQ(delivered, 30);
-  EXPECT_GT(t.client.batch_accumulated(), 0u);
-  EXPECT_GT(t.client.batch_deferred(), 0u);  // tail WRs outlived the credits
-  EXPECT_EQ(t.client.batch_accumulated(),
-            t.client.batch_posted() + t.client.batch_deferred() +
-                t.client.batch_dropped() + t.client.batch_pending());
-  EXPECT_EQ(t.client.batch_pending(), 0u);
+  const ContextStats& ledger = t.client.stats();
+  EXPECT_GT(ledger.batch_accumulated, 0u);
+  EXPECT_GT(ledger.batch_deferred, 0u);  // tail WRs outlived the credits
+  EXPECT_EQ(ledger.batch_accumulated,
+            ledger.batch_posted + ledger.batch_deferred +
+                ledger.batch_dropped + ledger.batch_pending);
+  EXPECT_EQ(ledger.batch_pending, 0u);
   // Chains actually formed: the doorbells carried more WRs than rings.
   EXPECT_GT(t.client_ch->stats().doorbell_wrs,
             t.client_ch->stats().doorbells);
@@ -931,16 +932,17 @@ TEST(PostPath, FullSendQueueDefersInOrder) {
   EXPECT_EQ(got_client, in_order(kMsgs));
   EXPECT_EQ(got_eager, in_order(kEager));
   for (Context* ctx : {&t.client, &t.server}) {
-    EXPECT_EQ(ctx->batch_accumulated(),
-              ctx->batch_posted() + ctx->batch_deferred() +
-                  ctx->batch_dropped() + ctx->batch_pending());
+    const ContextStats& ledger = ctx->stats();
+    EXPECT_EQ(ledger.batch_accumulated,
+              ledger.batch_posted + ledger.batch_deferred +
+                  ledger.batch_dropped + ledger.batch_pending);
     EXPECT_EQ(ctx->outstanding_wrs(), 0u);
     EXPECT_EQ(ctx->deferred_wr_count(), 0u);
   }
   // Without flow control a WR queues only behind a full send queue, so the
   // first one queued found it full; later ones may queue behind it.
   EXPECT_GT(bulk_client->stats().flowctl_queued, 0u);
-  EXPECT_GT(t.client.requeued_heads(), 0u);
+  EXPECT_GT(t.client.stats().requeued_heads, 0u);
   for (Channel* ch : {bulk_client, bulk_server, eager_client, eager_server}) {
     EXPECT_EQ(ch->stats().bad_messages, 0u);
     EXPECT_EQ(ch->stats().recoveries_started, 0u);

@@ -216,10 +216,11 @@ TEST(Lifecycle, DrainFlushesAccumulatedChainBeforeFin) {
   EXPECT_EQ(delivered, 8);  // the whole chain beat the FIN
   EXPECT_EQ(t.client.lifecycle(), Lifecycle::drained);
   EXPECT_EQ(t.client_ch->state(), Channel::State::closed);
-  EXPECT_EQ(t.client.batch_accumulated(),
-            t.client.batch_posted() + t.client.batch_deferred() +
-                t.client.batch_dropped() + t.client.batch_pending());
-  EXPECT_EQ(t.client.batch_pending(), 0u);
+  const ContextStats& ledger = t.client.stats();
+  EXPECT_EQ(ledger.batch_accumulated,
+            ledger.batch_posted + ledger.batch_deferred +
+                ledger.batch_dropped + ledger.batch_pending);
+  EXPECT_EQ(ledger.batch_pending, 0u);
   EXPECT_GT(t.client_ch->stats().doorbell_wrs,
             t.client_ch->stats().doorbells);
 }

@@ -106,10 +106,11 @@ TEST(Overload, WouldBlockMidBurstKeepsAccumulatedChainIntact) {
   EXPECT_EQ(rejected, 4);
   t.run(millis(10));
   EXPECT_EQ(delivered, accepted);
-  EXPECT_EQ(t.client.batch_accumulated(),
-            t.client.batch_posted() + t.client.batch_deferred() +
-                t.client.batch_dropped() + t.client.batch_pending());
-  EXPECT_EQ(t.client.batch_pending(), 0u);
+  const ContextStats& ledger = t.client.stats();
+  EXPECT_EQ(ledger.batch_accumulated,
+            ledger.batch_posted + ledger.batch_deferred +
+                ledger.batch_dropped + ledger.batch_pending);
+  EXPECT_EQ(ledger.batch_pending, 0u);
   // The burst actually chained: doorbells carried more than one WR each.
   EXPECT_GT(t.client_ch->stats().doorbell_wrs,
             t.client_ch->stats().doorbells);

@@ -592,5 +592,86 @@ TEST(Recovery, CountersVisibleInXrStat) {
   EXPECT_NE(table.find("recov"), std::string::npos);
 }
 
+// The one receive rule, for per-QP and shared (SRQ) bounce slots alike:
+// every slot a QP kill flushes goes back to the SRQ, and a Write-with-imm
+// that consumes a bounce slot is counted as a bad message, never parsed.
+class ReceiveRule : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ReceiveRule, FlushedAndForgedCompletionsKeepEverySlot) {
+  Config cfg;
+  cfg.use_srq = GetParam();
+  cfg.srq_size = 256;
+  Pair t(cfg);
+  t.establish();
+  Filter filter(t.server, /*seed=*/31);
+  std::vector<std::uint32_t> got;
+  t.server_ch->set_on_msg([&](Channel&, Msg&& m) {
+    std::uint32_t idx = 0;
+    std::memcpy(&idx, m.payload.data(), 4);
+    got.push_back(idx);
+  });
+  std::uint32_t sent = 0;
+  const auto send = [&](std::size_t len) {
+    Buffer b = Buffer::make(len);
+    std::memcpy(b.data(), &sent, 4);
+    ASSERT_EQ(t.client_ch->send_msg(std::move(b)), Errc::ok);
+    ++sent;
+  };
+
+  // 20 server-side QP kills, swept 1-20 us into a burst of 4 KiB sends.
+  // A kill unroutes the QP at once, so receive completions it left in the
+  // CQ arrive for no channel; their SRQ slots must still go back.
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 16; ++i) send(4096);
+    filter.kill_qp_after(t.server_ch->id(), micros(1 + round));
+    for (int ms = 0; ms < 300 && got.size() < sent; ++ms) t.run(millis(1));
+    ASSERT_EQ(got.size(), sent) << "round " << round;
+  }
+  for (std::uint32_t i = 0; i < sent; ++i) ASSERT_EQ(got[i], i);
+  if (cfg.use_srq) {
+    EXPECT_EQ(t.cluster.rnic(1).srq_outstanding(t.server.srq()),
+              cfg.srq_size);
+  }
+
+  // Put a real frame in every slot, so a slot parsed with a forged length
+  // holds bytes that would decode.
+  const std::uint32_t slots =
+      cfg.use_srq ? cfg.srq_size : 2 * cfg.window_depth + 8;
+  for (std::uint32_t i = 0; i < slots + 8; ++i) send(64);
+  t.run(millis(10));
+  ASSERT_EQ(got.size(), sent);
+
+  // The peer's Write-with-imm consumes the next bounce slot and completes
+  // it with the Write's length, four times the slot's payload room.
+  const std::uint64_t bad_before = t.server_ch->stats().bad_messages;
+  const std::uint32_t len = 4 * cfg.small_msg_size;
+  const MemBlock dst = t.server.reg_mem(len);
+  const MemBlock src = t.client.reg_mem(len);
+  verbs::SendWr wr;
+  wr.wr_id = ~0ull;  // never registered: the client ignores its completion
+  wr.opcode = verbs::Opcode::write_imm;
+  wr.local = {src.addr, len, src.lkey};
+  wr.remote_addr = dst.addr;
+  wr.rkey = dst.rkey;
+  ASSERT_EQ(t.cluster.rnic(0).post_send(t.client_ch->qp_num(), wr), Errc::ok);
+  t.run(millis(2));
+  EXPECT_EQ(t.server_ch->stats().bad_messages, bad_before + 1);
+
+  // The channel carries on, and the slot is back.
+  send(64);
+  t.run(millis(2));
+  EXPECT_EQ(got.size(), sent);
+  EXPECT_EQ(t.server_ch->state(), Channel::State::established);
+  if (cfg.use_srq) {
+    EXPECT_EQ(t.cluster.rnic(1).srq_outstanding(t.server.srq()),
+              cfg.srq_size);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Slots, ReceiveRule, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "srq" : "per_qp";
+                         });
+
 }  // namespace
 }  // namespace xrdma::core
