@@ -21,7 +21,8 @@ void ablate_window_depth() {
     cfg.window_depth = depth;
     cfg.memcache_real_memory = false;
     // Throughput: saturating one-way stream of 4 KB messages.
-    XrPair pair(cfg);
+    testbed::Pair pair(cfg);
+    pair.establish(7000, millis(30));
     pair.server_ch->set_on_msg([](core::Channel&, core::Msg&&) {});
     const int total = 3000;
     int sent = 0;
@@ -145,8 +146,9 @@ void ablate_polling() {
     core::Config cfg;
     cfg.poll_mode = mode;
     cfg.hybrid_idle_spins = 50;
-    XrPair pair(cfg);
-    // XrPair forces busy for determinism; restore the requested mode.
+    testbed::Pair pair(cfg);
+    pair.establish(7000, millis(30));
+    // establish() forces busy for determinism; restore the requested mode.
     pair.server.config().poll_mode = mode;
     pair.client.config().poll_mode = mode;
     tools::perf_echo_responder(*pair.server_ch);

@@ -52,7 +52,7 @@ struct FloodSample {
   double dma_ns = 0;
 };
 
-void fill_from_stats(FloodSample& s, XrPair& pair,
+void fill_from_stats(FloodSample& s, testbed::Pair& pair,
                      const rnic::RnicStats& before, int total) {
   const core::ChannelStats& cs = pair.client_ch->stats();
   if (cs.doorbells > 0) {
@@ -76,9 +76,9 @@ void fill_from_stats(FloodSample& s, XrPair& pair,
 // (a) ---------------------------------------------------------------------
 
 FloodSample measure_flood(bool batching, std::uint32_t msg_bytes, int total) {
-  XrPair pair(batch_cfg(batching));
+  testbed::Pair pair(batch_cfg(batching));
   FloodSample s;
-  if (!pair.client_ch || !pair.server_ch) return s;
+  if (!pair.establish(7000, millis(30))) return s;
   std::uint64_t delivered = 0;
   pair.server_ch->set_on_msg(
       [&](core::Channel&, core::Msg&&) { ++delivered; });
@@ -102,9 +102,9 @@ FloodSample measure_flood(bool batching, std::uint32_t msg_bytes, int total) {
 // (b) ---------------------------------------------------------------------
 
 FloodSample measure_bursts(bool batching, int burst, int rounds) {
-  XrPair pair(batch_cfg(batching));
+  testbed::Pair pair(batch_cfg(batching));
   FloodSample s;
-  if (!pair.client_ch || !pair.server_ch) return s;
+  if (!pair.establish(7000, millis(30))) return s;
   std::uint64_t delivered = 0;
   pair.server_ch->set_on_msg(
       [&](core::Channel&, core::Msg&&) { ++delivered; });

@@ -41,28 +41,6 @@ core::Config drain_cfg() {
   return cfg;
 }
 
-struct DrainPair {
-  testbed::Cluster cluster;
-  core::Context server;
-  core::Context client;
-  core::Channel* client_ch = nullptr;
-  core::Channel* server_ch = nullptr;
-
-  explicit DrainPair(core::Config cfg)
-      : server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {
-    server.config().poll_mode = core::PollMode::busy;
-    client.config().poll_mode = core::PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-    server.listen(7000, [this](core::Channel& ch) { server_ch = &ch; });
-    client.connect(1, 7000,
-                   [this](Result<core::Channel*> r) { client_ch = r.value(); });
-    cluster.engine().run_for(millis(20));
-  }
-
-  void run(Nanos d) { cluster.engine().run_for(d); }
-};
 
 // (a) ---------------------------------------------------------------------
 
@@ -75,9 +53,10 @@ struct DrainSample {
 
 DrainSample measure_drain(int burst, std::uint32_t msg_bytes,
                           std::uint64_t seed) {
-  DrainPair pair(drain_cfg());
+  testbed::Pair pair(drain_cfg());
+  pair.start_polling();
   DrainSample s;
-  if (!pair.client_ch || !pair.server_ch) return s;
+  if (!pair.establish()) return s;
   pair.server_ch->set_on_msg(
       [&](core::Channel&, core::Msg&&) { ++s.delivered; });
 
@@ -119,9 +98,10 @@ LeaveSample measure_leave(bool announced, int channels) {
   // Breaker off isolates the drain effect: without an announcement every
   // channel runs its own (halved) ladder against the vanished peer.
   cfg.health_breaker = false;
-  DrainPair pair(cfg);
+  testbed::Pair pair(cfg);
+  pair.start_polling();
   LeaveSample s;
-  if (!pair.client_ch || !pair.server_ch) return s;
+  if (!pair.establish()) return s;
 
   std::vector<core::Channel*> chs = {pair.client_ch};
   for (int i = 1; i < channels; ++i) {

@@ -84,7 +84,8 @@ int main() {
   {
     core::Config cfg;
     cfg.memcache_shrink_period = millis(20);
-    XrPair pair(cfg);
+    testbed::Pair pair(cfg);
+    pair.establish(7000, millis(30));
     pair.server_ch->set_on_msg([](core::Channel&, core::Msg&&) {});
 
     // Offered load: ramp up, hold, decay (three phases of large messages).

@@ -101,8 +101,8 @@ int main() {
   // the SpanCollector, reported via xr_perf --decompose / xr_stat --trace.
   print_header("Fig. 7 — 64B RPC latency decomposition (req-rsp tracing)");
   {
-    XrPair pair(mode_reqrsp());
-    if (!pair.client_ch || !pair.server_ch) return 1;
+    testbed::Pair pair(mode_reqrsp());
+    if (!pair.establish(7000, millis(30))) return 1;
     analysis::SpanCollector spans;
     spans.attach(pair.client);
     spans.attach(pair.server);

@@ -106,7 +106,8 @@ std::vector<Sample> run_raw(Nanos duration, Nanos bucket) {
 std::vector<Sample> run_xrdma(Nanos duration, Nanos bucket) {
   core::Config cfg;
   cfg.poll_mode = core::PollMode::busy;
-  XrPair pair(cfg);
+  testbed::Pair pair(cfg);
+  pair.establish(7000, millis(30));
   pair.server_ch->set_on_msg([](core::Channel&, core::Msg&&) {});
   // Server polls every 300 us, like the raw receiver.
   pair.server.stop_polling_loop();

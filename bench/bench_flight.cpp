@@ -34,8 +34,8 @@ namespace {
 
 /// Wall-clock msgs/s pushing `total` 64-byte messages, recorder on or off.
 double measure_rate(bool recorder_on, std::uint64_t total) {
-  XrPair pair;
-  if (!pair.client_ch || !pair.server_ch) return 0;
+  testbed::Pair pair;
+  if (!pair.establish(7000, millis(30))) return 0;
   pair.server_ch->set_on_msg([](core::Channel&, core::Msg&&) {});
   pair.client.set_flag("recorder_enabled", recorder_on);
   pair.server.set_flag("recorder_enabled", recorder_on);
@@ -79,8 +79,8 @@ TriageDemo run_triage_demo(const std::string& path) {
   cfg.keepalive_intv = millis(2);
   cfg.keepalive_timeout = millis(10);
   TriageDemo demo;
-  XrPair pair(cfg);
-  if (!pair.client_ch || !pair.server_ch) return demo;
+  testbed::Pair pair(cfg);
+  if (!pair.establish(7000, millis(30))) return demo;
   pair.server_ch->set_on_msg([](core::Channel&, core::Msg&&) {});
   for (int i = 0; i < 32; ++i) {
     (void)pair.client_ch->send_msg(Buffer::synthetic(128));

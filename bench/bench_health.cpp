@@ -37,37 +37,6 @@ core::Config health_cfg() {
   return cfg;
 }
 
-/// Like XrPair, but polling starts before the handshake: with the fast
-/// keepalive configs here, an unpolled CQ reads as peer silence.
-struct HealthPair {
-  testbed::Cluster cluster;
-  core::Context server;
-  core::Context client;
-  core::Channel* client_ch = nullptr;
-  core::Channel* server_ch = nullptr;
-
-  explicit HealthPair(core::Config cfg)
-      : server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {
-    server.config().poll_mode = core::PollMode::busy;
-    client.config().poll_mode = core::PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-    server.listen(7000, [this](core::Channel& ch) { server_ch = &ch; });
-    client.connect(1, 7000,
-                   [this](Result<core::Channel*> r) { client_ch = r.value(); });
-    cluster.engine().run_for(millis(20));
-  }
-
-  void run(Nanos d) { cluster.engine().run_for(d); }
-
-  template <typename Pred>
-  bool run_until(Pred pred, Nanos limit, Nanos step = micros(200)) {
-    const Nanos end = cluster.engine().now() + limit;
-    while (!pred() && cluster.engine().now() < end) run(step);
-    return pred();
-  }
-};
 
 struct DetectSample {
   Nanos detect = -1;          // host kill -> first dead declaration
@@ -80,8 +49,9 @@ DetectSample measure_detection(bool adaptive, std::uint64_t seed) {
   core::Config cfg = health_cfg();
   cfg.health_adaptive = adaptive;
   cfg.fallback_auto = false;
-  HealthPair pair(cfg);
-  if (!pair.client_ch || !pair.server_ch) return {};
+  testbed::Pair pair(cfg);
+  pair.start_polling();
+  if (!pair.establish()) return {};
   pair.server_ch->set_on_msg([](core::Channel&, core::Msg&&) {});
 
   // Bounded jitter on both directions: up to 1 ms extra per message, far
@@ -108,7 +78,7 @@ DetectSample measure_detection(bool adaptive, std::uint64_t seed) {
   const bool detected = pair.run_until(
       [&] { return pair.client.health().stats().dead_declarations >
                    s.false_pos; },
-      millis(100));
+      millis(100), micros(200));
   if (detected) s.detect = pair.cluster.engine().now() - down_at;
   return s;
 }
@@ -126,8 +96,9 @@ BreakerSample measure_breaker(bool breaker_on, int channels) {
   core::Config cfg = health_cfg();
   cfg.health_breaker = breaker_on;
   cfg.fallback_auto = false;
-  HealthPair pair(cfg);
-  if (!pair.client_ch || !pair.server_ch) return {};
+  testbed::Pair pair(cfg);
+  pair.start_polling();
+  if (!pair.establish()) return {};
 
   std::vector<core::Channel*> chs = {pair.client_ch};
   for (int i = 1; i < channels; ++i) {
@@ -158,9 +129,10 @@ BreakerSample measure_breaker(bool breaker_on, int channels) {
 /// fault. Flap suppression must escalate the level by one per cycle.
 std::vector<std::uint32_t> measure_flap_holddown(int cycles) {
   core::Config cfg = health_cfg();
-  HealthPair pair(cfg);
+  testbed::Pair pair(cfg);
+  pair.start_polling();
   std::vector<std::uint32_t> levels;
-  if (!pair.client_ch || !pair.server_ch) return levels;
+  if (!pair.establish()) return levels;
   analysis::MockFallback server_mock(pair.server, pair.cluster.host(1).tcp(),
                                      9700);
   analysis::MockFallback::enable_auto(pair.client, pair.cluster.host(0).tcp(),

@@ -59,7 +59,7 @@ struct FloodSample {
   std::uint64_t storms = 0;
 };
 
-void fill_from_stats(FloodSample& s, XrPair& pair) {
+void fill_from_stats(FloodSample& s, testbed::Pair& pair) {
   s.stamped = pair.client_ch->stats().crc_stamped_tx;
   s.crc_failures = pair.server_ch->stats().crc_failures_rx;
   s.naks = pair.server_ch->stats().integrity_naks_tx;
@@ -73,9 +73,9 @@ void fill_from_stats(FloodSample& s, XrPair& pair) {
 // (a) ---------------------------------------------------------------------
 
 FloodSample measure_flood(bool crc, std::uint32_t msg_bytes, int total) {
-  XrPair pair(crc_cfg(crc));
+  testbed::Pair pair(crc_cfg(crc));
   FloodSample s;
-  if (!pair.client_ch || !pair.server_ch) return s;
+  if (!pair.establish(7000, millis(30))) return s;
   std::uint64_t delivered = 0;
   pair.server_ch->set_on_msg(
       [&](core::Channel&, core::Msg&&) { ++delivered; });
@@ -103,9 +103,9 @@ FloodSample measure_flood(bool crc, std::uint32_t msg_bytes, int total) {
 // (b) ---------------------------------------------------------------------
 
 FloodSample measure_corrupt_recovery(int total) {
-  XrPair pair(crc_cfg(true));
+  testbed::Pair pair(crc_cfg(true));
   FloodSample s;
-  if (!pair.client_ch || !pair.server_ch) return s;
+  if (!pair.establish(7000, millis(30))) return s;
   analysis::Filter rx(pair.server, /*seed=*/0x1e57);
   rx.add_rule(
       {analysis::FaultKind::ingress_corrupt, 1.0, 0, /*budget=*/1, 0});
@@ -132,9 +132,9 @@ FloodSample measure_corrupt_recovery(int total) {
 // (c) ---------------------------------------------------------------------
 
 FloodSample measure_storm(int total) {
-  XrPair pair(crc_cfg(true));
+  testbed::Pair pair(crc_cfg(true));
   FloodSample s;
-  if (!pair.client_ch || !pair.server_ch) return s;
+  if (!pair.establish(7000, millis(30))) return s;
   // A lossy patch: roughly every third frame is damaged until the budget
   // runs dry, then the path is clean again. Go-back-N keeps replaying;
   // the health scan grades the peer while the storm lasts.

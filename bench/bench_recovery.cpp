@@ -35,8 +35,8 @@ struct Sample {
 Sample measure_qp_recovery(bool warm_cache, std::uint64_t seed) {
   core::Config cfg;
   if (!warm_cache) cfg.qp_cache_capacity = 0;
-  XrPair pair(cfg);
-  if (!pair.client_ch || !pair.server_ch) return {};
+  testbed::Pair pair(cfg);
+  if (!pair.establish(7000, millis(30))) return {};
   analysis::Filter filter(pair.client, seed);
 
   Sample s;
@@ -69,8 +69,8 @@ struct FallbackSample {
 };
 
 FallbackSample measure_fallback(std::uint64_t seed) {
-  XrPair pair;
-  if (!pair.client_ch || !pair.server_ch) return {};
+  testbed::Pair pair;
+  if (!pair.establish(7000, millis(30))) return {};
   const std::uint16_t port = static_cast<std::uint16_t>(9400 + seed);
   analysis::MockFallback server_mock(pair.server, pair.cluster.host(1).tcp(),
                                      port);

@@ -94,7 +94,8 @@ bool detect_broken_network() {
 
 bool detect_jitter_and_tail(bool tail) {
   // A jittery deployment: random 1 ms processing stalls at the server.
-  XrPair pair;
+  testbed::Pair pair;
+  pair.establish(7000, millis(30));
   Rng rng(7);
   pair.server_ch->set_on_msg([&](core::Channel& ch, core::Msg&& m) {
     if (!m.is_rpc_req) return;
@@ -128,7 +129,8 @@ bool detect_jitter_and_tail(bool tail) {
 
 bool detect_hard_to_reproduce() {
   // A once-in-a-blue-moon message loss: Filter makes it deterministic.
-  XrPair pair;
+  testbed::Pair pair;
+  pair.establish(7000, millis(30));
   pair.server_ch->set_on_msg([](core::Channel& ch, core::Msg&& m) {
     if (m.is_rpc_req) ch.reply(m.rpc_id, Buffer::make(8));
   });

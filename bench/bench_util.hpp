@@ -1,4 +1,4 @@
-// Shared fixtures for the figure/table benches.
+// Shared helpers for the figure/table benches.
 #pragma once
 
 #include <cstdio>
@@ -7,50 +7,16 @@
 #include <vector>
 
 #include "core/context.hpp"
-#include "testbed/cluster.hpp"
+#include "testbed/pair.hpp"
 #include "tools/xr_perf.hpp"
 
 namespace xrdma::bench {
 
-/// Two connected X-RDMA contexts on a two-host rack.
-struct XrPair {
-  testbed::Cluster cluster;
-  core::Context server;
-  core::Context client;
-  core::Channel* client_ch = nullptr;
-  core::Channel* server_ch = nullptr;
-
-  explicit XrPair(core::Config cfg = {}, testbed::ClusterConfig ccfg = {})
-      : cluster(ccfg),
-        server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {
-    server.listen(7000, [this](core::Channel& ch) { server_ch = &ch; });
-    client.connect(1, 7000,
-                   [this](Result<core::Channel*> r) { client_ch = r.value(); });
-    cluster.engine().run_for(millis(30));
-    server.config().poll_mode = core::PollMode::busy;
-    client.config().poll_mode = core::PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-  }
-
-  void run(Nanos d) { cluster.engine().run_for(d); }
-
-  /// Run in steps until `pred` holds (or `limit` elapses). Keeps busy-poll
-  /// event volume bounded: never simulate long past completion.
-  template <typename Pred>
-  bool run_until(Pred pred, Nanos limit, Nanos step = millis(1)) {
-    const Nanos end = cluster.engine().now() + limit;
-    while (!pred() && cluster.engine().now() < end) run(step);
-    return pred();
-  }
-};
-
 /// Mean RPC echo RTT over `count` sequential ping-pongs.
 inline Nanos xrdma_echo_rtt(core::Config cfg, std::uint32_t size,
                             int count = 30) {
-  XrPair pair(cfg);
-  if (!pair.client_ch || !pair.server_ch) return -1;
+  testbed::Pair pair(cfg);
+  if (!pair.establish(7000, millis(30))) return -1;
   tools::perf_echo_responder(*pair.server_ch);
   tools::PerfOptions opts;
   opts.total_msgs = static_cast<std::uint64_t>(count);

@@ -13,7 +13,7 @@
 #include "analysis/metrics.hpp"
 #include "common/logging.hpp"
 #include "core/context.hpp"
-#include "testbed/cluster.hpp"
+#include "testbed/pair.hpp"
 
 namespace xrdma {
 namespace {
@@ -84,34 +84,18 @@ TEST(PrometheusRender, PopulatedSummaryQuantilesAreOrderedAndCounted) {
       << out;
 }
 
-struct LiveContext {
-  testbed::Cluster cluster;
-  core::Context server;
-  core::Context client;
-
-  LiveContext()
-      : server(cluster.rnic(1), cluster.cm(), {}),
-        client(cluster.rnic(0), cluster.cm(), {}) {}
-
-  void traffic() {
-    core::Channel* client_ch = nullptr;
-    server.listen(7000, [](core::Channel&) {});
-    client.connect(1, 7000, [&](Result<core::Channel*> r) {
-      ASSERT_TRUE(r.ok());
-      client_ch = r.value();
-    });
-    cluster.engine().run_for(millis(20));
-    ASSERT_NE(client_ch, nullptr);
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_EQ(client_ch->send_msg(Buffer::make(512)), Errc::ok);
-    }
-    cluster.engine().run_for(millis(20));
+/// Eight 512 B sends over a pair that never polls.
+void traffic(testbed::Pair& t) {
+  ASSERT_TRUE(t.connect());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_EQ(t.client_ch->send_msg(Buffer::make(512)), Errc::ok);
   }
-};
+  t.run(millis(20));
+}
 
 TEST(PrometheusRender, FullContextRegistryRendersEveryMetricOnce) {
-  LiveContext t;
-  t.traffic();
+  testbed::Pair t;
+  traffic(t);
   analysis::ContextMetrics metrics(t.client);
   const std::string out = prometheus_render(metrics.registry());
 
@@ -132,8 +116,8 @@ TEST(PrometheusRender, FullContextRegistryRendersEveryMetricOnce) {
 }
 
 TEST(MetricNaming, EveryContextMetricFollowsThePlaneDotNameConvention) {
-  LiveContext t;
-  t.traffic();
+  testbed::Pair t;
+  traffic(t);
   analysis::ContextMetrics metrics(t.client);
 
   const std::set<std::string> planes = {"chan",     "ctx",    "recovery",

@@ -18,12 +18,12 @@
 #include "analysis/monitor.hpp"
 #include "analysis/recorder.hpp"
 #include "core/context.hpp"
-#include "testbed/cluster.hpp"
 #include "tools/xr_adm.hpp"
 #include "tools/xr_perf.hpp"
 #include "tools/xr_ping.hpp"
 #include "tools/xr_server.hpp"
 #include "tools/xr_stat.hpp"
+#include "pair.hpp"
 
 namespace xrdma {
 namespace {
@@ -36,35 +36,7 @@ using core::Config;
 using core::Context;
 using core::Msg;
 
-struct Pair {
-  testbed::Cluster cluster;
-  Context server;
-  Context client;
-  Channel* client_ch = nullptr;
-  Channel* server_ch = nullptr;
-
-  explicit Pair(Config cfg = {}, testbed::ClusterConfig ccfg = {})
-      : cluster(ccfg),
-        server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {}
-
-  void establish(std::uint16_t port = 7000) {
-    server.listen(port, [this](Channel& ch) { server_ch = &ch; });
-    client.connect(1, port, [this](Result<Channel*> r) {
-      ASSERT_TRUE(r.ok());
-      client_ch = r.value();
-    });
-    cluster.engine().run_for(millis(20));
-    ASSERT_NE(client_ch, nullptr);
-    ASSERT_NE(server_ch, nullptr);
-    server.config().poll_mode = core::PollMode::busy;
-    client.config().poll_mode = core::PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-  }
-
-  void run(Nanos d) { cluster.engine().run_for(d); }
-};
+using test::Pair;
 
 TEST(Monitor, SamplesTrackedSeriesPeriodically) {
   sim::Engine eng;

@@ -9,35 +9,12 @@
 #include "analysis/monitor.hpp"
 #include "apps/pangu.hpp"
 #include "apps/xdb.hpp"
-#include "testbed/cluster.hpp"
+#include "pair.hpp"
 
 namespace xrdma::apps {
 namespace {
 
-struct PanguRig {
-  testbed::Cluster cluster;
-  std::vector<std::unique_ptr<ChunkServer>> chunks;
-  std::unique_ptr<BlockServer> block;
-
-  explicit PanguRig(int chunk_count, PanguConfig cfg = {})
-      : cluster(make_cluster(chunk_count)) {
-    std::vector<net::NodeId> nodes;
-    for (int i = 1; i <= chunk_count; ++i) {
-      chunks.push_back(std::make_unique<ChunkServer>(
-          cluster, static_cast<net::NodeId>(i), cfg));
-      nodes.push_back(static_cast<net::NodeId>(i));
-    }
-    block = std::make_unique<BlockServer>(cluster, 0, nodes, cfg);
-    block->start(nullptr);
-    cluster.engine().run_for(millis(50));
-  }
-
-  static testbed::ClusterConfig make_cluster(int chunk_count) {
-    testbed::ClusterConfig c;
-    c.fabric = net::ClosConfig::rack(chunk_count + 1);
-    return c;
-  }
-};
+using test::PanguRig;
 
 TEST(PanguUpgrade, RollingReconnectKeepsWritePathLive) {
   PanguRig rig(4);

@@ -7,36 +7,12 @@
 
 #include "apps/pangu.hpp"
 #include "apps/xdb.hpp"
-#include "testbed/cluster.hpp"
+#include "pair.hpp"
 
 namespace xrdma::apps {
 namespace {
 
-struct PanguRig {
-  testbed::Cluster cluster;
-  std::vector<std::unique_ptr<ChunkServer>> chunks;
-  std::unique_ptr<BlockServer> block;
-  bool ready = false;
-
-  explicit PanguRig(int chunk_count = 4, PanguConfig cfg = {})
-      : cluster(make_cluster(chunk_count)) {
-    std::vector<net::NodeId> chunk_nodes;
-    for (int i = 1; i <= chunk_count; ++i) {
-      chunks.push_back(std::make_unique<ChunkServer>(
-          cluster, static_cast<net::NodeId>(i), cfg));
-      chunk_nodes.push_back(static_cast<net::NodeId>(i));
-    }
-    block = std::make_unique<BlockServer>(cluster, 0, chunk_nodes, cfg);
-    block->start([this] { ready = true; });
-    cluster.engine().run_for(millis(50));
-  }
-
-  static testbed::ClusterConfig make_cluster(int chunk_count) {
-    testbed::ClusterConfig c;
-    c.fabric = net::ClosConfig::rack(chunk_count + 1);
-    return c;
-  }
-};
+using test::PanguRig;
 
 TEST(Pangu, BlockServerEstablishesFullMesh) {
   PanguRig rig(4);

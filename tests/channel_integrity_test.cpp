@@ -13,7 +13,7 @@
 #include "analysis/filter.hpp"
 #include "common/crc32c.hpp"
 #include "core/context.hpp"
-#include "testbed/cluster.hpp"
+#include "pair.hpp"
 
 namespace xrdma::core {
 namespace {
@@ -164,36 +164,7 @@ TEST(WireFormat, CrcTlvRoundTripsAndHeaderCrcCoversEveryByte) {
 // ---------------------------------------------------------------------------
 // Channel plane.
 
-struct Pair {
-  testbed::Cluster cluster;
-  Context server;
-  Context client;
-  Channel* client_ch = nullptr;
-  Channel* server_ch = nullptr;
-
-  explicit Pair(Config cfg = {}) : Pair(cfg, cfg) {}
-  Pair(Config server_cfg, Config client_cfg)
-      : cluster(testbed::ClusterConfig{}),
-        server(cluster.rnic(1), cluster.cm(), server_cfg),
-        client(cluster.rnic(0), cluster.cm(), client_cfg) {}
-
-  void establish(std::uint16_t port = 7000) {
-    server.listen(port, [this](Channel& ch) { server_ch = &ch; });
-    client.connect(1, port, [this](Result<Channel*> r) {
-      ASSERT_TRUE(r.ok());
-      client_ch = r.value();
-    });
-    cluster.engine().run_for(millis(20));
-    ASSERT_NE(client_ch, nullptr);
-    ASSERT_NE(server_ch, nullptr);
-    server.config().poll_mode = PollMode::busy;
-    client.config().poll_mode = PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-  }
-
-  void run(Nanos d) { cluster.engine().run_for(d); }
-};
+using test::Pair;
 
 TEST(ChannelIntegrity, NegotiatedChannelStampsEveryFrameBothWays) {
   Pair t;

@@ -12,7 +12,7 @@
 #include "core/health.hpp"
 #include "sim/engine.hpp"
 #include "sim/timer.hpp"
-#include "testbed/cluster.hpp"
+#include "pair.hpp"
 
 namespace xrdma::core {
 namespace {
@@ -153,37 +153,9 @@ TEST(Health, BreakerGateAdmitsOnlyDesignatedProbers) {
 // ---------------------------------------------------------------------------
 // End to end on the simulated testbed.
 
-struct Pair {
-  testbed::Cluster cluster;
-  Context server;
-  Context client;
-  Channel* client_ch = nullptr;
-  Channel* server_ch = nullptr;
-
-  explicit Pair(Config cfg = {}, testbed::ClusterConfig ccfg = {})
-      : cluster(ccfg),
-        server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {}
-
-  void establish(std::uint16_t port = 7000) {
-    // Poll from t=0: with the fast keepalive configs these tests use, an
-    // unpolled CQ would (correctly) read as peer silence.
-    server.config().poll_mode = PollMode::busy;
-    client.config().poll_mode = PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-    server.listen(port, [this](Channel& ch) { server_ch = &ch; });
-    client.connect(1, port, [this](Result<Channel*> r) {
-      ASSERT_TRUE(r.ok());
-      client_ch = r.value();
-    });
-    cluster.engine().run_for(millis(20));
-    ASSERT_NE(client_ch, nullptr);
-    ASSERT_NE(server_ch, nullptr);
-  }
-
-  void run(Nanos d) { cluster.engine().run_for(d); }
-};
+// These tests poll from t=0: with their fast keepalive configs, an unpolled
+// CQ would (correctly) read as peer silence.
+using test::Pair;
 
 TEST(Health, BreakerCapsResumeAttemptsAcrossPeerChannels) {
   // Satellite: N channels to one dead peer must not launch N retry ladders.
@@ -192,6 +164,7 @@ TEST(Health, BreakerCapsResumeAttemptsAcrossPeerChannels) {
   Config cfg = health_cfg();
   cfg.fallback_auto = false;
   Pair t(cfg);
+  t.start_polling();
   t.establish();
 
   std::vector<Channel*> chs = {t.client_ch};
@@ -243,6 +216,7 @@ TEST(Health, BreakerCapsResumeAttemptsAcrossPeerChannels) {
 TEST(Health, FlapHolddownEscalatesMonotonically) {
   Config cfg = health_cfg();
   Pair t(cfg);
+  t.start_polling();
   t.establish();
   MockFallback server_mock(t.server, t.cluster.host(1).tcp(), 9500);
   MockFallback::enable_auto(t.client, t.cluster.host(0).tcp(), 9500);
@@ -287,6 +261,7 @@ TEST(Health, MockedKeepaliveWatchesTheStreamNotTheStaleQp) {
   // exchange — even with bounded stream delay injected.
   Config cfg = health_cfg();
   Pair t(cfg);
+  t.start_polling();
   t.establish();
   MockFallback server_mock(t.server, t.cluster.host(1).tcp(), 9600);
   MockFallback::enable_auto(t.client, t.cluster.host(0).tcp(), 9600);

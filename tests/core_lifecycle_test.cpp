@@ -11,7 +11,7 @@
 #include "core/context.hpp"
 #include "core/health.hpp"
 #include "core/msg.hpp"
-#include "testbed/cluster.hpp"
+#include "testbed/pair.hpp"
 
 namespace xrdma::core {
 namespace {
@@ -28,43 +28,15 @@ Config fast_cfg() {
   return cfg;
 }
 
-/// Two contexts with independent configs — the mixed-version cluster in
-/// miniature. `server` is node 1, `client` node 0.
-struct VersionedPair {
-  testbed::Cluster cluster;
-  Context server;
-  Context client;
-  Channel* client_ch = nullptr;
-  Channel* server_ch = nullptr;
-  Errc connect_rc = Errc::ok;
-
-  VersionedPair(Config server_cfg, Config client_cfg)
-      : cluster(testbed::ClusterConfig{}),
-        server(cluster.rnic(1), cluster.cm(), server_cfg),
-        client(cluster.rnic(0), cluster.cm(), client_cfg) {}
-
-  void establish(std::uint16_t port = 7000) {
-    server.config().poll_mode = PollMode::busy;
-    client.config().poll_mode = PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-    server.listen(port, [this](Channel& ch) { server_ch = &ch; });
-    client.connect(1, port, [this](Result<Channel*> r) {
-      connect_rc = r.ok() ? Errc::ok : r.error();
-      if (r.ok()) client_ch = r.value();
-    });
-    cluster.engine().run_for(millis(20));
-  }
-
-  void run(Nanos d) { cluster.engine().run_for(d); }
-};
+using testbed::Pair;
 
 // ---------------------------------------------------------------------------
 // Handshake matrix.
 
 TEST(ProtoNegotiation, NewToNewNegotiatesCurrentMaxWithAllFeatures) {
-  VersionedPair t(fast_cfg(), fast_cfg());
-  t.establish();
+  Pair t(fast_cfg(), fast_cfg());
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
   ASSERT_NE(t.server_ch, nullptr);
   EXPECT_EQ(t.client_ch->proto_version(), WireHeader::kVersionMax);
@@ -81,8 +53,9 @@ TEST(ProtoNegotiation, OldConnectorToNewAcceptorDowngradesToV1) {
   Config old_cfg = fast_cfg();
   old_cfg.proto_version_max = 1;
   old_cfg.proto_features = 0;
-  VersionedPair t(fast_cfg(), old_cfg);
-  t.establish();
+  Pair t(fast_cfg(), old_cfg);
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
   ASSERT_NE(t.server_ch, nullptr);
   EXPECT_EQ(t.client_ch->proto_version(), 1);
@@ -94,8 +67,9 @@ TEST(ProtoNegotiation, NewConnectorToOldAcceptorDowngradesToV1) {
   Config old_cfg = fast_cfg();
   old_cfg.proto_version_max = 1;
   old_cfg.proto_features = 0;
-  VersionedPair t(old_cfg, fast_cfg());
-  t.establish();
+  Pair t(old_cfg, fast_cfg());
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
   ASSERT_NE(t.server_ch, nullptr);
   EXPECT_EQ(t.client_ch->proto_version(), 1);
@@ -113,8 +87,9 @@ TEST(ProtoNegotiation, FeatureBitmapIsIntersected) {
   // must come up with exactly the AND of the two advertisements.
   Config partial = fast_cfg();
   partial.proto_features = kFeatDrain;
-  VersionedPair t(partial, fast_cfg());
-  t.establish();
+  Pair t(partial, fast_cfg());
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
   EXPECT_EQ(t.client_ch->proto_features(), kFeatDrain);
   ASSERT_NE(t.server_ch, nullptr);
@@ -128,8 +103,9 @@ TEST(ProtoNegotiation, DisjointRangesRefuseTheChannel) {
   Config future = fast_cfg();
   future.proto_version_min = 7;
   future.proto_version_max = 9;
-  VersionedPair t(fast_cfg(), future);
-  t.establish();
+  Pair t(fast_cfg(), future);
+  t.start_polling();
+  t.connect();
   EXPECT_EQ(t.client_ch, nullptr);
   EXPECT_EQ(t.connect_rc, Errc::connection_refused);
   EXPECT_EQ(t.server.num_channels(), 0u);
@@ -175,8 +151,9 @@ TEST(ProtoNegotiation, V2HeaderTlvRoundTripsRetryAfterAndV1PeerSkips) {
 // Graceful drain.
 
 TEST(Lifecycle, DrainFlushesInFlightThenClosesAndCompletes) {
-  VersionedPair t(fast_cfg(), fast_cfg());
-  t.establish();
+  Pair t(fast_cfg(), fast_cfg());
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
 
   int delivered = 0;
@@ -203,8 +180,9 @@ TEST(Lifecycle, DrainFlushesAccumulatedChainBeforeFin) {
   // before the FIN posts, or the peer drops the data as post-close.
   Config cfg = fast_cfg();
   cfg.tx_batch_max_wrs = 16;
-  VersionedPair t(cfg, cfg);
-  t.establish();
+  Pair t(cfg, cfg);
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
   int delivered = 0;
   t.server_ch->set_on_msg([&](Channel&, Msg&&) { ++delivered; });
@@ -228,8 +206,9 @@ TEST(Lifecycle, DrainFlushesAccumulatedChainBeforeFin) {
 TEST(Lifecycle, DrainWithInFlightRendezvousPullCompletesZeroLoss) {
   // A 256 KB rendezvous message is mid-pull when the drain starts: the
   // draining sender must hold the channel open until the reader finishes.
-  VersionedPair t(fast_cfg(), fast_cfg());
-  t.establish();
+  Pair t(fast_cfg(), fast_cfg());
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
   std::size_t got = 0;
   t.server_ch->set_on_msg([&](Channel&, Msg&& m) { got = m.payload.size(); });
@@ -243,8 +222,9 @@ TEST(Lifecycle, DrainWithInFlightRendezvousPullCompletesZeroLoss) {
 }
 
 TEST(Lifecycle, PeerGradesDrainingNotDeadAndSendsBlock) {
-  VersionedPair t(fast_cfg(), fast_cfg());
-  t.establish();
+  Pair t(fast_cfg(), fast_cfg());
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
   t.server.begin_drain();
   t.run(millis(5));
@@ -261,8 +241,9 @@ TEST(Lifecycle, PeerGradesDrainingNotDeadAndSendsBlock) {
 }
 
 TEST(Lifecycle, DeadVerdictInsideDrainWindowIsSuppressed) {
-  VersionedPair t(fast_cfg(), fast_cfg());
-  t.establish();
+  Pair t(fast_cfg(), fast_cfg());
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
   // The peer announces a 15 ms restart, then goes silent mid-restart (the
   // FIN never arrived): the keepalive verdict lands inside the 2x
@@ -282,8 +263,9 @@ TEST(Lifecycle, DeadVerdictInsideDrainWindowIsSuppressed) {
 }
 
 TEST(Lifecycle, DrainingContextRefusesNewChannelsWithWouldBlock) {
-  VersionedPair t(fast_cfg(), fast_cfg());
-  t.establish();
+  Pair t(fast_cfg(), fast_cfg());
+  t.start_polling();
+  t.connect();
   t.client.begin_drain();
   Errc rc = Errc::ok;
   t.client.connect(1, 7000, [&](Result<Channel*> r) {
@@ -295,8 +277,9 @@ TEST(Lifecycle, DrainingContextRefusesNewChannelsWithWouldBlock) {
 }
 
 TEST(Lifecycle, ClearingTheFlagRestartsTheNodeAndPeersReconnect) {
-  VersionedPair t(fast_cfg(), fast_cfg());
-  t.establish();
+  Pair t(fast_cfg(), fast_cfg());
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
   t.server.begin_drain();
   t.run(millis(60));
@@ -330,8 +313,9 @@ TEST(Lifecycle, ParkedRecoveryDoesNotBurnBudgetAgainstDrainingPeer) {
   // that said it is leaving.
   Config cfg = fast_cfg();
   cfg.fallback_auto = false;
-  VersionedPair t(cfg, cfg);
-  t.establish();
+  Pair t(cfg, cfg);
+  t.start_polling();
+  t.connect();
   ASSERT_NE(t.client_ch, nullptr);
   const std::uint64_t attempts_before = t.client_ch->stats().recovery_attempts;
   // Tell the client the server is draining for a long window, then kill

@@ -9,49 +9,18 @@
 
 #include "apps/erpc.hpp"
 #include "core/context.hpp"
-#include "testbed/cluster.hpp"
+#include "pair.hpp"
 
 namespace xrdma::core {
 namespace {
 
-/// Like core_channel_test's Pair, but the two ends can run different
-/// configs — overload tests starve exactly one side.
-struct AsymPair {
-  testbed::Cluster cluster;
-  Context server;
-  Context client;
-  Channel* client_ch = nullptr;
-  Channel* server_ch = nullptr;
-
-  AsymPair(Config client_cfg, Config server_cfg,
-           testbed::ClusterConfig ccfg = {})
-      : cluster(ccfg),
-        server(cluster.rnic(1), cluster.cm(), server_cfg),
-        client(cluster.rnic(0), cluster.cm(), client_cfg) {}
-
-  void establish(std::uint16_t port = 7000) {
-    server.listen(port, [this](Channel& ch) { server_ch = &ch; });
-    client.connect(1, port, [this](Result<Channel*> r) {
-      ASSERT_TRUE(r.ok());
-      client_ch = r.value();
-    });
-    cluster.engine().run_until(cluster.engine().now() + millis(20));
-    ASSERT_NE(client_ch, nullptr);
-    ASSERT_NE(server_ch, nullptr);
-    server.config().poll_mode = PollMode::busy;
-    client.config().poll_mode = PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-  }
-
-  void run(Nanos d) { cluster.engine().run_until(cluster.engine().now() + d); }
-};
+using test::Pair;
 
 TEST(Overload, BoundedQueueRejectsThenSignalsWritable) {
   Config cfg;
   cfg.window_depth = 2;
   cfg.tx_queue_max_msgs = 4;
-  AsymPair t(cfg, cfg);
+  Pair t(cfg);
   t.establish();
 
   int delivered = 0;
@@ -92,7 +61,7 @@ TEST(Overload, WouldBlockMidBurstKeepsAccumulatedChainIntact) {
   cfg.window_depth = 4;
   cfg.tx_queue_max_msgs = 4;
   cfg.tx_batch_max_wrs = 16;  // wider than the whole admitted burst
-  AsymPair t(cfg, cfg);
+  Pair t(cfg);
   t.establish();
   int delivered = 0;
   t.server_ch->set_on_msg([&](Channel&, Msg&&) { ++delivered; });
@@ -120,7 +89,7 @@ TEST(Overload, EmptyQueueAdmitsPayloadLargerThanByteCap) {
   Config cfg;
   cfg.window_depth = 1;
   cfg.tx_queue_max_bytes = 1024;
-  AsymPair t(cfg, cfg);
+  Pair t(cfg);
   t.establish();
 
   int delivered = 0;
@@ -177,7 +146,7 @@ TEST(Overload, StarvedSenderCacheDefersInsteadOfFailing) {
   Config cfg;
   cfg.memcache_mr_bytes = 64 * 1024;
   cfg.memcache_max_mrs = 1;
-  AsymPair t(cfg, Config{});
+  Pair t(Config{}, cfg);
   t.establish();
 
   int delivered = 0;
@@ -204,7 +173,7 @@ TEST(Overload, StarvedReceiverNaksPullAndRecovers) {
   Config rcfg;
   rcfg.memcache_mr_bytes = 64 * 1024;
   rcfg.memcache_max_mrs = 1;
-  AsymPair t(Config{}, rcfg);
+  Pair t(rcfg, Config{});
   t.establish();
 
   std::vector<std::size_t> sizes;
@@ -229,7 +198,7 @@ TEST(Overload, PressureLadderShedsNewWorkUnderHardPressure) {
   cfg.memcache_isolation = false;  // guard bands would fragment the pinning
   cfg.mem_soft_pct = 50;
   cfg.mem_hard_pct = 80;
-  AsymPair t(cfg, Config{});
+  Pair t(Config{}, cfg);
   t.establish();
 
   EXPECT_EQ(t.client.mem_pressure(), MemPressure::normal);

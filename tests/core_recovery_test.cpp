@@ -13,8 +13,8 @@
 #include "analysis/mock.hpp"
 #include "core/context.hpp"
 #include "sim/timer.hpp"
-#include "testbed/cluster.hpp"
 #include "tools/xr_stat.hpp"
+#include "pair.hpp"
 
 namespace xrdma::core {
 namespace {
@@ -24,35 +24,7 @@ using analysis::FaultRule;
 using analysis::Filter;
 using analysis::MockFallback;
 
-struct Pair {
-  testbed::Cluster cluster;
-  Context server;
-  Context client;
-  Channel* client_ch = nullptr;
-  Channel* server_ch = nullptr;
-
-  explicit Pair(Config cfg = {}, testbed::ClusterConfig ccfg = {})
-      : cluster(ccfg),
-        server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {}
-
-  void establish(std::uint16_t port = 7000) {
-    server.listen(port, [this](Channel& ch) { server_ch = &ch; });
-    client.connect(1, port, [this](Result<Channel*> r) {
-      ASSERT_TRUE(r.ok());
-      client_ch = r.value();
-    });
-    cluster.engine().run_for(millis(20));
-    ASSERT_NE(client_ch, nullptr);
-    ASSERT_NE(server_ch, nullptr);
-    server.config().poll_mode = PollMode::busy;
-    client.config().poll_mode = PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-  }
-
-  void run(Nanos d) { cluster.engine().run_for(d); }
-};
+using test::Pair;
 
 TEST(Recovery, QpKillMidTransferDeliversExactlyOnceInOrder) {
   Pair t;

@@ -11,33 +11,12 @@
 #include "core/api.hpp"
 #include "core/context.hpp"
 #include "test_seed.hpp"
-#include "testbed/cluster.hpp"
+#include "pair.hpp"
 
 namespace xrdma::core {
 namespace {
 
-struct Pair {
-  testbed::Cluster cluster;
-  Context server;
-  Context client;
-  Channel* client_ch = nullptr;
-  Channel* server_ch = nullptr;
-
-  explicit Pair(Config cfg = {})
-      : server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {
-    server.listen(7000, [this](Channel& ch) { server_ch = &ch; });
-    client.connect(1, 7000, [this](Result<Channel*> r) {
-      ASSERT_TRUE(r.ok());
-      client_ch = r.value();
-    });
-    cluster.engine().run_for(millis(20));
-    server.config().poll_mode = PollMode::busy;
-    client.config().poll_mode = PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-  }
-};
+using test::Pair;
 
 // ---------------------------------------------------------------------------
 // Sweep 1: payload size x window depth x srq — exact content, exact count.
@@ -55,6 +34,7 @@ TEST_P(EndToEndSweep, ContentExactlyOnceInOrder) {
   cfg.window_depth = window;
   cfg.use_srq = srq;
   Pair t(cfg);
+  t.establish();
   ASSERT_NE(t.client_ch, nullptr);
   ASSERT_NE(t.server_ch, nullptr);
 
@@ -110,6 +90,7 @@ TEST_P(RpcSweep, EchoPreservesContentBothDirections) {
   Rng rng(seed);
   const std::uint64_t key = rng.next_u64();
   Pair t;
+  t.establish();
   t.server_ch->set_on_msg([](Channel& ch, Msg&& m) {
     ASSERT_TRUE(m.is_rpc_req);
     ch.reply(m.rpc_id, std::move(m.payload));  // echo
@@ -138,6 +119,7 @@ TEST(TraceSampling, MaskSelectsSubsetOfMessages) {
   Config cfg;
   cfg.trace_sample_mask = 3;  // trace when (seq & 3) == 0: every 4th
   Pair t(cfg);
+  t.establish();
   int traced = 0, total = 0;
   t.server_ch->set_on_msg([&](Channel&, Msg&& m) {
     ++total;
@@ -151,6 +133,7 @@ TEST(TraceSampling, MaskSelectsSubsetOfMessages) {
 
 TEST(TraceSampling, BareDataTracesNothing) {
   Pair t;
+  t.establish();
   int traced = 0;
   t.server_ch->set_on_msg([&](Channel&, Msg&& m) { traced += m.traced; });
   for (int i = 0; i < 8; ++i) t.client_ch->send_msg(Buffer::make(16));
@@ -214,6 +197,7 @@ TEST(TableOneApi, VeneerCoversTheWholeSurface) {
 
 TEST(Lifecycle, SecondListenerOnDifferentPortCoexists) {
   Pair t;
+  t.establish();
   Channel* aux = nullptr;
   ASSERT_EQ(t.server.listen(7001, [&](Channel& ch) { aux = &ch; }), Errc::ok);
   EXPECT_EQ(t.server.listen(7001, [](Channel&) {}), Errc::already_exists);
@@ -233,6 +217,7 @@ TEST(Lifecycle, CloseWithQueuedTrafficDoesNotCrash) {
   Config cfg;
   cfg.window_depth = 2;
   Pair t(cfg);
+  t.establish();
   t.server_ch->set_on_msg([](Channel&, Msg&&) {});
   for (int i = 0; i < 50; ++i) t.client_ch->send_msg(Buffer::make(1000));
   t.client_ch->close();  // queued messages beyond the window are dropped
@@ -245,6 +230,7 @@ TEST(Lifecycle, RpcCallbacksFailWhenPeerCrashesMidCall) {
   Config cfg;
   cfg.keepalive_intv = millis(2);
   Pair t(cfg);
+  t.establish();
   t.server_ch->set_on_msg([](Channel&, Msg&&) { /* never reply */ });
   std::vector<Errc> results;
   for (int i = 0; i < 5; ++i) {
@@ -264,6 +250,7 @@ TEST(Lifecycle, ManyChannelsBetweenSameContexts) {
   XRDMA_CASE_SEED(seed);
   Rng rng(seed);
   Pair t;
+  t.establish();
   std::vector<Channel*> extra;
   for (int i = 0; i < 16; ++i) {
     t.client.connect(1, 7000, [&](Result<Channel*> r) {
@@ -288,6 +275,7 @@ TEST(Lifecycle, ManyChannelsBetweenSameContexts) {
 
 TEST(Lifecycle, MemBlockSurvivesUnrelatedChannelChurn) {
   Pair t;
+  t.establish();
   MemBlock block = t.client.reg_mem(1024);
   std::uint8_t* p = t.client.mem_ptr(block);
   std::memset(p, 0xab, 1024);

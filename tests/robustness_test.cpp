@@ -8,7 +8,7 @@
 
 #include "analysis/monitor.hpp"
 #include "core/context.hpp"
-#include "testbed/cluster.hpp"
+#include "testbed/pair.hpp"
 
 namespace xrdma {
 namespace {
@@ -18,32 +18,7 @@ using core::Config;
 using core::Context;
 using core::Msg;
 
-struct Pair {
-  testbed::Cluster cluster;
-  Context server;
-  Context client;
-  Channel* client_ch = nullptr;
-  Channel* server_ch = nullptr;
-
-  explicit Pair(Config cfg = {}, testbed::ClusterConfig ccfg = {})
-      : cluster(ccfg),
-        server(cluster.rnic(1), cluster.cm(), cfg),
-        client(cluster.rnic(0), cluster.cm(), cfg) {
-    server.listen(7000, [this](Channel& ch) { server_ch = &ch; });
-    client.connect(1, 7000, [this](Result<Channel*> r) {
-      ASSERT_TRUE(r.ok());
-      client_ch = r.value();
-    });
-    cluster.engine().run_for(millis(20));
-  }
-
-  void start_polling() {
-    server.config().poll_mode = core::PollMode::busy;
-    client.config().poll_mode = core::PollMode::busy;
-    server.start_polling_loop();
-    client.start_polling_loop();
-  }
-};
+using testbed::Pair;
 
 TEST(Robustness, GoBackNRecoversFromRealDrops) {
   // Two senders collide into a switch buffer so small that lossless
@@ -94,6 +69,7 @@ TEST(Robustness, ContentIntegrityThroughLossAndRetransmit) {
   ccfg.fabric.buffer_bytes = 32 * 1024;
   ccfg.fabric.pfc_xoff = 1u << 30;
   Pair t({}, ccfg);
+  ASSERT_TRUE(t.connect());
   t.start_polling();
   Buffer received;
   t.server_ch->set_on_msg(
@@ -111,6 +87,7 @@ TEST(Robustness, FullStackDeterminism) {
     Config cfg;
     cfg.reqrsp_mode = true;
     Pair t(cfg);
+    EXPECT_TRUE(t.connect());
     t.start_polling();
     std::uint64_t checksum = 0;
     t.server_ch->set_on_msg([&](Channel& ch, Msg&& m) {
@@ -140,6 +117,7 @@ TEST(Robustness, HybridPollerParksWhenIdleAndWakes) {
   cfg.poll_mode = core::PollMode::hybrid;
   cfg.hybrid_idle_spins = 20;
   Pair t(cfg);
+  ASSERT_TRUE(t.connect());
   t.server.start_polling_loop();
   t.client.start_polling_loop();
   int got = 0;
@@ -164,6 +142,7 @@ TEST(Robustness, EventModeDeliversViaFd) {
   Config cfg;
   cfg.poll_mode = core::PollMode::event;
   Pair t(cfg);
+  ASSERT_TRUE(t.connect());
   t.server.start_polling_loop();
   t.client.start_polling_loop();
   int got = 0;
@@ -178,6 +157,7 @@ TEST(Robustness, EventModeDeliversViaFd) {
 
 TEST(Robustness, ManualProcessEventDrainsCompletions) {
   Pair t;  // no polling loops at all
+  ASSERT_TRUE(t.connect());
   int got = 0;
   t.server_ch->set_on_msg([&](Channel&, Msg&&) { ++got; });
   t.client_ch->send_msg(Buffer::from_string("x"));
@@ -195,6 +175,7 @@ TEST(Robustness, SlowPollWatchdogFiresAndIsMonitorVisible) {
   Config cfg;
   cfg.polling_warn_cycle = micros(200);
   Pair t(cfg);
+  ASSERT_TRUE(t.connect());
   analysis::Monitor monitor_probe(t.cluster.engine(), millis(1));  // log sink
   // Manual, deliberately slow polling.
   t.client.polling();
@@ -212,6 +193,7 @@ TEST(Robustness, IdleBusyPollCountsEveryEmptyPollExactly) {
   Config cfg;
   cfg.keepalive_intv = millis(100);
   Pair t(cfg);
+  ASSERT_TRUE(t.connect());
   t.start_polling();
   t.cluster.engine().run_for(millis(1));  // drain what connecting left
   const core::ContextStats before = t.client.stats();
@@ -231,6 +213,7 @@ TEST(Robustness, StalledEmptyPollTripsTheWatchdogOnce) {
   cfg.keepalive_intv = millis(100);
   cfg.polling_warn_cycle = micros(200);
   Pair t(cfg);  // no polling loops: polls are manual
+  ASSERT_TRUE(t.connect());
   while (t.client.polling() > 0) {
   }
   const core::ContextStats before = t.client.stats();
@@ -248,6 +231,7 @@ TEST(Robustness, ChannelsSurviveLongIdleWithKeepalive) {
   Config cfg;
   cfg.keepalive_intv = millis(3);
   Pair t(cfg);
+  ASSERT_TRUE(t.connect());
   t.start_polling();
   t.cluster.engine().run_for(millis(300));  // 100 keepalive periods
   EXPECT_EQ(t.client_ch->state(), Channel::State::established);
@@ -263,6 +247,7 @@ TEST(Robustness, ChannelsSurviveLongIdleWithKeepalive) {
 
 TEST(Robustness, BidirectionalRpcUnderLoad) {
   Pair t;
+  ASSERT_TRUE(t.connect());
   t.start_polling();
   int server_ok = 0, client_ok = 0;
   t.server_ch->set_on_msg([&](Channel& ch, Msg&& m) {
