@@ -23,6 +23,7 @@
 #include "sim/engine.hpp"
 #include "sim/timer.hpp"
 #include "testbed/cluster.hpp"
+#include "testbed/pair.hpp"
 
 namespace {
 
@@ -315,18 +316,12 @@ void BM_ContextEmptyPoll(benchmark::State& state) {
   // Host cost of one busy poll that finds both CQs empty, on an idle
   // connected context: most polls of the run-to-complete loop (§IV-B).
   // Sim time stands still, so no poll gap trips the watchdog.
-  testbed::Cluster cluster;
-  core::Context server(cluster.rnic(1), cluster.cm());
-  core::Context client(cluster.rnic(0), cluster.cm());
-  bool connected = false;
-  server.listen(7000, [](core::Channel&) {});
-  client.connect(1, 7000,
-                 [&](Result<core::Channel*> r) { connected = r.ok(); });
-  cluster.engine().run_for(millis(30));
-  if (!connected) {
+  testbed::Pair pair;
+  if (!pair.connect(7000, millis(30))) {
     state.SkipWithError("connect failed");
     return;
   }
+  core::Context& client = pair.client;
   while (client.polling() > 0) {
   }
   const std::uint64_t empty_before = client.stats().empty_polls;
@@ -342,23 +337,21 @@ void BM_EagerSmallSendTxPath(benchmark::State& state) {
   // (Arg 0: MemCache staging copy + simulated DMA) vs on (Arg 1: payload
   // rides in the WQE). The exported counter proves the staging copy is
   // actually skipped, not just cheaper.
-  testbed::Cluster cluster;
   core::Config cfg;
   if (state.range(0) == 0) cfg.inline_max = 0;
-  core::Context server(cluster.rnic(1), cluster.cm(), cfg);
-  core::Context client(cluster.rnic(0), cluster.cm(), cfg);
-  core::Channel* ch = nullptr;
+  testbed::Pair pair(cfg);
+  if (!pair.connect(7000, millis(30))) {
+    state.SkipWithError("connect failed");
+    return;
+  }
+  core::Channel* ch = pair.client_ch;
   std::uint64_t delivered = 0;
-  server.listen(7000, [&](core::Channel& c) {
-    c.set_on_msg([&](core::Channel&, core::Msg&&) { ++delivered; });
-  });
-  client.connect(1, 7000, [&](Result<core::Channel*> r) { ch = r.value(); });
-  cluster.engine().run_for(millis(30));
+  pair.server_ch->set_on_msg([&](core::Channel&, core::Msg&&) { ++delivered; });
   for (auto _ : state) {
     ch->send_msg(Buffer::make(64));
-    client.polling();
-    server.polling();
-    cluster.engine().run_for(micros(20));
+    pair.client.polling();
+    pair.server.polling();
+    pair.run(micros(20));
   }
   benchmark::DoNotOptimize(delivered);
   state.counters["eager_copies_avoided"] = static_cast<double>(
@@ -371,21 +364,18 @@ BENCHMARK(BM_EagerSmallSendTxPath)->Arg(0)->Arg(1);
 void BM_FullStackSmallMessage(benchmark::State& state) {
   // End-to-end simulator cost of one small message (wall time per
   // simulated message, all layers included).
-  testbed::Cluster cluster;
-  core::Context server(cluster.rnic(1), cluster.cm());
-  core::Context client(cluster.rnic(0), cluster.cm());
-  core::Channel* ch = nullptr;
+  testbed::Pair pair;
+  if (!pair.connect(7000, millis(30))) {
+    state.SkipWithError("connect failed");
+    return;
+  }
   std::uint64_t delivered = 0;
-  server.listen(7000, [&](core::Channel& c) {
-    c.set_on_msg([&](core::Channel&, core::Msg&&) { ++delivered; });
-  });
-  client.connect(1, 7000, [&](Result<core::Channel*> r) { ch = r.value(); });
-  cluster.engine().run_for(millis(30));
+  pair.server_ch->set_on_msg([&](core::Channel&, core::Msg&&) { ++delivered; });
   for (auto _ : state) {
-    ch->send_msg(Buffer::synthetic(64));
-    client.polling();
-    server.polling();
-    cluster.engine().run_for(micros(20));
+    pair.client_ch->send_msg(Buffer::synthetic(64));
+    pair.client.polling();
+    pair.server.polling();
+    pair.run(micros(20));
   }
   benchmark::DoNotOptimize(delivered);
 }

@@ -11,10 +11,11 @@ constexpr std::uint32_t kMockMagic = 0x584d4f43;  // "XMOC"
 /// One end of a fallback stream: frames the channel's wire messages onto
 /// the TCP connection (4-byte length prefix) and reassembles the peer's.
 /// The connection's handlers keep it alive; the channel holds it while
-/// attached. The server end first waits for the hello frame naming its
-/// channel by connection token.
+/// attached. It releases the connection once the stream closes or fails.
+/// The server end first waits for the hello frame naming its channel by
+/// connection token.
 struct Bridge : core::AltStream, std::enable_shared_from_this<Bridge> {
-  tcpsim::TcpConn* conn = nullptr;
+  tcpsim::TcpConn* conn = nullptr;  // null once released
   core::Channel* channel = nullptr;  // set while attached; cleared by close
   core::Context* awaiting_hello = nullptr;  // server end, before the hello
   std::vector<std::uint8_t> rxbuf;
@@ -25,12 +26,17 @@ struct Bridge : core::AltStream, std::enable_shared_from_this<Bridge> {
     Buffer framed = Buffer::make(4 + len);
     std::memcpy(framed.data(), &len, 4);
     std::memcpy(framed.data() + 4, wire.data(), len);
-    conn->send(std::move(framed));  // a closed connection drops it
+    if (conn) conn->send(std::move(framed));  // a closed one drops it
   }
 
   void close() override {
     channel = nullptr;
-    conn->close();  // no local loss notice; the peer's end sees a FIN
+    release();  // no local loss notice; the peer's end sees a FIN
+  }
+
+  void release() {
+    if (conn) conn->release();
+    conn = nullptr;
   }
 
   void on_data(const Buffer& chunk) {
@@ -89,6 +95,7 @@ std::shared_ptr<Bridge> make_bridge(tcpsim::TcpConn& conn) {
       bridge->channel = nullptr;
       ch->on_stream_lost(*bridge);
     }
+    bridge->release();
   });
   return bridge;
 }

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <random>
-#include <tuple>
 
 #include "analysis/filter.hpp"
 #include "analysis/recorder.hpp"
@@ -20,19 +19,24 @@ namespace {
 
 constexpr std::uint16_t kPort = 7000;
 
+/// A per-node draw that is a pure function of (seed, salt, node), so replay
+/// files pin it.
+std::uint64_t node_draw(std::uint64_t seed, std::uint64_t salt,
+                        std::uint32_t node) {
+  std::uint64_t h = seed ^ salt;
+  h ^= (static_cast<std::uint64_t>(node) + 1) * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 29;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 32;
+  return h;
+}
+
 void fold64(std::uint64_t& d, std::uint64_t v) {
   for (int b = 0; b < 8; ++b) {
     d ^= (v >> (8 * b)) & 0xff;
     d *= 0x100000001b3ULL;
   }
 }
-
-struct SlotKey {
-  std::uint8_t src = 0, dst = 0, slot = 0;
-  bool operator<(const SlotKey& o) const {
-    return std::tie(src, dst, slot) < std::tie(o.src, o.dst, o.slot);
-  }
-};
 
 struct SentItem {
   std::uint64_t tag = 0;
@@ -191,13 +195,9 @@ RunReport Runner::run() {
       // space — chained vs single-WR posting, inline on/off/small, poll-end
       // flush vs schedule_after(0) fallback — so one sweep covers the whole
       // matrix and mixed pairs (batching talker, non-batching listener)
-      // exist by construction. The draw is a pure function of
-      // (seed, batch_shape, node): replay files pin it.
-      std::uint64_t h = s_.seed ^ (0xba7c40ULL + s_.params.batch_shape);
-      h ^= (static_cast<std::uint64_t>(n) + 1) * 0x9e3779b97f4a7c15ULL;
-      h ^= h >> 29;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 32;
+      // exist by construction.
+      const std::uint64_t h =
+          node_draw(s_.seed, 0xba7c40ULL + s_.params.batch_shape, n);
       static constexpr std::uint32_t kWrs[] = {1, 2, 4, 8, 16};
       static constexpr std::uint32_t kInline[] = {0, 64, 256};
       cfg.tx_batch_max_wrs = kWrs[h % 5];
@@ -208,13 +208,9 @@ RunReport Runner::run() {
       // Corruption shape: ~3/4 of nodes arm the integrity plane, the rest
       // model the not-yet-upgraded fleet, so CRC-protected, CRC-free and
       // (with mixed_versions) v1 channels coexist and negotiate against
-      // each other in one run. Pure function of (seed, shape, node):
-      // replay files pin the draw.
-      std::uint64_t h = s_.seed ^ (0xc4c32cULL + s_.params.corruption_shape);
-      h ^= (static_cast<std::uint64_t>(n) + 1) * 0x9e3779b97f4a7c15ULL;
-      h ^= h >> 29;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 32;
+      // each other in one run.
+      const std::uint64_t h =
+          node_draw(s_.seed, 0xc4c32cULL + s_.params.corruption_shape, n);
       cfg.e2e_crc = (h % 4) != 0;
     }
     node_crc_capable_.push_back(cfg.e2e_crc && cfg.proto_version_max >= 2 &&

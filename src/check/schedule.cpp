@@ -4,7 +4,6 @@
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <tuple>
 #include <type_traits>
 #include <variant>
 
@@ -82,13 +81,6 @@ bool read_index(std::istream& in, std::uint8_t& out) {
   out = static_cast<std::uint8_t>(v);
   return true;
 }
-
-struct SlotKey {
-  std::uint8_t src, dst, slot;
-  bool operator<(const SlotKey& o) const {
-    return std::tie(src, dst, slot) < std::tie(o.src, o.dst, o.slot);
-  }
-};
 
 /// Payload sizes that straddle every interesting protocol edge: the empty
 /// and 1-byte messages, the 4 KB eager cutoff, the fragment boundary of the

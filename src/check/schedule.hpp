@@ -12,6 +12,7 @@
 // execute as no-ops).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,6 +37,13 @@ struct Op {
   std::uint8_t slot = 0;
   std::uint32_t size = 0;   // payload bytes (send / call)
   std::uint64_t tag = 0;    // content pattern seed; also the message identity
+};
+
+/// The logical identity of one channel slot, (src, dst, slot), as ops and
+/// fault lines name it.
+struct SlotKey {
+  std::uint8_t src = 0, dst = 0, slot = 0;
+  auto operator<=>(const SlotKey&) const = default;
 };
 
 /// One discrete fault injection. Message faults arm a one-shot (budget-1)

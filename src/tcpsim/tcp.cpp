@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <tuple>
 
 namespace xrdma::tcpsim {
 
@@ -31,7 +32,12 @@ TcpConn* TcpStack::make_conn(std::uint16_t local_port, net::NodeId peer,
 }
 
 void TcpStack::drop_conn(TcpConn* conn) {
-  conns_.erase({conn->local_port_, conn->peer_node_, conn->peer_port_});
+  const auto key =
+      std::make_tuple(conn->local_port_, conn->peer_node_, conn->peer_port_);
+  engine_.schedule_after(0, [this, key, conn] {
+    auto it = conns_.find(key);
+    if (it != conns_.end() && it->second.get() == conn) conns_.erase(it);
+  });
 }
 
 void TcpStack::connect(net::NodeId dst, std::uint16_t port,
@@ -90,6 +96,8 @@ TcpConn::TcpConn(TcpStack& stack, std::uint16_t local_port,
                  net::NodeId peer_node, std::uint16_t peer_port)
     : stack_(stack), local_port_(local_port), peer_node_(peer_node),
       peer_port_(peer_port) {
+  pace_timer_ = std::make_unique<sim::DeadlineTimer>(stack_.engine(),
+                                                     [this] { pump(); });
   rto_timer_ = std::make_unique<sim::DeadlineTimer>(
       stack_.engine(), [this] { retransmit(); });
   last_rx_ = stack_.engine().now();
@@ -114,7 +122,7 @@ void TcpConn::pump() {
   if (!open_) return;
   const Nanos now = stack_.engine().now();
   if (tx_ready_at_ > now) {
-    stack_.engine().schedule_after(tx_ready_at_ - now, [this] { pump(); });
+    pace_timer_->arm_after(tx_ready_at_ - now);
     return;
   }
   const auto& cfg = stack_.config();
@@ -237,6 +245,7 @@ void TcpConn::keepalive_fired() {
 void TcpConn::fail(Errc err) {
   if (!open_) return;
   open_ = false;
+  pace_timer_->cancel();
   rto_timer_->cancel();
   if (ka_timer_) ka_timer_->cancel();
   if (on_error_) on_error_(err);
@@ -252,8 +261,14 @@ void TcpConn::close() {
   seg->fin = true;
   stack_.send_segment(*this, std::move(seg));
   open_ = false;
+  pace_timer_->cancel();
   rto_timer_->cancel();
   if (ka_timer_) ka_timer_->cancel();
+}
+
+void TcpConn::release() {
+  close();
+  stack_.drop_conn(this);
 }
 
 }  // namespace xrdma::tcpsim

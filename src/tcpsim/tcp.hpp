@@ -66,6 +66,12 @@ class TcpConn {
 
   void close();
 
+  /// The holder is done with this connection: close it if still open, and
+  /// have the stack erase it once the current event returns, so no handler
+  /// runs on a freed conn. Call it once; the pointer is dead after that
+  /// event.
+  void release();
+
   std::uint64_t bytes_sent() const { return snd_nxt_; }
   std::uint64_t bytes_delivered() const { return rcv_nxt_; }
 
@@ -93,6 +99,7 @@ class TcpConn {
   std::uint64_t snd_nxt_ = 0;
   std::deque<std::pair<std::uint64_t, Buffer>> inflight_;  // (seq, data)
   Nanos tx_ready_at_ = 0;  // kernel overhead pacing
+  std::unique_ptr<sim::DeadlineTimer> pace_timer_;
   std::unique_ptr<sim::DeadlineTimer> rto_timer_;
 
   // Receive side.
@@ -138,6 +145,9 @@ class TcpStack {
   void set_alive(bool alive) { alive_ = alive; }
   bool alive() const { return alive_; }
 
+  /// Connections the stack holds; a released one leaves with the next event.
+  std::size_t conn_count() const { return conns_.size(); }
+
  private:
   friend class TcpConn;
   friend class TcpNetwork;
@@ -145,6 +155,7 @@ class TcpStack {
   void send_segment(TcpConn& conn, std::shared_ptr<TcpSegment> seg);
   TcpConn* make_conn(std::uint16_t local_port, net::NodeId peer,
                      std::uint16_t peer_port);
+  /// Erases `conn` in an event of its own (see TcpConn::release).
   void drop_conn(TcpConn* conn);
 
   sim::Engine& engine_;

@@ -18,7 +18,7 @@ XrServer::XrServer(testbed::Host& host, std::uint16_t port)
   host.tcp().listen(port, [this](tcpsim::TcpConn& conn) {
     // Per-connection reassembly buffer for the fixed-size report frames.
     auto buf = std::make_shared<std::vector<std::uint8_t>>();
-    rx_buffers_.push_back(buf);
+    conn.set_on_error([&conn](Errc) { conn.release(); });
     conn.set_on_data([this, buf](Buffer chunk) {
       const std::size_t old = buf->size();
       buf->resize(old + chunk.size());
@@ -111,7 +111,10 @@ StatsReporter::StatsReporter(core::Context& ctx, testbed::Host& host,
       server_port_(server_port),
       timer_(ctx.engine(), period, [this] { push(); }) {}
 
-StatsReporter::~StatsReporter() { stop(); }
+StatsReporter::~StatsReporter() {
+  stop();
+  if (conn_) conn_->release();
+}
 
 void StatsReporter::start() { timer_.start(); }
 void StatsReporter::stop() { timer_.stop(); }
@@ -143,6 +146,8 @@ NodeReport StatsReporter::sample() {
 
 void StatsReporter::push() {
   if (!conn_ || !conn_->open()) {
+    if (conn_) conn_->release();
+    conn_ = nullptr;
     if (!connecting_) {
       connecting_ = true;
       tcp_.connect(server_node_, server_port_,
@@ -167,7 +172,9 @@ MetricsEndpoint::MetricsEndpoint(core::Context& ctx, testbed::Host& host,
     : metrics_(ctx) {
   host.tcp().listen(port, [this](tcpsim::TcpConn& conn) {
     // Connections are owned by the stack and outlive this handler; one
-    // response per connection, then close (HTTP/1.0 semantics).
+    // response per connection, then close (HTTP/1.0 semantics). The
+    // scraper's FIN ends the connection here.
+    conn.set_on_error([&conn](Errc) { conn.release(); });
     conn.set_on_data([this, &conn](Buffer) {
       const std::string body = text();
       ++scrapes_;
@@ -220,7 +227,7 @@ void scrape_metrics(testbed::Host& host, net::NodeId server,
           if (acc->size() - body_off < len) return;
           done(acc->substr(body_off, len));
           acc->clear();
-          conn->close();
+          conn->release();
         });
         conn->send(Buffer::from_string("GET /metrics HTTP/1.0\r\n\r\n"));
       });

@@ -74,7 +74,6 @@ class XrServer {
 
   sim::Engine& engine_;
   std::map<net::NodeId, NodeView> nodes_;
-  std::vector<std::shared_ptr<std::vector<std::uint8_t>>> rx_buffers_;
 };
 
 /// The per-application reporter ("X-RDMA Adm/Monitor thread" in Fig. 6):

@@ -202,6 +202,28 @@ TEST(Mock, RestoreReturnsToRdma) {
   EXPECT_GT(t.cluster.rnic(0).stats().tx_packets, rnic_msgs_before);
 }
 
+TEST(Mock, SwitchRestoreCyclesLeaveNoConnections) {
+  Pair t;
+  t.establish();
+  MockFallback server_mock(t.server, t.cluster.host(1).tcp(), 9100);
+  tcpsim::TcpStack& client_tcp = t.cluster.host(0).tcp();
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    bool switched = false;
+    MockFallback::switch_to_tcp(*t.client_ch, client_tcp, 9100,
+                                [&](Errc e) { switched = e == Errc::ok; });
+    t.run(millis(5));
+    ASSERT_TRUE(switched);
+    ASSERT_TRUE(t.server_ch->mocked());
+    MockFallback::restore_rdma(*t.client_ch);
+    t.run(millis(5));
+    ASSERT_FALSE(t.client_ch->mocked());
+    ASSERT_FALSE(t.server_ch->mocked());
+  }
+  // Each end released its connection when its stream closed or failed.
+  EXPECT_EQ(client_tcp.conn_count(), 0u);
+  EXPECT_EQ(t.cluster.host(1).tcp().conn_count(), 0u);
+}
+
 // The Mock stream's framing, driven byte by byte: a raw TCP connection to
 // the server's MockFallback port says hello for the pair's channel, then
 // hands the server whatever chunks a test cuts. CRC is off, so a frame is
@@ -621,6 +643,9 @@ TEST(MetricsEndpoint, ServesPrometheusTextOverManagementNetwork) {
   ASSERT_FALSE(failed);
   ASSERT_FALSE(body.empty());
   EXPECT_EQ(endpoint.scrapes(), 1u);
+  // Both ends released their connection once the response was in.
+  EXPECT_EQ(t.cluster.host(0).tcp().conn_count(), 0u);
+  EXPECT_EQ(t.cluster.host(1).tcp().conn_count(), 0u);
   EXPECT_NE(body.find("# TYPE xrdma_chan_msgs_tx counter"),
             std::string::npos);
   EXPECT_NE(body.find("xrdma_chan_msgs_tx 5\n"), std::string::npos);

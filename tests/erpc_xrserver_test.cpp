@@ -228,6 +228,22 @@ TEST(XrServerDaemon, AggregatesReportsFromMultipleNodes) {
   EXPECT_NE(central.render().find("tx_gbps"), std::string::npos);
 }
 
+TEST(XrServerDaemon, ReporterAndServerReleaseTheirConnection) {
+  testbed::Cluster cluster;
+  tools::XrServer central(cluster.host(0), 9500);
+  core::Context a(cluster.rnic(1), cluster.cm());
+  auto reporter = std::make_unique<tools::StatsReporter>(
+      a, cluster.host(1), 0, 9500, millis(5));
+  reporter->start();
+  cluster.engine().run_for(millis(20));
+  ASSERT_EQ(central.nodes_reporting(), 1u);
+  EXPECT_EQ(cluster.host(1).tcp().conn_count(), 1u);
+  reporter.reset();
+  cluster.engine().run_for(millis(5));
+  EXPECT_EQ(cluster.host(0).tcp().conn_count(), 0u);
+  EXPECT_EQ(cluster.host(1).tcp().conn_count(), 0u);
+}
+
 TEST(XrServerDaemon, FlagsNodesThatStopReporting) {
   testbed::ClusterConfig ccfg;
   ccfg.fabric = net::ClosConfig::rack(3);

@@ -123,6 +123,21 @@ TEST(Tcp, CloseNotifiesPeer) {
   EXPECT_FALSE(t.server->open());
 }
 
+TEST(Tcp, ReleasedConnsAreErasedByTheNextEvent) {
+  TcpPair t;
+  t.establish();
+  t.server->set_on_error([&](Errc) { t.server->release(); });
+  // Two sends in one instant leave a paced send pending on the client.
+  ASSERT_EQ(t.client->send(Buffer::make(64)), Errc::ok);
+  ASSERT_EQ(t.client->send(Buffer::make(64)), Errc::ok);
+  t.client->release();
+  EXPECT_FALSE(t.client->open());
+  EXPECT_EQ(t.cluster.host(0).tcp().conn_count(), 1u);
+  t.run(millis(10));
+  EXPECT_EQ(t.cluster.host(0).tcp().conn_count(), 0u);
+  EXPECT_EQ(t.cluster.host(1).tcp().conn_count(), 0u);
+}
+
 TEST(Tcp, SendOnClosedConnFails) {
   TcpPair t;
   t.establish();
