@@ -41,7 +41,6 @@ core::Config drain_cfg() {
   return cfg;
 }
 
-
 // (a) ---------------------------------------------------------------------
 
 struct DrainSample {

@@ -37,7 +37,6 @@ core::Config health_cfg() {
   return cfg;
 }
 
-
 struct DetectSample {
   Nanos detect = -1;          // host kill -> first dead declaration
   std::uint64_t false_pos = 0;  // dead declarations during the quiet phase
