@@ -151,7 +151,12 @@ void StatsReporter::push() {
     if (!connecting_) {
       connecting_ = true;
       tcp_.connect(server_node_, server_port_,
-                   [this](Result<tcpsim::TcpConn*> r) {
+                   [this, alive = std::weak_ptr(alive_)](
+                       Result<tcpsim::TcpConn*> r) {
+                     if (alive.expired()) {  // the reporter is gone
+                       if (r.ok()) r.value()->release();
+                       return;
+                     }
                      connecting_ = false;
                      if (r.ok()) conn_ = r.value();
                    });

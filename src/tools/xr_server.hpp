@@ -103,6 +103,9 @@ class StatsReporter {
   bool connecting_ = false;
   std::uint64_t seq_ = 0;
   sim::PeriodicTimer timer_;
+  /// Liveness token: the only owner is the reporter, so a dial that
+  /// completes after it is destroyed finds its weak_ptr expired.
+  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 
 /// Scrape endpoint: serves the Prometheus text exposition of one context's

@@ -244,6 +244,29 @@ TEST(XrServerDaemon, ReporterAndServerReleaseTheirConnection) {
   EXPECT_EQ(cluster.host(1).tcp().conn_count(), 0u);
 }
 
+TEST(XrServerDaemon, ReporterDestroyedMidDialIsNotWrittenTo) {
+  // The first push (at one period) dials the XR-Server, and the TCP
+  // handshake takes 100 us. A reporter destroyed inside it must not be
+  // written to when the dial completes (ASan reports the use after free),
+  // and the connection nobody holds any more must be released.
+  testbed::ClusterConfig ccfg;
+  ccfg.fabric = net::ClosConfig::rack(3);
+  testbed::Cluster cluster(ccfg);
+  tools::XrServer central(cluster.host(0), 9500);
+  core::Context a(cluster.rnic(1), cluster.cm());
+  auto reporter = std::make_unique<tools::StatsReporter>(
+      a, cluster.host(1), 0, 9500, millis(5));
+  reporter->start();
+  cluster.engine().run_for(millis(5) + micros(10));
+  // The dial is out; the stack makes the connection when it completes.
+  ASSERT_EQ(cluster.host(1).tcp().conn_count(), 0u);
+  reporter.reset();
+  cluster.engine().run_for(millis(5));
+  EXPECT_EQ(central.nodes_reporting(), 0u);
+  EXPECT_EQ(cluster.host(0).tcp().conn_count(), 0u);
+  EXPECT_EQ(cluster.host(1).tcp().conn_count(), 0u);
+}
+
 TEST(XrServerDaemon, FlagsNodesThatStopReporting) {
   testbed::ClusterConfig ccfg;
   ccfg.fabric = net::ClosConfig::rack(3);
