@@ -20,6 +20,7 @@
 #include "core/msg.hpp"
 #include "core/context.hpp"
 #include "core/window.hpp"
+#include "net/packet.hpp"
 #include "sim/engine.hpp"
 #include "sim/timer.hpp"
 #include "testbed/cluster.hpp"
@@ -39,6 +40,30 @@ void BM_EngineScheduleFire(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_EngineScheduleFire);
+
+void BM_EngineScheduleFireNonTrivial(benchmark::State& state) {
+  // BM_EngineScheduleFire with a capture shaped like the fabric's
+  // end-of-serialization event, [this, port_index, qd = Port::Queued{pkt,
+  // ingress}]: 72 B and not trivially destructible (the packet's payload is
+  // a shared_ptr), so it pays a real move into its node and a destroy call
+  // when the node is recycled.
+  struct Queued {
+    net::Packet pkt;
+    int ingress;
+  };
+  sim::Engine eng;
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    Queued qd{net::Packet{}, -1};
+    qd.pkt.wire_bytes = 1100;
+    eng.schedule_after(100, [&sink, port = 3, qd = std::move(qd)] {
+      sink += qd.pkt.wire_bytes + static_cast<std::uint64_t>(port);
+    });
+    eng.step();
+  }
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_EngineScheduleFireNonTrivial);
 
 void BM_EngineDeepQueue(benchmark::State& state) {
   // Scheduling into a queue that already holds `depth` pending events. They

@@ -154,7 +154,6 @@ class Fabric {
   int new_port(Device* dev, double gbps, Nanos delay);
   void enqueue(int port_index, Packet&& pkt, int ingress_port);
   void maybe_start_tx(int port_index);
-  void finish_tx(int port_index);
   void deliver(int port_index, Packet&& pkt);
   void receive(Device* dev, int in_port, Packet&& pkt);
   int route(const Device& sw, const Packet& pkt);

@@ -22,13 +22,6 @@ void Engine::grow() {
   }
 }
 
-Engine::Node* Engine::acquire() {
-  if (free_ == nullptr) grow();
-  Node* n = free_;
-  free_ = n->next;
-  return n;
-}
-
 void Engine::recycle(Node* n) {
   // The caller has already bumped the generation and taken the node off
   // the wheel: the capture's destructors may call back into the engine,
@@ -40,15 +33,14 @@ void Engine::recycle(Node* n) {
 
 void Engine::link(Node* n) {
   const std::size_t i = static_cast<std::size_t>(n->at) & (kSlots - 1);
-  n->in_wheel = true;
-  Node*& head = slots_[i];
+  Node* const head = slots_[i];
   if (head == nullptr) {
-    head = n->next = n->prev = n;
+    slots_[i] = n->next = n->prev = n;
     occupied_[i / 64] |= std::uint64_t{1} << (i % 64);
     summary_ |= std::uint64_t{1} << (i / 64);
     return;
   }
-  Node* tail = head->prev;
+  Node* const tail = head->prev;
   n->prev = tail;
   n->next = head;
   tail->next = n;
@@ -57,7 +49,7 @@ void Engine::link(Node* n) {
 
 void Engine::unlink(Node* n) {
   const std::size_t i = static_cast<std::size_t>(n->at) & (kSlots - 1);
-  n->in_wheel = false;
+  Node* const prev = std::exchange(n->prev, nullptr);
   if (n->next == n) {  // the slot's only node
     slots_[i] = nullptr;
     std::uint64_t& word = occupied_[i / 64];
@@ -65,16 +57,13 @@ void Engine::unlink(Node* n) {
     if (word == 0) summary_ &= ~(std::uint64_t{1} << (i / 64));
     return;
   }
-  n->prev->next = n->next;
-  n->next->prev = n->prev;
+  prev->next = n->next;
+  n->next->prev = prev;
   if (slots_[i] == n) slots_[i] = n->next;
 }
 
-Engine::EventId Engine::schedule_at(Nanos at, Callback cb) {
-  if (!cb) return {};
+Engine::EventId Engine::enqueue(Node* n, Nanos at) {
   if (at < now_) at = now_;  // never schedule into the past
-  Node* n = acquire();
-  n->cb = std::move(cb);
   n->at = at;
   const std::uint64_t seq = next_seq_++;
   if (at < now_ + kHorizon) {
@@ -93,7 +82,7 @@ bool Engine::cancel(EventId& id) {
   Node* n = old.node_;
   --live_;
   ++n->gen;
-  if (n->in_wheel) {
+  if (n->prev != nullptr) {  // in the wheel
     unlink(n);
   } else {
     ++stale_;  // its heap entry stays behind until popped or compacted

@@ -8,11 +8,26 @@
 //
 // Event nodes come from an engine-owned slab with an intrusive free list.
 // The slab grows by whole chunks of kChunkNodes, so how often it allocates
-// does not depend on sizeof(Node). Callbacks are InlineCallbacks: every
-// capture lives inside the node, so scheduling allocates nothing once the
-// slab has grown to the run's peak depth. A capture over
-// InlineCallback::kInlineBytes (128 B) is a compile error; box it
-// explicitly (capture a unique_ptr/shared_ptr to the state).
+// does not depend on sizeof(Node). Scheduling allocates nothing once the
+// slab has grown to the run's peak depth.
+//
+// Callbacks. schedule_at/schedule_after are templates over the callable:
+// they take a node first and build the callable straight into the node's
+// InlineCallback (InlineCallback::emplace), so a lambda is moved once,
+// from the call site into the node that fires it. A prebuilt
+// InlineCallback is relocated in through its Ops. A null callable
+// (nullptr, an empty InlineCallback or std::function, a null function
+// pointer) schedules nothing. A capture over InlineCallback::kInlineBytes
+// (128 B) is a compile error; box it explicitly (capture a
+// unique_ptr/shared_ptr to the state). The callback runs in place, and the
+// node returns to the free list only after it; a trivially destructible
+// capture costs no destroy call there.
+//
+// Node layout. A node is 64-byte aligned and starts with what the fire
+// path touches: gen, at, the two wheel links, then the callback's ops
+// pointer and its buffer. A capture of 16 B or less (`[this, i]`, the
+// common event) therefore shares the node's first cache line. A node is in
+// the wheel iff its prev link is non-null.
 //
 // Two-level queue. Nearly every event lands within a few microseconds:
 // busy polls at 100 ns, link hops and RNIC overheads at 250-650 ns, a
@@ -59,6 +74,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
@@ -78,14 +94,17 @@ class Engine {
   static constexpr Nanos kHorizon = Nanos{1} << kWheelBits;
 
  private:
-  struct Node {
-    Callback cb;
+  /// The links come first and the callback's ops_ right after them, so a
+  /// capture of 16 B or less shares the node's first cache line.
+  struct alignas(64) Node {
     std::uint64_t gen = 0;  // bumped when its event fires or is cancelled
     Nanos at = 0;
     Node* next = nullptr;  // wheel slot FIFO, or the free list
-    Node* prev = nullptr;  // wheel slot FIFO
-    bool in_wheel = false;
+    Node* prev = nullptr;  // wheel slot FIFO; null iff not in the wheel
+    Callback cb;
   };
+  static_assert(offsetof(Node, cb) == 32 && sizeof(Node) == 192,
+                "a 16 B capture shares the node's first cache line");
 
  public:
   /// Handle for cancellation. Default-constructed handles are inert.
@@ -113,11 +132,24 @@ class Engine {
 
   Nanos now() const { return now_; }
 
-  /// An empty `cb` schedules nothing and returns an inert EventId.
-  EventId schedule_at(Nanos at, Callback cb);
-  EventId schedule_after(Nanos delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
+  /// Builds `f` in the node that will fire it (InlineCallback::emplace).
+  /// A null `f` (nullptr, or see InlineCallback::is_null) schedules
+  /// nothing and returns an inert EventId.
+  template <class F>
+    requires Callback::emplaceable_v<F>
+  EventId schedule_at(Nanos at, F&& f) {
+    if (Callback::is_null(f)) return {};
+    Node* n = acquire();
+    n->cb.emplace(std::forward<F>(f));
+    return enqueue(n, at);
   }
+  template <class F>
+    requires Callback::emplaceable_v<F>
+  EventId schedule_after(Nanos delay, F&& f) {
+    return schedule_at(now_ + delay, std::forward<F>(f));
+  }
+  EventId schedule_at(Nanos, std::nullptr_t) { return {}; }
+  EventId schedule_after(Nanos, std::nullptr_t) { return {}; }
 
   /// Returns true if the event existed and had not fired.
   bool cancel(EventId& id);
@@ -169,7 +201,14 @@ class Engine {
   };
 
   /// Takes a node off the free list, first adding a chunk if it is empty.
-  Node* acquire();
+  Node* acquire() {
+    if (free_ == nullptr) grow();
+    Node* n = free_;
+    free_ = n->next;
+    return n;
+  }
+  /// Queues a node whose callback is built; its event fires at `at`.
+  EventId enqueue(Node* n, Nanos at);
   /// Adds kChunkNodes fresh nodes to the free list.
   void grow();
   /// Pops the heap's top entry and returns its node. Kept out of line so

@@ -190,10 +190,21 @@ TEST(Engine, EmptyCallbackIsInert) {
   auto none = eng.schedule_after(micros(5), std::function<void()>{});
   void (*null_fn)() = nullptr;
   auto null_ptr = eng.schedule_after(micros(5), null_fn);
+  // Passed as lvalues, and an InlineCallback emptied by a move.
+  const std::function<void()> empty_fn;
+  auto none_lvalue = eng.schedule_at(micros(5), empty_fn);
+  auto null_at = eng.schedule_at(micros(5), null_fn);
+  Engine::Callback moved_from = [&eng] { eng.stop(); };
+  Engine::Callback taker = std::move(moved_from);
+  auto emptied =
+      eng.schedule_at(micros(5), std::move(moved_from));  // NOLINT
   EXPECT_FALSE(at.armed());
   EXPECT_FALSE(after.armed());
   EXPECT_FALSE(none.armed());
   EXPECT_FALSE(null_ptr.armed());
+  EXPECT_FALSE(none_lvalue.armed());
+  EXPECT_FALSE(null_at.armed());
+  EXPECT_FALSE(emptied.armed());
   EXPECT_EQ(eng.pending(), 0u);
   EXPECT_FALSE(eng.cancel(at));
   eng.run();
@@ -679,6 +690,16 @@ struct Fits {
 static_assert(!std::is_constructible_v<Engine::Callback, Oversized>);
 static_assert(std::is_constructible_v<Engine::Callback, Fits>);
 static_assert(!std::is_copy_constructible_v<Engine::Callback>);
+// Nor may it be scheduled, even though schedule_at builds the capture in
+// its node rather than through a Callback.
+template <class F>
+concept Schedulable = requires(Engine& e, F f) {
+  e.schedule_at(0, std::move(f));
+  e.schedule_after(0, std::move(f));
+};
+static_assert(!Schedulable<Oversized>);
+static_assert(Schedulable<Fits>);
+static_assert(!Schedulable<int>);
 
 TEST(InlineCallback, HoldsMoveOnlyCaptures) {
   Engine eng;
@@ -695,6 +716,93 @@ TEST(InlineCallback, HoldsMoveOnlyCaptures) {
   ASSERT_TRUE(b);
   b();
   EXPECT_EQ(got, 7);
+
+  // A prebuilt callable with a move-only capture is moved into its node.
+  Engine::Callback c = [&got, p = std::make_unique<int>(9)] { got = *p; };
+  auto id = eng.schedule_after(micros(1), std::move(c));
+  EXPECT_FALSE(c);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(id.armed());
+  eng.run();
+  EXPECT_EQ(got, 9);
+}
+
+// Counts every move and every destruction, moved-from shells included.
+struct Census {
+  int moves = 0;
+  int destroys = 0;
+  int calls = 0;
+};
+struct Counted {
+  Census* census;
+  explicit Counted(Census* c) : census(c) {}
+  Counted(Counted&& o) noexcept : census(o.census) { ++census->moves; }
+  Counted(const Counted&) = delete;
+  ~Counted() { ++census->destroys; }
+  void operator()() { ++census->calls; }
+};
+
+TEST(InlineCallback, ScheduleBuildsTheCaptureOnceInItsNode) {
+  // schedule_at moves its argument straight into the node that fires it:
+  // one move, no temporary callback. The node's copy is destroyed exactly
+  // once whether the event fires, is cancelled, or is still pending when
+  // the engine goes; the other destruction is the argument's shell.
+  Census fired;
+  Census cancelled;
+  Census pending;
+  {
+    Engine eng;
+    eng.schedule_after(micros(1), Counted(&fired));
+    auto id = eng.schedule_after(micros(1), Counted(&cancelled));
+    eng.schedule_after(micros(2), Counted(&pending));
+    EXPECT_EQ(fired.destroys, 1);
+    EXPECT_TRUE(eng.cancel(id));
+    EXPECT_EQ(cancelled.destroys, 2);
+    eng.run_until(micros(1));
+    EXPECT_EQ(fired.calls, 1);
+    EXPECT_EQ(fired.destroys, 2);
+    EXPECT_EQ(pending.destroys, 1);
+  }
+  EXPECT_EQ(pending.destroys, 2);
+  EXPECT_EQ(cancelled.calls, 0);
+  EXPECT_EQ(pending.calls, 0);
+  for (const Census* c : {&fired, &cancelled, &pending}) {
+    EXPECT_EQ(c->moves, 1);
+  }
+
+  // A prebuilt InlineCallback is relocated into the node: one move more.
+  Census prebuilt;
+  {
+    Engine eng;
+    Engine::Callback cb = Counted(&prebuilt);
+    eng.schedule_after(micros(1), std::move(cb));
+    eng.run();
+  }
+  EXPECT_EQ(prebuilt.moves, 2);
+  EXPECT_EQ(prebuilt.destroys, 3);
+  EXPECT_EQ(prebuilt.calls, 1);
+}
+
+TEST(Engine, HandlerThatRearmsItselfSeesItsEventDisarmed) {
+  // The firing node is disarmed before its callback runs and returns to
+  // the free list only after it, so a handler can test its own handle,
+  // re-arm it, and still read its capture: the new event takes another
+  // node.
+  Engine eng;
+  Engine::EventId id;
+  std::vector<int> seen;
+  std::function<void(int)> arm = [&](int round) {
+    id = eng.schedule_after(micros(1), [&, round,
+                                        tag = std::make_unique<int>(round)] {
+      EXPECT_FALSE(id.armed());
+      if (round < 3) arm(round + 1);
+      EXPECT_EQ(id.armed(), round < 3);
+      seen.push_back(*tag);
+    });
+  };
+  arm(1);
+  eng.run();
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(eng.pending(), 0u);
 }
 
 TEST(InlineCallback, CapturesAreDestroyedExactlyOnce) {
