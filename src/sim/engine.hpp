@@ -94,8 +94,6 @@ class Engine {
   static constexpr Nanos kHorizon = Nanos{1} << kWheelBits;
 
  private:
-  /// The links come first and the callback's ops_ right after them, so a
-  /// capture of 16 B or less shares the node's first cache line.
   struct alignas(64) Node {
     std::uint64_t gen = 0;  // bumped when its event fires or is cancelled
     Nanos at = 0;

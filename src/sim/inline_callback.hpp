@@ -125,11 +125,6 @@ class InlineCallback {
   };
 
   template <class D>
-  static void destroy_capture(void* p) noexcept {
-    static_cast<D*>(p)->~D();
-  }
-
-  template <class D>
   static constexpr Ops kOps = {
       [](void* p) { (*static_cast<D*>(p))(); },
       [](void* dst, void* src) noexcept {
@@ -141,7 +136,9 @@ class InlineCallback {
           s->~D();
         }
       },
-      std::is_trivially_destructible_v<D> ? nullptr : &destroy_capture<D>,
+      std::is_trivially_destructible_v<D>
+          ? nullptr
+          : +[](void* p) noexcept { static_cast<D*>(p)->~D(); },
   };
 
   void take(InlineCallback& other) noexcept {

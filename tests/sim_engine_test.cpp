@@ -661,23 +661,6 @@ TEST(EngineWheel, PastTimeScheduleClampsToNowBehindQueuedPeers) {
   EXPECT_EQ(log.fired, (Fired{{4, t - 1}, {0, t}, {2, t}, {3, t}, {1, t}}));
 }
 
-// Counts destructions of the one live copy; moved-from shells don't count.
-struct DestroyCounter {
-  int* destroyed;
-  int* calls;
-  bool owner = true;
-  DestroyCounter(int* d, int* c) : destroyed(d), calls(c) {}
-  DestroyCounter(DestroyCounter&& o) noexcept
-      : destroyed(o.destroyed),
-        calls(o.calls),
-        owner(std::exchange(o.owner, false)) {}
-  DestroyCounter(const DestroyCounter&) = delete;
-  ~DestroyCounter() {
-    if (owner) ++*destroyed;
-  }
-  void operator()() { ++*calls; }
-};
-
 struct Oversized {
   char pad[InlineCallback::kInlineBytes + 1];
   void operator()() {}
@@ -726,62 +709,6 @@ TEST(InlineCallback, HoldsMoveOnlyCaptures) {
   EXPECT_EQ(got, 9);
 }
 
-// Counts every move and every destruction, moved-from shells included.
-struct Census {
-  int moves = 0;
-  int destroys = 0;
-  int calls = 0;
-};
-struct Counted {
-  Census* census;
-  explicit Counted(Census* c) : census(c) {}
-  Counted(Counted&& o) noexcept : census(o.census) { ++census->moves; }
-  Counted(const Counted&) = delete;
-  ~Counted() { ++census->destroys; }
-  void operator()() { ++census->calls; }
-};
-
-TEST(InlineCallback, ScheduleBuildsTheCaptureOnceInItsNode) {
-  // schedule_at moves its argument straight into the node that fires it:
-  // one move, no temporary callback. The node's copy is destroyed exactly
-  // once whether the event fires, is cancelled, or is still pending when
-  // the engine goes; the other destruction is the argument's shell.
-  Census fired;
-  Census cancelled;
-  Census pending;
-  {
-    Engine eng;
-    eng.schedule_after(micros(1), Counted(&fired));
-    auto id = eng.schedule_after(micros(1), Counted(&cancelled));
-    eng.schedule_after(micros(2), Counted(&pending));
-    EXPECT_EQ(fired.destroys, 1);
-    EXPECT_TRUE(eng.cancel(id));
-    EXPECT_EQ(cancelled.destroys, 2);
-    eng.run_until(micros(1));
-    EXPECT_EQ(fired.calls, 1);
-    EXPECT_EQ(fired.destroys, 2);
-    EXPECT_EQ(pending.destroys, 1);
-  }
-  EXPECT_EQ(pending.destroys, 2);
-  EXPECT_EQ(cancelled.calls, 0);
-  EXPECT_EQ(pending.calls, 0);
-  for (const Census* c : {&fired, &cancelled, &pending}) {
-    EXPECT_EQ(c->moves, 1);
-  }
-
-  // A prebuilt InlineCallback is relocated into the node: one move more.
-  Census prebuilt;
-  {
-    Engine eng;
-    Engine::Callback cb = Counted(&prebuilt);
-    eng.schedule_after(micros(1), std::move(cb));
-    eng.run();
-  }
-  EXPECT_EQ(prebuilt.moves, 2);
-  EXPECT_EQ(prebuilt.destroys, 3);
-  EXPECT_EQ(prebuilt.calls, 1);
-}
-
 TEST(Engine, HandlerThatRearmsItselfSeesItsEventDisarmed) {
   // The firing node is disarmed before its callback runs and returns to
   // the free list only after it, so a handler can test its own handle,
@@ -805,41 +732,68 @@ TEST(Engine, HandlerThatRearmsItselfSeesItsEventDisarmed) {
   EXPECT_EQ(eng.pending(), 0u);
 }
 
-TEST(InlineCallback, CapturesAreDestroyedExactlyOnce) {
-  int destroyed = 0;
+// Counts every move and every destruction, moved-from shells included.
+struct Census {
+  int moves = 0;
+  int destroys = 0;
   int calls = 0;
-  {  // on fire
+};
+struct Counted {
+  Census* census;
+  explicit Counted(Census* c) : census(c) {}
+  Counted(Counted&& o) noexcept : census(o.census) { ++census->moves; }
+  Counted(const Counted&) = delete;
+  ~Counted() { ++census->destroys; }
+  void operator()() { ++census->calls; }
+};
+
+TEST(InlineCallback, CapturesAreBuiltOnceAndDestroyedExactlyOnce) {
+  // schedule_at moves its argument straight into the node that fires it:
+  // one move, no temporary callback. So each capture here is destroyed
+  // twice, its shell at the call site and then the node's copy, whether
+  // the event fires, is cancelled (also across a heap compaction), or is
+  // still pending when the engine goes.
+  Census fired;
+  Census cancelled;
+  Census churn;
+  Census pending;
+  {
     Engine eng;
-    eng.schedule_after(micros(1), DestroyCounter(&destroyed, &calls));
-    EXPECT_EQ(destroyed, 0);
-    eng.run();
-    EXPECT_EQ(calls, 1);
-    EXPECT_EQ(destroyed, 1);
-  }
-  EXPECT_EQ(destroyed, 1);
-  {  // on cancel, including across a compaction of the heap
-    Engine eng;
-    auto id = eng.schedule_after(micros(1), DestroyCounter(&destroyed, &calls));
-    for (std::size_t i = 0; i < 4 * Engine::kCompactSlack; ++i) {
-      auto churn =
-          eng.schedule_after(micros(5), DestroyCounter(&destroyed, &calls));
-      eng.cancel(churn);
+    eng.schedule_after(micros(1), Counted(&fired));
+    auto id = eng.schedule_after(micros(1), Counted(&cancelled));
+    eng.schedule_after(micros(2), Counted(&pending));
+    EXPECT_EQ(fired.destroys, 1);
+    const int kChurn = 4 * static_cast<int>(Engine::kCompactSlack);
+    for (int i = 0; i < kChurn; ++i) {
+      auto far = eng.schedule_after(micros(5), Counted(&churn));
+      eng.cancel(far);
     }
-    EXPECT_EQ(destroyed, 1 + 4 * static_cast<int>(Engine::kCompactSlack));
+    EXPECT_EQ(churn.moves, kChurn);
+    EXPECT_EQ(churn.destroys, 2 * kChurn);
     EXPECT_TRUE(eng.cancel(id));
-    EXPECT_EQ(destroyed, 2 + 4 * static_cast<int>(Engine::kCompactSlack));
-    eng.run();
-    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(cancelled.destroys, 2);
+    eng.run_until(micros(1));
+    EXPECT_EQ(fired.calls, 1);
+    EXPECT_EQ(fired.destroys, 2);
+    EXPECT_EQ(pending.destroys, 1);
   }
-  destroyed = 0;
-  {  // on engine destruction, still pending
+  EXPECT_EQ(pending.destroys, 2);
+  for (const Census* c : {&fired, &cancelled, &pending}) {
+    EXPECT_EQ(c->moves, 1);
+  }
+  EXPECT_EQ(cancelled.calls + churn.calls + pending.calls, 0);
+
+  // A prebuilt InlineCallback is relocated into the node: one move more.
+  Census prebuilt;
+  {
     Engine eng;
-    eng.schedule_after(micros(1), DestroyCounter(&destroyed, &calls));
-    eng.schedule_after(micros(2), DestroyCounter(&destroyed, &calls));
-    EXPECT_EQ(destroyed, 0);
+    Engine::Callback cb = Counted(&prebuilt);
+    eng.schedule_after(micros(1), std::move(cb));
+    eng.run();
   }
-  EXPECT_EQ(destroyed, 2);
-  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(prebuilt.moves, 2);
+  EXPECT_EQ(prebuilt.destroys, 3);
+  EXPECT_EQ(prebuilt.calls, 1);
 }
 
 }  // namespace
