@@ -45,8 +45,8 @@ void BM_EngineScheduleFireNonTrivial(benchmark::State& state) {
   // BM_EngineScheduleFire with a capture shaped like the fabric's
   // end-of-serialization event, [this, port_index, qd = Port::Queued{pkt,
   // ingress}]: 72 B and not trivially destructible (the packet's payload is
-  // a shared_ptr), so it pays a real move into its node and a destroy call
-  // when the node is recycled.
+  // a shared_ptr), so its move into the node and its destroy when the node
+  // is recycled both do real work.
   struct Queued {
     net::Packet pkt;
     int ingress;

@@ -20,14 +20,14 @@
 // pointer) schedules nothing. A capture over InlineCallback::kInlineBytes
 // (128 B) is a compile error; box it explicitly (capture a
 // unique_ptr/shared_ptr to the state). The callback runs in place, and the
-// node returns to the free list only after it; a trivially destructible
-// capture costs no destroy call there.
+// node returns to the free list only after it.
 //
 // Node layout. A node is 64-byte aligned and starts with what the fire
 // path touches: gen, at, the two wheel links, then the callback's ops
-// pointer and its buffer. A capture of 16 B or less (`[this, i]`, the
-// common event) therefore shares the node's first cache line. A node is in
-// the wheel iff its prev link is non-null.
+// pointer and its buffer, so a capture of 16 B or less shares the node's
+// first cache line. Busy-poll steps (`[this, i]`) are such captures, and
+// they are most of the events a polled workload fires. A node is in the
+// wheel iff its prev link is non-null.
 //
 // Two-level queue. Nearly every event lands within a few microseconds:
 // busy polls at 100 ns, link hops and RNIC overheads at 250-650 ns, a

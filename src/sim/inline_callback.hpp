@@ -15,9 +15,7 @@
 //
 // Layout. ops_ comes before the buffer, so a node that holds an
 // InlineCallback right after four words of links keeps ops_ and the first
-// 16 B of the capture in its first cache line. A trivially destructible
-// capture (a lambda over `this` and a few ints, the common event) has a
-// null destroy, so reset() makes no indirect call for it.
+// 16 B of the capture in its first cache line.
 #pragma once
 
 #include <cstddef>
@@ -105,9 +103,7 @@ class InlineCallback {
 
   /// Destroys the capture (once) and leaves the callable empty.
   void reset() noexcept {
-    if (const Ops* ops = std::exchange(ops_, nullptr)) {
-      if (ops->destroy != nullptr) ops->destroy(buf_);
-    }
+    if (const Ops* ops = std::exchange(ops_, nullptr)) ops->destroy(buf_);
   }
 
  private:
@@ -120,7 +116,6 @@ class InlineCallback {
     void (*invoke)(void*);
     /// Move-constructs the capture at `dst` and destroys the one at `src`.
     void (*relocate)(void* dst, void* src) noexcept;
-    /// Null when the capture is trivially destructible.
     void (*destroy)(void*) noexcept;
   };
 
@@ -136,9 +131,7 @@ class InlineCallback {
           s->~D();
         }
       },
-      std::is_trivially_destructible_v<D>
-          ? nullptr
-          : +[](void* p) noexcept { static_cast<D*>(p)->~D(); },
+      [](void* p) noexcept { static_cast<D*>(p)->~D(); },
   };
 
   void take(InlineCallback& other) noexcept {
