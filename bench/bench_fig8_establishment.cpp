@@ -50,12 +50,14 @@ Nanos measure_connect(bool use_cached_qp) {
 
 Nanos measure_tcp_connect() {
   testbed::Cluster cluster;
-  cluster.host(1).tcp().listen(80, [](tcpsim::TcpConn&) {});
+  const Registration listener =
+      cluster.host(1).tcp().listen(80, [](tcpsim::TcpConn&) {});
   const Nanos start = cluster.engine().now();
   Nanos established = -1;
-  cluster.host(0).tcp().connect(1, 80, [&](Result<tcpsim::TcpConn*> r) {
-    if (r.ok()) established = cluster.engine().now() - start;
-  });
+  const Registration dial = cluster.host(0).tcp().connect(
+      1, 80, [&](Result<tcpsim::TcpConn*> r) {
+        if (r.ok()) established = cluster.engine().now() - start;
+      });
   cluster.engine().run_for(millis(5));
   return established;
 }

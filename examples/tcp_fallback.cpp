@@ -41,7 +41,7 @@ int main() {
   cluster.run_for(millis(5));
 
   std::printf("[mock] RDMA anomaly detected; switching channel to TCP...\n");
-  analysis::MockFallback::switch_to_tcp(
+  const Registration dial = analysis::MockFallback::switch_to_tcp(
       *cch, cluster.host(0).tcp(), 9100, [](Errc e) {
         std::printf("[mock] switch result: %s\n",
                     std::string(errc_name(e)).c_str());

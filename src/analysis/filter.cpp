@@ -69,7 +69,6 @@ Filter::~Filter() {
   ctx_.set_filter(nullptr);
   ctx_.set_egress_filter(nullptr);
   ctx_.cm().set_fault_hook(nullptr);
-  for (auto& t : kill_timers_) t->cancel();
 }
 
 std::size_t Filter::add_rule(FaultRule rule) {

@@ -105,34 +105,36 @@ std::shared_ptr<Bridge> make_bridge(tcpsim::TcpConn& conn) {
 MockFallback::MockFallback(core::Context& ctx, tcpsim::TcpStack& tcp,
                            std::uint16_t port)
     : ctx_(ctx) {
-  tcp.listen(port, [this](tcpsim::TcpConn& conn) {
+  listener_ = tcp.listen(port, [this](tcpsim::TcpConn& conn) {
     make_bridge(conn)->awaiting_hello = &ctx_;
   });
 }
 
-void MockFallback::switch_to_tcp(core::Channel& ch, tcpsim::TcpStack& tcp,
-                                 std::uint16_t peer_port,
-                                 std::function<void(Errc)> done) {
-  tcp.connect(ch.peer_node(), peer_port,
-              [&ch, done = std::move(done)](Result<tcpsim::TcpConn*> r) {
-                if (!r.ok()) {
-                  if (done) done(r.error());
-                  return;
-                }
-                auto bridge = make_bridge(*r.value());
-                // Identify ourselves by the connection token — the channel
-                // identity that survives QP replacement, so fallback works
-                // even after the QPs are gone.
-                Buffer hello = Buffer::make(4 + 12);
-                const std::uint32_t frame_len = 12;
-                std::memcpy(hello.data(), &frame_len, 4);
-                std::memcpy(hello.data() + 4, &kMockMagic, 4);
-                const std::uint64_t token = ch.conn_token();
-                std::memcpy(hello.data() + 8, &token, 8);
-                r.value()->send(std::move(hello));
-                bridge->attach(ch);
-                if (done) done(Errc::ok);
-              });
+Registration MockFallback::switch_to_tcp(core::Channel& ch,
+                                         tcpsim::TcpStack& tcp,
+                                         std::uint16_t peer_port,
+                                         std::function<void(Errc)> done) {
+  return tcp.connect(
+      ch.peer_node(), peer_port,
+      [&ch, done = std::move(done)](Result<tcpsim::TcpConn*> r) {
+        if (!r.ok()) {
+          if (done) done(r.error());
+          return;
+        }
+        auto bridge = make_bridge(*r.value());
+        // Identify ourselves by the connection token — the channel identity
+        // that survives QP replacement, so fallback works even after the
+        // QPs are gone.
+        Buffer hello = Buffer::make(4 + 12);
+        const std::uint32_t frame_len = 12;
+        std::memcpy(hello.data(), &frame_len, 4);
+        std::memcpy(hello.data() + 4, &kMockMagic, 4);
+        const std::uint64_t token = ch.conn_token();
+        std::memcpy(hello.data() + 8, &token, 8);
+        r.value()->send(std::move(hello));
+        bridge->attach(ch);
+        if (done) done(Errc::ok);
+      });
 }
 
 void MockFallback::restore_rdma(core::Channel& ch) { ch.leave_fallback(); }
@@ -141,7 +143,7 @@ void MockFallback::enable_auto(core::Context& ctx, tcpsim::TcpStack& tcp,
                                std::uint16_t peer_port) {
   ctx.set_fallback_provider(
       [&tcp, peer_port](core::Channel& ch, std::function<void(Errc)> done) {
-        switch_to_tcp(ch, tcp, peer_port, std::move(done));
+        return switch_to_tcp(ch, tcp, peer_port, std::move(done));
       });
 }
 

@@ -26,14 +26,18 @@ namespace xrdma::analysis {
 class MockFallback {
  public:
   /// Server side: accept TCP fallback connections for channels owned by
-  /// `ctx`. Keep the object alive while fallback may occur.
+  /// `ctx`. Keep the object alive while fallback may occur; destroying it
+  /// drops the streams it accepted, and their channels see the loss.
   MockFallback(core::Context& ctx, tcpsim::TcpStack& tcp, std::uint16_t port);
+  MockFallback(const MockFallback&) = delete;
+  MockFallback& operator=(const MockFallback&) = delete;
 
   /// Client side: switch `ch` onto TCP toward the peer's fallback port.
-  /// `done` fires once both ends have flipped.
-  static void switch_to_tcp(core::Channel& ch, tcpsim::TcpStack& tcp,
-                            std::uint16_t peer_port,
-                            std::function<void(Errc)> done);
+  /// `done` fires once both ends have flipped. The handle owns the dial:
+  /// drop it with `ch`, and neither `ch` nor `done` is touched again.
+  static Registration switch_to_tcp(core::Channel& ch, tcpsim::TcpStack& tcp,
+                                    std::uint16_t peer_port,
+                                    std::function<void(Errc)> done);
 
   /// Switch a mocked channel back to its RDMA QP (either side; the stream
   /// is closed, which flips the peer too).
@@ -47,6 +51,7 @@ class MockFallback {
 
  private:
   core::Context& ctx_;
+  Registration listener_;
 };
 
 }  // namespace xrdma::analysis

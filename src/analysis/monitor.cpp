@@ -41,16 +41,11 @@ double Series::cov() const {
 }
 
 Monitor::Monitor(sim::Engine& engine, Nanos period)
-    : engine_(engine), timer_(engine, period, [this] { sample_now(); }) {
-  log_sink_id_ = Logger::global().add_sink([this](const LogRecord& rec) {
-    if (rec.level >= LogLevel::warn) logs_.push_back(rec);
-  });
-}
-
-Monitor::~Monitor() {
-  timer_.stop();
-  if (log_sink_id_ >= 0) Logger::global().remove_sink(log_sink_id_);
-}
+    : engine_(engine),
+      timer_(engine, period, [this] { sample_now(); }),
+      log_sink_(Logger::global().add_sink([this](const LogRecord& rec) {
+        if (rec.level >= LogLevel::warn) logs_.push_back(rec);
+      })) {}
 
 void Monitor::track(const std::string& name, std::function<double()> sampler) {
   samplers_.emplace_back(name, std::move(sampler));

@@ -42,7 +42,6 @@ struct Series {
 class Monitor {
  public:
   Monitor(sim::Engine& engine, Nanos period);
-  ~Monitor();
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
 
@@ -75,7 +74,7 @@ class Monitor {
   std::vector<std::pair<std::string, std::function<double()>>> samplers_;
   std::map<std::string, Series> series_;
   std::vector<LogRecord> logs_;
-  int log_sink_id_ = -1;
+  Registration log_sink_;
 };
 
 }  // namespace xrdma::analysis

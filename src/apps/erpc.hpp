@@ -90,7 +90,6 @@ class Server {
   /// service time, so serving would only have produced a late, wasted
   /// reply. Shed requests answer Errc::overloaded immediately.
   std::uint64_t calls_shed() const { return shed_; }
-  const Histogram& service_time() const { return service_time_; }
 
  private:
   void dispatch(core::Channel& ch, core::Msg&& msg);

@@ -11,7 +11,6 @@ ChunkServer::ChunkServer(testbed::Cluster& cluster, net::NodeId node,
     ch.set_on_msg([this](core::Channel& c, core::Msg&& m) {
       if (!m.is_rpc_req) return;
       ++writes_handled_;
-      bytes_handled_ += m.payload.size();
       // Persisting the chunk is outside the reproduction's scope; the ack
       // is what the replication protocol needs.
       c.reply(m.rpc_id, Buffer::make(8));
@@ -110,7 +109,6 @@ void BlockServer::write(std::uint32_t size,
             state->first_error = r.error();
           }
           if (--state->remaining == 0) {
-            if (state->first_error == Errc::ok) ++writes_completed_;
             state->done(state->first_error,
                         ctx_.engine().now() - state->started);
           }

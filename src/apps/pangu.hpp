@@ -42,12 +42,10 @@ class ChunkServer {
   core::Context& ctx() { return ctx_; }
   net::NodeId node() const { return ctx_.node(); }
   std::uint64_t writes_handled() const { return writes_handled_; }
-  std::uint64_t bytes_handled() const { return bytes_handled_; }
 
  private:
   core::Context ctx_;
   std::uint64_t writes_handled_ = 0;
-  std::uint64_t bytes_handled_ = 0;
 };
 
 class BlockServer {
@@ -66,7 +64,6 @@ class BlockServer {
 
   core::Context& ctx() { return ctx_; }
   std::size_t connected_chunks() const { return channels_.size(); }
-  std::uint64_t writes_completed() const { return writes_completed_; }
 
   /// Online upgrade (Fig. 11): one chunk connection at a time, establish
   /// the replacement first, swap it in, then close the old channel — the
@@ -79,7 +76,6 @@ class BlockServer {
   std::vector<net::NodeId> chunk_nodes_;
   std::vector<core::Channel*> channels_;
   Rng rng_;
-  std::uint64_t writes_completed_ = 0;
 };
 
 struct EssdConfig {

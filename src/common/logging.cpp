@@ -10,28 +10,16 @@ Logger& Logger::global() {
   return logger;
 }
 
-int Logger::add_sink(Sink sink) {
-  const int id = next_id_++;
-  sinks_.push_back({id, std::move(sink)});
-  return id;
-}
-
-void Logger::remove_sink(int id) {
-  std::erase_if(sinks_, [id](const Entry& e) { return e.id == id; });
+Registration Logger::add_sink(Sink sink) {
+  const auto it = sinks_.insert(sinks_.end(), std::move(sink));
+  return Registration([this, it] { sinks_.erase(it); });
 }
 
 void Logger::log(Nanos sim_time, LogLevel level, std::string component,
                  std::string message) {
   if (level < min_level_) return;
   LogRecord rec{sim_time, level, std::move(component), std::move(message)};
-  if (stderr_echo_) {
-    static const char* names[] = {"DEBUG", "INFO", "WARN", "ERROR"};
-    std::fprintf(stderr, "[%s] %s %s: %s\n",
-                 format_duration(rec.sim_time).c_str(),
-                 names[static_cast<int>(rec.level)], rec.component.c_str(),
-                 rec.message.c_str());
-  }
-  for (auto& e : sinks_) e.sink(rec);
+  for (auto& sink : sinks_) sink(rec);
 }
 
 std::string strfmt(const char* fmt, ...) {

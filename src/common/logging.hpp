@@ -7,9 +7,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <string>
-#include <vector>
 
+#include "common/registration.hpp"
 #include "common/time.hpp"
 
 namespace xrdma {
@@ -31,26 +32,16 @@ class Logger {
   static Logger& global();
 
   void set_min_level(LogLevel level) { min_level_ = level; }
-  LogLevel min_level() const { return min_level_; }
 
-  /// Adds a sink; returns an id usable with remove_sink.
-  int add_sink(Sink sink);
-  void remove_sink(int id);
-  /// Route records to stderr (off by default to keep bench output clean).
-  void set_stderr_echo(bool on) { stderr_echo_ = on; }
+  /// Adds a sink; destroying the handle removes it.
+  Registration add_sink(Sink sink);
 
   void log(Nanos sim_time, LogLevel level, std::string component,
            std::string message);
 
  private:
-  struct Entry {
-    int id;
-    Sink sink;
-  };
   LogLevel min_level_ = LogLevel::info;
-  bool stderr_echo_ = false;
-  int next_id_ = 1;
-  std::vector<Entry> sinks_;
+  std::list<Sink> sinks_;  // stable iterators: each handle erases its own
 };
 
 /// printf-style formatting helper.

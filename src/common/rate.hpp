@@ -1,5 +1,5 @@
-// Rate measurement helpers: EWMA and a windowed byte-rate meter used by the
-// monitoring components (Fig. 3 / Fig. 11 style series) and DCQCN.
+// Rate measurement: a windowed byte-rate meter used by the monitoring
+// components (Fig. 3 / Fig. 11 style series).
 #pragma once
 
 #include <deque>
@@ -7,25 +7,6 @@
 #include "common/time.hpp"
 
 namespace xrdma {
-
-/// Exponentially weighted moving average.
-class Ewma {
- public:
-  explicit Ewma(double alpha = 0.2) : alpha_(alpha) {}
-
-  void update(double sample) {
-    value_ = initialized_ ? alpha_ * sample + (1 - alpha_) * value_ : sample;
-    initialized_ = true;
-  }
-  double value() const { return value_; }
-  bool initialized() const { return initialized_; }
-  void reset() { initialized_ = false; value_ = 0; }
-
- private:
-  double alpha_;
-  double value_ = 0;
-  bool initialized_ = false;
-};
 
 /// Bytes-per-second over a sliding time window.
 class RateMeter {

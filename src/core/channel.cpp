@@ -1508,13 +1508,12 @@ void Channel::escalate_or_fail() {
   if (ctx_.config().fallback_auto && ctx_.fallback_provider_) {
     ++stats_.fallback_switches;
     record(analysis::RecEvent::fallback_switch, 0, recovery_attempt_);
-    const std::uint64_t cid = id_;
-    ctx_.fallback_provider_(*this, [ctx = &ctx_, cid](Errc err) {
-      Channel* ch = ctx->channel_by_id(cid);
-      if (!ch || ch->state_ != State::recovering) return;
-      // Success lands through attach_stream; only failures (the
-      // fallback could not be built either) arrive here still recovering.
-      if (err != Errc::ok) ch->fail(ch->recovery_reason_);
+    fallback_dial_ = ctx_.fallback_provider_(*this, [this](Errc err) {
+      // Success lands through attach_stream; only failures (the fallback
+      // could not be built either) arrive here still recovering.
+      if (state_ == State::recovering && err != Errc::ok) {
+        fail(recovery_reason_);
+      }
     });
     return;
   }

@@ -33,6 +33,7 @@
 
 #include "analysis/recorder.hpp"
 #include "common/bytes.hpp"
+#include "common/registration.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "core/memcache.hpp"
@@ -407,6 +408,7 @@ class Channel {
   bool resume_inflight_ = false;
 
   std::shared_ptr<AltStream> stream_;  // the Mock fallback, while attached
+  Registration fallback_dial_;  // the escalation's dial to the fallback
 
   MsgHandler on_msg_;
   ErrorHandler on_error_;

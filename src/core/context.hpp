@@ -203,8 +203,10 @@ class Context {
   // --- Channel recovery / automatic fallback (§VI-C) ------------------------
   /// Escalation target once recovery_max_attempts reconnects fail: switch
   /// `ch` onto an alternate transport (the Mock TCP fallback installs
-  /// itself here via MockFallback::enable_auto).
-  using FallbackProvider = std::function<void(Channel&, std::function<void(Errc)>)>;
+  /// itself here via MockFallback::enable_auto). The channel holds the
+  /// returned handle, so a channel destroyed mid-dial cancels the dial.
+  using FallbackProvider =
+      std::function<Registration(Channel&, std::function<void(Errc)>)>;
   void set_fallback_provider(FallbackProvider f) {
     fallback_provider_ = std::move(f);
   }

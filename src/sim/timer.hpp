@@ -34,8 +34,6 @@ class PeriodicTimer {
   }
 
   bool running() const { return running_; }
-  void set_period(Nanos period) { period_ = period; }
-  Nanos period() const { return period_; }
 
  private:
   void arm() {

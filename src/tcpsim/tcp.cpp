@@ -1,6 +1,7 @@
 #include "tcpsim/tcp.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <tuple>
 
@@ -16,10 +17,18 @@ TcpStack::TcpStack(sim::Engine& engine, net::Endpoint& endpoint,
   network_.add(this);
 }
 
-TcpStack::~TcpStack() = default;
-
-void TcpStack::listen(std::uint16_t port, AcceptHandler on_accept) {
-  listeners_[port] = std::move(on_accept);
+Registration TcpStack::listen(std::uint16_t port, AcceptHandler on_accept) {
+  [[maybe_unused]] const bool fresh =
+      listeners_.emplace(port, std::move(on_accept)).second;
+  assert(fresh && "one listener per port");
+  return Registration([this, port] {
+    listeners_.erase(port);
+    // An aborted conn's handler may release it, which erases it only in a
+    // later event, so the walk is safe.
+    for (auto& [key, conn] : conns_) {
+      if (conn->accepted_ && conn->local_port_ == port) conn->abort();
+    }
+  });
 }
 
 TcpConn* TcpStack::make_conn(std::uint16_t local_port, net::NodeId peer,
@@ -40,26 +49,31 @@ void TcpStack::drop_conn(TcpConn* conn) {
   });
 }
 
-void TcpStack::connect(net::NodeId dst, std::uint16_t port,
-                       std::function<void(Result<TcpConn*>)> cb) {
+Registration TcpStack::connect(net::NodeId dst, std::uint16_t port,
+                               std::function<void(Result<TcpConn*>)> cb) {
   const std::uint16_t local_port = next_ephemeral_++;
-  engine_.schedule_after(config_.handshake_delay, [this, dst, port, local_port,
-                                                   cb = std::move(cb)] {
-    TcpStack* peer = network_.find(dst);
-    if (!peer || !peer->alive_) {
-      cb(Errc::connection_refused);
-      return;
-    }
-    auto it = peer->listeners_.find(port);
-    if (it == peer->listeners_.end()) {
-      cb(Errc::connection_refused);
-      return;
-    }
-    TcpConn* server_side = peer->make_conn(port, node(), local_port);
-    TcpConn* client_side = make_conn(local_port, dst, port);
-    it->second(*server_side);
-    cb(client_side);
-  });
+  sim::Engine::EventId dial = engine_.schedule_after(
+      config_.handshake_delay,
+      [this, dst, port, local_port, cb = std::move(cb)] {
+        TcpStack* peer = network_.find(dst);
+        if (!peer || !peer->alive_) {
+          cb(Errc::connection_refused);
+          return;
+        }
+        auto it = peer->listeners_.find(port);
+        if (it == peer->listeners_.end()) {
+          cb(Errc::connection_refused);
+          return;
+        }
+        TcpConn* server_side = peer->make_conn(port, node(), local_port);
+        server_side->accepted_ = true;
+        TcpConn* client_side = make_conn(local_port, dst, port);
+        it->second(*server_side);
+        cb(client_side);
+      });
+  // Cancelling a fired event is a no-op, so a late reset is harmless.
+  return Registration(
+      [&engine = engine_, dial]() mutable { engine.cancel(dial); });
 }
 
 void TcpStack::send_segment(TcpConn& conn, std::shared_ptr<TcpSegment> seg) {
@@ -249,6 +263,12 @@ void TcpConn::fail(Errc err) {
   rto_timer_->cancel();
   if (ka_timer_) ka_timer_->cancel();
   if (on_error_) on_error_(err);
+}
+
+void TcpConn::abort() {
+  if (!open_) return;
+  close();
+  if (on_error_) on_error_(Errc::cancelled);
 }
 
 void TcpConn::close() {

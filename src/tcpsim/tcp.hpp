@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "common/bytes.hpp"
+#include "common/registration.hpp"
 #include "common/status.hpp"
 #include "net/fabric.hpp"
 #include "sim/engine.hpp"
@@ -72,7 +73,6 @@ class TcpConn {
   /// event.
   void release();
 
-  std::uint64_t bytes_sent() const { return snd_nxt_; }
   std::uint64_t bytes_delivered() const { return rcv_nxt_; }
 
  private:
@@ -85,12 +85,15 @@ class TcpConn {
   void send_ack();
   void retransmit();
   void fail(Errc err);
+  /// Close, then tell the holder Errc::cancelled (its listener went away).
+  void abort();
   void keepalive_fired();
 
   TcpStack& stack_;
   std::uint16_t local_port_;
   net::NodeId peer_node_;
   std::uint16_t peer_port_;
+  bool accepted_ = false;  // made by a listener, not by connect()
   bool open_ = true;
 
   // Send side.
@@ -125,7 +128,6 @@ class TcpStack {
  public:
   TcpStack(sim::Engine& engine, net::Endpoint& endpoint, TcpNetwork& network,
            TcpConfig config = {});
-  ~TcpStack();
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
 
@@ -134,9 +136,14 @@ class TcpStack {
   const TcpConfig& config() const { return config_; }
 
   using AcceptHandler = std::function<void(TcpConn&)>;
-  void listen(std::uint16_t port, AcceptHandler on_accept);
-  void connect(net::NodeId dst, std::uint16_t port,
-               std::function<void(Result<TcpConn*>)> cb);
+  /// One listener per port. Destroying the handle stops accepting and, as a
+  /// process exit would, aborts every connection it accepted that is still
+  /// open: the conn sends FIN, then its error handler sees Errc::cancelled.
+  Registration listen(std::uint16_t port, AcceptHandler on_accept);
+  /// Destroying the handle before the handshake completes cancels the dial:
+  /// no conn is made at either end and `cb` never runs.
+  Registration connect(net::NodeId dst, std::uint16_t port,
+                       std::function<void(Result<TcpConn*>)> cb);
 
   /// Host packet demux entry points (wired by testbed::Host).
   void on_packet(net::Packet&& pkt);
@@ -173,16 +180,13 @@ class TcpStack {
 
 class TcpNetwork {
  public:
-  explicit TcpNetwork(sim::Engine& engine) : engine_(engine) {}
   void add(TcpStack* stack) { stacks_[stack->node()] = stack; }
   TcpStack* find(net::NodeId node) const {
     auto it = stacks_.find(node);
     return it == stacks_.end() ? nullptr : it->second;
   }
-  sim::Engine& engine() { return engine_; }
 
  private:
-  sim::Engine& engine_;
   std::map<net::NodeId, TcpStack*> stacks_;
 };
 

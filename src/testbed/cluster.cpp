@@ -26,8 +26,7 @@ Host::Host(sim::Engine& engine, net::Endpoint& endpoint,
 
 Cluster::Cluster(ClusterConfig config)
     : fabric_(engine_, config.fabric),
-      cm_(engine_, config.cm),
-      tcp_network_(engine_) {
+      cm_(engine_, config.cm) {
   // The RNIC's pacing must agree with the host link speed.
   config.rnic.line_rate_gbps = config.fabric.host_link_gbps;
   hosts_.reserve(static_cast<std::size_t>(fabric_.num_hosts()));

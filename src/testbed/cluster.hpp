@@ -62,7 +62,6 @@ class Cluster {
   sim::Engine& engine() { return engine_; }
   net::Fabric& fabric() { return fabric_; }
   verbs::cm::CmService& cm() { return cm_; }
-  tcpsim::TcpNetwork& tcp_network() { return tcp_network_; }
 
   int num_hosts() const { return fabric_.num_hosts(); }
   Host& host(net::NodeId id) { return *hosts_.at(id); }

@@ -26,7 +26,6 @@ class XrAdm {
       : engine_(engine), delay_(propagation_delay) {}
 
   void manage(core::Context& ctx) { fleet_.push_back(&ctx); }
-  std::size_t fleet_size() const { return fleet_.size(); }
 
   /// Push one online flag to the whole fleet; `done` reports the outcome
   /// after the (modelled) propagation delay.
@@ -36,17 +35,6 @@ class XrAdm {
   /// Read a flag from every managed context (node -> value; missing on
   /// rejection).
   std::map<net::NodeId, std::int64_t> collect(const std::string& name) const;
-
-  /// `xr_adm drain` / `xr_adm undrain`: flip the fleet's lifecycle flag.
-  /// Drain moves every managed node active -> draining (new work refused
-  /// with would_block, windows flushed, DRAIN announced to peers); undrain
-  /// returns drained nodes to active, modelling the post-upgrade restart.
-  void drain_all(std::function<void(AdmResult)> done = nullptr) {
-    set_all("lifecycle_drain", 1, std::move(done));
-  }
-  void undrain_all(std::function<void(AdmResult)> done = nullptr) {
-    set_all("lifecycle_drain", 0, std::move(done));
-  }
 
   /// `xr_adm dump`: after the propagation delay, mark a manual trigger in
   /// every managed context's flight recorder and write its ring to

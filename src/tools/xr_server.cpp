@@ -15,7 +15,7 @@ constexpr std::size_t kReportBytes = sizeof(NodeReport);
 
 XrServer::XrServer(testbed::Host& host, std::uint16_t port)
     : engine_(host.rnic().engine()) {
-  host.tcp().listen(port, [this](tcpsim::TcpConn& conn) {
+  listener_ = host.tcp().listen(port, [this](tcpsim::TcpConn& conn) {
     // Per-connection reassembly buffer for the fixed-size report frames.
     auto buf = std::make_shared<std::vector<std::uint8_t>>();
     conn.set_on_error([&conn](Errc) { conn.release(); });
@@ -111,11 +111,6 @@ StatsReporter::StatsReporter(core::Context& ctx, testbed::Host& host,
       server_port_(server_port),
       timer_(ctx.engine(), period, [this] { push(); }) {}
 
-StatsReporter::~StatsReporter() {
-  stop();
-  if (conn_) conn_->release();
-}
-
 void StatsReporter::start() { timer_.start(); }
 void StatsReporter::stop() { timer_.stop(); }
 
@@ -148,18 +143,12 @@ void StatsReporter::push() {
   if (!conn_ || !conn_->open()) {
     if (conn_) conn_->release();
     conn_ = nullptr;
-    if (!connecting_) {
-      connecting_ = true;
-      tcp_.connect(server_node_, server_port_,
-                   [this, alive = std::weak_ptr(alive_)](
-                       Result<tcpsim::TcpConn*> r) {
-                     if (alive.expired()) {  // the reporter is gone
-                       if (r.ok()) r.value()->release();
-                       return;
-                     }
-                     connecting_ = false;
-                     if (r.ok()) conn_ = r.value();
-                   });
+    if (!dial_) {
+      dial_ = tcp_.connect(server_node_, server_port_,
+                           [this](Result<tcpsim::TcpConn*> r) {
+                             dial_.reset();
+                             if (r.ok()) conn_ = r.value();
+                           });
     }
     return;  // report skipped until the management connection is up
   }
@@ -175,10 +164,10 @@ void StatsReporter::push() {
 MetricsEndpoint::MetricsEndpoint(core::Context& ctx, testbed::Host& host,
                                  std::uint16_t port)
     : metrics_(ctx) {
-  host.tcp().listen(port, [this](tcpsim::TcpConn& conn) {
-    // Connections are owned by the stack and outlive this handler; one
-    // response per connection, then close (HTTP/1.0 semantics). The
-    // scraper's FIN ends the connection here.
+  listener_ = host.tcp().listen(port, [this](tcpsim::TcpConn& conn) {
+    // One response per connection, then close (HTTP/1.0 semantics). The
+    // scraper's FIN ends the connection here; dropping listener_ aborts it
+    // first if the endpoint goes away.
     conn.set_on_error([&conn](Errc) { conn.release(); });
     conn.set_on_data([this, &conn](Buffer) {
       const std::string body = text();
@@ -203,10 +192,10 @@ std::string MetricsEndpoint::text() {
   return analysis::prometheus_render(metrics_.registry());
 }
 
-void scrape_metrics(testbed::Host& host, net::NodeId server,
-                    std::uint16_t port,
-                    std::function<void(Result<std::string>)> done) {
-  host.tcp().connect(
+Registration scrape_metrics(testbed::Host& host, net::NodeId server,
+                            std::uint16_t port,
+                            std::function<void(Result<std::string>)> done) {
+  return host.tcp().connect(
       server, port,
       [done = std::move(done)](Result<tcpsim::TcpConn*> r) {
         if (!r.ok()) {
@@ -214,6 +203,10 @@ void scrape_metrics(testbed::Host& host, net::NodeId server,
           return;
         }
         tcpsim::TcpConn* conn = r.value();
+        conn->set_on_error([done, conn](Errc err) {
+          done(err);
+          conn->release();
+        });
         auto acc = std::make_shared<std::string>();
         conn->set_on_data([done, acc, conn](Buffer chunk) {
           if (chunk.data()) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/metrics.hpp"
+#include "common/registration.hpp"
 #include "core/context.hpp"
 #include "sim/timer.hpp"
 #include "tcpsim/tcp.hpp"
@@ -54,6 +55,8 @@ class XrServer {
   };
 
   XrServer(testbed::Host& host, std::uint16_t port);
+  XrServer(const XrServer&) = delete;
+  XrServer& operator=(const XrServer&) = delete;
 
   std::size_t nodes_reporting() const { return nodes_.size(); }
   /// nullptr when the node never reported.
@@ -74,6 +77,7 @@ class XrServer {
 
   sim::Engine& engine_;
   std::map<net::NodeId, NodeView> nodes_;
+  Registration listener_;
 };
 
 /// The per-application reporter ("X-RDMA Adm/Monitor thread" in Fig. 6):
@@ -83,13 +87,12 @@ class StatsReporter {
   StatsReporter(core::Context& ctx, testbed::Host& host,
                 net::NodeId server_node, std::uint16_t server_port,
                 Nanos period = millis(10));
-  ~StatsReporter();
+  ~StatsReporter() { if (conn_) conn_->release(); }
   StatsReporter(const StatsReporter&) = delete;
   StatsReporter& operator=(const StatsReporter&) = delete;
 
   void start();
   void stop();
-  std::uint64_t reports_sent() const { return seq_; }
 
  private:
   NodeReport sample();
@@ -100,12 +103,9 @@ class StatsReporter {
   net::NodeId server_node_;
   std::uint16_t server_port_;
   tcpsim::TcpConn* conn_ = nullptr;
-  bool connecting_ = false;
+  Registration dial_;  // set while a dial is out
   std::uint64_t seq_ = 0;
   sim::PeriodicTimer timer_;
-  /// Liveness token: the only owner is the reporter, so a dial that
-  /// completes after it is destroyed finds its weak_ptr expired.
-  std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);
 };
 
 /// Scrape endpoint: serves the Prometheus text exposition of one context's
@@ -116,6 +116,8 @@ class MetricsEndpoint {
  public:
   MetricsEndpoint(core::Context& ctx, testbed::Host& host,
                   std::uint16_t port);
+  MetricsEndpoint(const MetricsEndpoint&) = delete;
+  MetricsEndpoint& operator=(const MetricsEndpoint&) = delete;
 
   /// The exposition body as served right now (refreshes the bridge).
   std::string text();
@@ -125,12 +127,14 @@ class MetricsEndpoint {
  private:
   analysis::ContextMetrics metrics_;
   std::uint64_t scrapes_ = 0;
+  Registration listener_;
 };
 
 /// One shot scrape from `host` against a MetricsEndpoint: connects, sends a
-/// GET, hands the response body (headers stripped) to `done`.
-void scrape_metrics(testbed::Host& host, net::NodeId server,
-                    std::uint16_t port,
-                    std::function<void(Result<std::string>)> done);
+/// GET, hands the response body (headers stripped) or the connection's
+/// error to `done`. The handle owns the dial only.
+Registration scrape_metrics(testbed::Host& host, net::NodeId server,
+                            std::uint16_t port,
+                            std::function<void(Result<std::string>)> done);
 
 }  // namespace xrdma::tools

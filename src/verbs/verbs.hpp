@@ -175,8 +175,6 @@ class Pd {
                SrqId srq = rnic::kInvalidId) {
     return Qp(nic_, nic_->create_qp(type, send_cq.id(), recv_cq.id(), caps, srq));
   }
-  /// Re-adopt a QP number released to a cache earlier.
-  Qp adopt_qp(QpNum num) { return Qp(nic_, num); }
 
  private:
   rnic::Rnic* nic_;

@@ -156,8 +156,9 @@ TEST(Mock, FallbackToTcpKeepsMessagesFlowing) {
   t.run(millis(5));
 
   bool switched = false;
-  MockFallback::switch_to_tcp(*t.client_ch, t.cluster.host(0).tcp(), 9100,
-                              [&](Errc e) { switched = e == Errc::ok; });
+  const Registration dial = MockFallback::switch_to_tcp(
+      *t.client_ch, t.cluster.host(0).tcp(), 9100,
+      [&](Errc e) { switched = e == Errc::ok; });
   t.run(millis(5));
   ASSERT_TRUE(switched);
   ASSERT_TRUE(t.client_ch->mocked());
@@ -180,8 +181,9 @@ TEST(Mock, RestoreReturnsToRdma) {
   t.establish();
   MockFallback server_mock(t.server, t.cluster.host(1).tcp(), 9100);
   bool switched = false;
-  MockFallback::switch_to_tcp(*t.client_ch, t.cluster.host(0).tcp(), 9100,
-                              [&](Errc e) { switched = e == Errc::ok; });
+  const Registration dial = MockFallback::switch_to_tcp(
+      *t.client_ch, t.cluster.host(0).tcp(), 9100,
+      [&](Errc e) { switched = e == Errc::ok; });
   t.run(millis(5));
   ASSERT_TRUE(switched);
 
@@ -209,8 +211,9 @@ TEST(Mock, SwitchRestoreCyclesLeaveNoConnections) {
   tcpsim::TcpStack& client_tcp = t.cluster.host(0).tcp();
   for (int cycle = 0; cycle < 5; ++cycle) {
     bool switched = false;
-    MockFallback::switch_to_tcp(*t.client_ch, client_tcp, 9100,
-                                [&](Errc e) { switched = e == Errc::ok; });
+    const Registration dial = MockFallback::switch_to_tcp(
+        *t.client_ch, client_tcp, 9100,
+        [&](Errc e) { switched = e == Errc::ok; });
     t.run(millis(5));
     ASSERT_TRUE(switched);
     ASSERT_TRUE(t.server_ch->mocked());
@@ -245,10 +248,10 @@ struct RawMockPeer {
     t.server_ch->set_on_msg(
         [this](Channel&, Msg&& m) { got.push_back(m.payload.to_string()); });
     next_seq = t.client_ch->tx_seq();
-    t.cluster.host(0).tcp().connect(1, 9150,
-                                    [this](Result<tcpsim::TcpConn*> r) {
-                                      if (r.ok()) conn = r.value();
-                                    });
+    const Registration dial = t.cluster.host(0).tcp().connect(
+        1, 9150, [this](Result<tcpsim::TcpConn*> r) {
+          if (r.ok()) conn = r.value();
+        });
     t.run(millis(1));
     Bytes hello(12);
     const std::uint32_t magic = 0x584d4f43;  // "XMOC"
@@ -630,14 +633,14 @@ TEST(MetricsEndpoint, ServesPrometheusTextOverManagementNetwork) {
   tools::MetricsEndpoint endpoint(t.client, t.cluster.host(0), 9100);
   std::string body;
   bool failed = false;
-  tools::scrape_metrics(t.cluster.host(1), 0, 9100,
-                        [&](Result<std::string> r) {
-                          if (r.ok()) {
-                            body = r.value();
-                          } else {
-                            failed = true;
-                          }
-                        });
+  const Registration scrape = tools::scrape_metrics(
+      t.cluster.host(1), 0, 9100, [&](Result<std::string> r) {
+        if (r.ok()) {
+          body = r.value();
+        } else {
+          failed = true;
+        }
+      });
   t.run(millis(50));
 
   ASSERT_FALSE(failed);

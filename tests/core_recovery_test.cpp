@@ -288,6 +288,42 @@ TEST(Recovery, CmFailuresEscalateToTcpFallbackThenRestore) {
   EXPECT_GT(t.cluster.rnic(0).stats().tx_packets, rnic_tx_before);
 }
 
+TEST(Recovery, ContextDestroyedMidEscalationDialIsNotTouched) {
+  // Escalation dials the peer's MockFallback, and the TCP handshake takes
+  // 100 us. A client context destroyed inside it must not be touched when
+  // the dial would have completed (ASan reports the use after free): its
+  // channel holds the dial, so the dial is cancelled and makes no conn.
+  testbed::Cluster cluster;
+  Context server(cluster.rnic(1), cluster.cm());
+  auto client = std::make_unique<Context>(cluster.rnic(0), cluster.cm());
+  Channel* client_ch = nullptr;
+  ASSERT_EQ(server.listen(7000, [](Channel&) {}), Errc::ok);
+  client->connect(1, 7000, [&](Result<Channel*> r) {
+    if (r) client_ch = r.value();
+  });
+  cluster.engine().run_for(millis(20));
+  ASSERT_NE(client_ch, nullptr);
+  // Nothing polls, so keepalive silence starts the recovery, and every
+  // resume attempt times out until the channel escalates.
+  MockFallback server_mock(server, cluster.host(1).tcp(), 9300);
+  MockFallback::enable_auto(*client, cluster.host(0).tcp(), 9300);
+  auto filter = std::make_unique<Filter>(*client, /*seed=*/17);
+  filter->add_rule({FaultKind::cm_timeout, 1.0, 0, -1, 0});
+
+  // Step to the event that escalates: the dial is now out.
+  const Nanos limit = cluster.engine().now() + seconds(1);
+  while (client_ch->stats().fallback_switches == 0 &&
+         cluster.engine().now() < limit) {
+    ASSERT_TRUE(cluster.engine().step());
+  }
+  ASSERT_EQ(client_ch->stats().fallback_switches, 1u);
+  filter.reset();
+  client.reset();
+  cluster.engine().run_for(millis(5));
+  EXPECT_EQ(cluster.host(0).tcp().conn_count(), 0u);
+  EXPECT_EQ(cluster.host(1).tcp().conn_count(), 0u);
+}
+
 TEST(Recovery, GracefulCloseOverFallbackLeavesNoBridge) {
   // The FIN's receiver tears the stream down, the FIN's sender loses it
   // when the peer closes it. The acceptor never called enable_auto: its

@@ -2,9 +2,13 @@
 // daemon (Fig. 6's central monitor).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <utility>
 
+#include "analysis/mock.hpp"
 #include "apps/erpc.hpp"
+#include "sim/timer.hpp"
 #include "testbed/cluster.hpp"
 #include "tools/xr_server.hpp"
 
@@ -286,6 +290,152 @@ TEST(XrServerDaemon, FlagsNodesThatStopReporting) {
   const auto stale = central.stale_nodes(millis(30));
   ASSERT_EQ(stale.size(), 1u);
   EXPECT_EQ(stale[0], 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Destroy anywhere: every management-plane object owns what it registered,
+// so destroying it at any event boundary leaves nothing that calls into it.
+
+/// The management plane of a 3-host rack, each object destroyable on its
+/// own: an XrServer on host 0 with StatsReporters on hosts 1 and 2 (1 ms
+/// period), a MetricsEndpoint on host 0 scraped from host 2 every 1 ms, and
+/// a MockFallback on host 0 that host 1's channel switches onto and, 1 ms
+/// later, off again. The contexts poll in event mode, so an idle rack
+/// schedules nothing and most events belong to the management plane.
+struct ManagementRack {
+  static constexpr std::uint16_t kServerPort = 9500;
+  static constexpr std::uint16_t kMetricsPort = 9600;
+  static constexpr std::uint16_t kMockPort = 9100;
+
+  testbed::Cluster cluster{testbed::ClusterConfig::rack(3)};
+  std::vector<std::unique_ptr<core::Context>> ctxs;
+  core::Channel* client_ch = nullptr;  // host 1's channel to host 0
+
+  std::unique_ptr<tools::XrServer> server;
+  std::unique_ptr<tools::StatsReporter> reporter_a;
+  std::unique_ptr<tools::StatsReporter> reporter_b;
+  std::unique_ptr<tools::MetricsEndpoint> endpoint;
+  std::unique_ptr<analysis::MockFallback> mock;
+  // Drivers: the periodic scrape and the channel's switch/restore cycle.
+  std::unique_ptr<sim::PeriodicTimer> scraper;
+  Registration scrape;
+  std::unique_ptr<sim::DeadlineTimer> restore;
+  Registration switch_dial;
+  int cycles = 0;  // switch/restore cycles completed
+
+  ManagementRack() {
+    core::Config cfg;
+    cfg.poll_mode = core::PollMode::event;
+    for (net::NodeId n = 0; n < 3; ++n) {
+      ctxs.push_back(
+          std::make_unique<core::Context>(cluster.rnic(n), cluster.cm(), cfg));
+      ctxs.back()->start_polling_loop();
+    }
+    EXPECT_EQ(ctxs[0]->listen(7000, [](core::Channel&) {}), Errc::ok);
+    ctxs[1]->connect(0, 7000, [this](Result<core::Channel*> r) {
+      if (r) client_ch = r.value();
+    });
+    run(millis(20));
+  }
+
+  /// Creates every object at the current instant.
+  void create() {
+    sim::Engine& engine = cluster.engine();
+    server = std::make_unique<tools::XrServer>(cluster.host(0), kServerPort);
+    reporter_a = std::make_unique<tools::StatsReporter>(
+        *ctxs[1], cluster.host(1), 0, kServerPort, millis(1));
+    reporter_b = std::make_unique<tools::StatsReporter>(
+        *ctxs[2], cluster.host(2), 0, kServerPort, millis(1));
+    reporter_a->start();
+    reporter_b->start();
+    endpoint = std::make_unique<tools::MetricsEndpoint>(
+        *ctxs[0], cluster.host(0), kMetricsPort);
+    mock = std::make_unique<analysis::MockFallback>(
+        *ctxs[0], cluster.host(0).tcp(), kMockPort);
+    scraper = std::make_unique<sim::PeriodicTimer>(engine, millis(1), [this] {
+      scrape = tools::scrape_metrics(cluster.host(2), 0, kMetricsPort,
+                                     [](Result<std::string>) {});
+    });
+    scraper->start();
+    restore = std::make_unique<sim::DeadlineTimer>(engine, [this] {
+      analysis::MockFallback::restore_rdma(*client_ch);
+      ++cycles;
+    });
+    switch_dial = analysis::MockFallback::switch_to_tcp(
+        *client_ch, cluster.host(1).tcp(), kMockPort, [this](Errc e) {
+          if (e == Errc::ok) restore->arm_after(millis(1));
+        });
+  }
+
+  /// Destroys everything, drivers first and contexts last.
+  void destroy_all() {
+    switch_dial.reset();
+    restore.reset();
+    scrape.reset();
+    scraper.reset();
+    mock.reset();
+    endpoint.reset();
+    reporter_b.reset();
+    reporter_a.reset();
+    server.reset();
+    ctxs.clear();
+  }
+
+  std::size_t conns() {
+    std::size_t n = 0;
+    for (net::NodeId h = 0; h < 3; ++h) n += cluster.host(h).tcp().conn_count();
+    return n;
+  }
+
+  void run(Nanos d) { cluster.engine().run_for(d); }
+};
+
+/// The sweep destroys each object at each of the first kSweptEvents event
+/// boundaries after creation.
+constexpr int kSweptEvents = 160;
+
+TEST(ManagementPlane, RackDrivesEveryPathWithinTheSweptEvents) {
+  // Within the swept events the channel rides the fallback and comes back,
+  // a scrape is served and both reporters are heard: each object is
+  // destroyed before, during and after each of them.
+  ManagementRack rack;
+  ASSERT_NE(rack.client_ch, nullptr);
+  rack.create();
+  for (int i = 0; i < kSweptEvents; ++i) {
+    ASSERT_TRUE(rack.cluster.engine().step());
+  }
+  EXPECT_EQ(rack.cycles, 1);
+  EXPECT_FALSE(rack.client_ch->mocked());
+  EXPECT_GE(rack.endpoint->scrapes(), 1u);
+  EXPECT_EQ(rack.server->nodes_reporting(), 2u);
+  rack.destroy_all();
+  rack.run(millis(20));
+  EXPECT_EQ(rack.conns(), 0u);
+}
+
+TEST(ManagementPlane, DestroyAnywhereLeavesNothingBehind) {
+  const std::pair<const char*, std::function<void(ManagementRack&)>>
+      victims[] = {
+          {"XrServer", [](ManagementRack& r) { r.server.reset(); }},
+          {"StatsReporter a", [](ManagementRack& r) { r.reporter_a.reset(); }},
+          {"StatsReporter b", [](ManagementRack& r) { r.reporter_b.reset(); }},
+          {"MetricsEndpoint", [](ManagementRack& r) { r.endpoint.reset(); }},
+          {"MockFallback", [](ManagementRack& r) { r.mock.reset(); }},
+      };
+  for (const auto& [name, destroy] : victims) {
+    for (int k = 0; k < kSweptEvents; ++k) {
+      ManagementRack rack;
+      ASSERT_NE(rack.client_ch, nullptr);
+      rack.create();
+      for (int i = 0; i < k; ++i) ASSERT_TRUE(rack.cluster.engine().step());
+      destroy(rack);
+      rack.run(millis(20));
+      rack.destroy_all();
+      rack.run(millis(20));
+      ASSERT_EQ(rack.conns(), 0u) << name << " destroyed " << k
+                                  << " events after creation";
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // TCP model: establishment cost, byte-stream delivery, ordering, window
-// behaviour, keepalive, and crash detection.
+// behaviour, keepalive, crash detection, and what dropping a listen or dial
+// handle undoes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,11 +14,13 @@ struct TcpPair {
   testbed::Cluster cluster;
   TcpConn* client = nullptr;
   TcpConn* server = nullptr;
+  Registration listener;
+  Registration dial;
 
   void establish(std::uint16_t port = 80) {
-    cluster.host(1).tcp().listen(port,
-                                 [this](TcpConn& c) { server = &c; });
-    cluster.host(0).tcp().connect(1, port, [this](Result<TcpConn*> r) {
+    listener = cluster.host(1).tcp().listen(
+        port, [this](TcpConn& c) { server = &c; });
+    dial = cluster.host(0).tcp().connect(1, port, [this](Result<TcpConn*> r) {
       ASSERT_TRUE(r.ok());
       client = r.value();
     });
@@ -33,8 +36,8 @@ TEST(Tcp, EstablishmentTakesRoughly100Microseconds) {
   TcpPair t;
   const Nanos start = t.cluster.engine().now();
   Nanos connected_at = -1;
-  t.cluster.host(1).tcp().listen(80, [](TcpConn&) {});
-  t.cluster.host(0).tcp().connect(1, 80, [&](Result<TcpConn*> r) {
+  t.listener = t.cluster.host(1).tcp().listen(80, [](TcpConn&) {});
+  t.dial = t.cluster.host(0).tcp().connect(1, 80, [&](Result<TcpConn*> r) {
     ASSERT_TRUE(r.ok());
     connected_at = t.cluster.engine().now();
   });
@@ -47,9 +50,8 @@ TEST(Tcp, EstablishmentTakesRoughly100Microseconds) {
 TEST(Tcp, ConnectToUnboundPortRefused) {
   TcpPair t;
   Errc err = Errc::ok;
-  t.cluster.host(0).tcp().connect(1, 81, [&](Result<TcpConn*> r) {
-    err = r.error();
-  });
+  t.dial = t.cluster.host(0).tcp().connect(
+      1, 81, [&](Result<TcpConn*> r) { err = r.error(); });
   t.run(millis(5));
   EXPECT_EQ(err, Errc::connection_refused);
 }
@@ -134,6 +136,48 @@ TEST(Tcp, ReleasedConnsAreErasedByTheNextEvent) {
   EXPECT_FALSE(t.client->open());
   EXPECT_EQ(t.cluster.host(0).tcp().conn_count(), 1u);
   t.run(millis(10));
+  EXPECT_EQ(t.cluster.host(0).tcp().conn_count(), 0u);
+  EXPECT_EQ(t.cluster.host(1).tcp().conn_count(), 0u);
+}
+
+TEST(Tcp, DroppedListenerRefusesDialsAndAbortsItsConns) {
+  TcpPair t;
+  t.establish();
+  Errc server_err = Errc::ok;
+  Errc client_err = Errc::ok;
+  t.server->set_on_error([&](Errc e) {
+    server_err = e;
+    t.server->release();
+  });
+  t.client->set_on_error([&](Errc e) {
+    client_err = e;
+    t.client->release();
+  });
+  t.listener.reset();
+  EXPECT_EQ(server_err, Errc::cancelled);
+  Errc redial = Errc::ok;
+  t.dial = t.cluster.host(0).tcp().connect(
+      1, 80, [&](Result<TcpConn*> r) { redial = r.error(); });
+  t.run(millis(10));
+  EXPECT_EQ(client_err, Errc::connection_reset);  // the peer saw the FIN
+  EXPECT_EQ(redial, Errc::connection_refused);
+  EXPECT_EQ(t.cluster.host(0).tcp().conn_count(), 0u);
+  EXPECT_EQ(t.cluster.host(1).tcp().conn_count(), 0u);
+}
+
+TEST(Tcp, DroppedDialMakesNoConnAndNeverCallsBack) {
+  TcpPair t;
+  int accepted = 0;
+  bool called = false;
+  t.listener =
+      t.cluster.host(1).tcp().listen(80, [&](TcpConn&) { ++accepted; });
+  t.dial = t.cluster.host(0).tcp().connect(
+      1, 80, [&](Result<TcpConn*>) { called = true; });
+  t.run(micros(50));  // inside the 100 us handshake
+  t.dial.reset();
+  t.run(millis(5));
+  EXPECT_FALSE(called);
+  EXPECT_EQ(accepted, 0);
   EXPECT_EQ(t.cluster.host(0).tcp().conn_count(), 0u);
   EXPECT_EQ(t.cluster.host(1).tcp().conn_count(), 0u);
 }
