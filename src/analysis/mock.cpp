@@ -104,11 +104,9 @@ std::shared_ptr<Bridge> make_bridge(tcpsim::TcpConn& conn) {
 
 MockFallback::MockFallback(core::Context& ctx, tcpsim::TcpStack& tcp,
                            std::uint16_t port)
-    : ctx_(ctx) {
-  listener_ = tcp.listen(port, [this](tcpsim::TcpConn& conn) {
-    make_bridge(conn)->awaiting_hello = &ctx_;
-  });
-}
+    : listener_(tcp.listen(port, [&ctx](tcpsim::TcpConn& conn) {
+        make_bridge(conn)->awaiting_hello = &ctx;
+      })) {}
 
 Registration MockFallback::switch_to_tcp(core::Channel& ch,
                                          tcpsim::TcpStack& tcp,

@@ -29,8 +29,6 @@ class MockFallback {
   /// `ctx`. Keep the object alive while fallback may occur; destroying it
   /// drops the streams it accepted, and their channels see the loss.
   MockFallback(core::Context& ctx, tcpsim::TcpStack& tcp, std::uint16_t port);
-  MockFallback(const MockFallback&) = delete;
-  MockFallback& operator=(const MockFallback&) = delete;
 
   /// Client side: switch `ch` onto TCP toward the peer's fallback port.
   /// `done` fires once both ends have flipped. The handle owns the dial:
@@ -50,7 +48,6 @@ class MockFallback {
                           std::uint16_t peer_port);
 
  private:
-  core::Context& ctx_;
   Registration listener_;
 };
 
