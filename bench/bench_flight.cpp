@@ -151,7 +151,9 @@ int main(int argc, char** argv) {
   print_header("Flight recorder overhead: 64B message stream, wall-clock "
                "msgs/s (best of " + std::to_string(trials_run) + ")");
   print_row({"recorder", "msgs/s", "vs off"});
+  std::printf("[host clock] ");
   print_row({"off", fmt("%.0f", best_off), "--"});
+  std::printf("[host clock] ");
   print_row({"on", fmt("%.0f", best_on), fmt("%+.2f%%", -overhead_pct)});
 
   // (b) peer-kill -> .xrd -> triage timeline.

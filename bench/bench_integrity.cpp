@@ -233,6 +233,7 @@ int main(int argc, char** argv) {
   print_row({"sim", "model", fmt("%.1f", kModelNsPerKib),
              fmt("%.2f", 1024.0 / kModelNsPerKib)},
             12);
+  std::printf("[host clock] ");
   print_row({"host", crc32c_hardware() ? "sse4.2" : "portable",
              fmt("%.1f", host_ns_per_kib), fmt("%.2f", 1024.0 / host_ns_per_kib)},
             12);
