@@ -6,8 +6,6 @@
 
 namespace xrdma {
 
-Histogram::Histogram() : buckets_(64 * kSubBuckets, 0) {}
-
 std::size_t Histogram::bucket_for(std::int64_t value) {
   if (value < 0) value = 0;
   const auto v = static_cast<std::uint64_t>(value);
@@ -33,7 +31,7 @@ void Histogram::record(std::int64_t value) { record_n(value, 1); }
 void Histogram::record_n(std::int64_t value, std::uint64_t n) {
   if (n == 0) return;
   const std::size_t b = bucket_for(value);
-  if (b >= buckets_.size()) return;  // out of range: drop (can't happen <2^63)
+  if (b >= buckets_.size()) buckets_.resize(b + 1);
   buckets_[b] += n;
   if (count_ == 0 || value < min_) min_ = value;
   if (value > max_) max_ = value;
@@ -59,7 +57,12 @@ std::int64_t Histogram::percentile(double p) const {
 }
 
 void Histogram::merge(const Histogram& other) {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
+  if (other.buckets_.size() > buckets_.size()) {
+    buckets_.resize(other.buckets_.size());
+  }
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
   if (other.count_) {
     if (count_ == 0 || other.min_ < min_) min_ = other.min_;
     max_ = std::max(max_, other.max_);
@@ -69,7 +72,7 @@ void Histogram::merge(const Histogram& other) {
 }
 
 void Histogram::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  buckets_.clear();
   count_ = 0;
   sum_ = 0;
   min_ = 0;

@@ -3,6 +3,8 @@
 // Used by the Statistic component and the benches for percentile reporting.
 // Buckets are <mantissa bits> subdivisions per power of two, giving a
 // bounded relative error (~1.5% with 5 mantissa bits) over the whole range.
+// Buckets are held only up to the largest one recorded: an unrecorded
+// histogram allocates nothing, and a ~30 us one holds 11 of the 59 rows.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +15,6 @@ namespace xrdma {
 
 class Histogram {
  public:
-  Histogram();
-
   void record(std::int64_t value);
   void record_n(std::int64_t value, std::uint64_t count);
 
@@ -27,6 +27,9 @@ class Histogram {
 
   void merge(const Histogram& other);
   void reset();
+
+  /// Buckets held: up to and including the largest recorded one.
+  std::size_t bucket_count() const { return buckets_.size(); }
 
   /// "n=... mean=... p50=... p99=... max=..." with values printed as
   /// microseconds when `as_micros` (values are then assumed to be ns).

@@ -33,6 +33,12 @@ class Logger {
 
   void set_min_level(LogLevel level) { min_level_ = level; }
 
+  /// True when a record at `level` would reach a sink: callers format the
+  /// message only then.
+  bool wants(LogLevel level) const {
+    return level >= min_level_ && !sinks_.empty();
+  }
+
   /// Adds a sink; destroying the handle removes it.
   Registration add_sink(Sink sink);
 

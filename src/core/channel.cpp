@@ -1074,7 +1074,8 @@ void Channel::deliver(Seq seq, RxState& rx) {
   // assembly (arrival to delivery, i.e. the rendezvous pull) exceeding the
   // threshold is recorded for the monitor to collect.
   const Nanos assembly = ctx_.engine().now() - rx.t_arrive;
-  if (assembly > ctx_.config().slow_threshold) {
+  if (assembly > ctx_.config().slow_threshold &&
+      Logger::global().wants(LogLevel::warn)) {
     Logger::global().log(
         ctx_.engine().now(), LogLevel::warn, "xr.channel",
         strfmt("slow assembly: seq=%llu took %s (node %u <- %u)",

@@ -192,6 +192,7 @@ Context::Context(rnic::Rnic& nic, verbs::cm::CmService& cm, Config config)
 
 Context::~Context() {
   scan_timer_.stop();
+  engine().cancel(loop_step_);
   for (const MemBlock& block : srq_bounce_) ctrl_cache_.free(block);
 }
 
@@ -652,9 +653,11 @@ int Context::polling(int budget) {
     if (gap > cfg_.polling_warn_cycle) {
       ++stats_.slow_polls;
       ++stats_.watchdog_trips;
-      Logger::global().log(now, LogLevel::warn, "xr.polling",
-                           strfmt("slow poll: %s gap on node %u",
-                                  format_duration(gap).c_str(), node()));
+      if (Logger::global().wants(LogLevel::warn)) {
+        Logger::global().log(now, LogLevel::warn, "xr.polling",
+                             strfmt("slow poll: %s gap on node %u",
+                                    format_duration(gap).c_str(), node()));
+      }
       recorder_.log(now, analysis::RecEvent::watchdog_trip, 0, 0,
                     static_cast<std::uint64_t>(gap),
                     static_cast<std::uint64_t>(cfg_.polling_warn_cycle));
@@ -779,7 +782,13 @@ void Context::start_polling_loop() {
   if (loop_running_) return;
   loop_running_ = true;
   idle_spins_ = 0;
-  engine().schedule_after(0, [this] { poll_loop_step(); });
+  // A step that a stopped loop left pending would run a second loop.
+  engine().cancel(loop_step_);
+  schedule_poll_step(0);
+}
+
+void Context::schedule_poll_step(Nanos delay) {
+  loop_step_ = engine().schedule_after(delay, [this] { poll_loop_step(); });
 }
 
 void Context::stop_polling_loop() { loop_running_ = false; }
@@ -789,8 +798,7 @@ void Context::poll_loop_step() {
   const int n = polling();
   switch (cfg_.poll_mode) {
     case PollMode::busy:
-      engine().schedule_after(cfg_.busy_poll_interval,
-                              [this] { poll_loop_step(); });
+      schedule_poll_step(cfg_.busy_poll_interval);
       return;
     case PollMode::hybrid:
       if (n > 0) {
@@ -800,13 +808,11 @@ void Context::poll_loop_step() {
         park();
         return;
       }
-      engine().schedule_after(cfg_.busy_poll_interval,
-                              [this] { poll_loop_step(); });
+      schedule_poll_step(cfg_.busy_poll_interval);
       return;
     case PollMode::event:
       if (n > 0) {
-        engine().schedule_after(cfg_.busy_poll_interval,
-                                [this] { poll_loop_step(); });
+        schedule_poll_step(cfg_.busy_poll_interval);
       } else {
         park();
       }
@@ -947,9 +953,11 @@ void Context::drain_progress() {
   lifecycle_ = Lifecycle::drained;
   ++stats_.drains_completed;
   stats_.drain_latency.record(now - drain_started_);
-  Logger::global().log(now, LogLevel::info, "xr.lifecycle",
-                       strfmt("node %u drained in %s", node(),
-                              format_duration(now - drain_started_).c_str()));
+  if (Logger::global().wants(LogLevel::info)) {
+    Logger::global().log(now, LogLevel::info, "xr.lifecycle",
+                         strfmt("node %u drained in %s", node(),
+                                format_duration(now - drain_started_).c_str()));
+  }
 }
 
 void Context::trigger_dump(analysis::TrigReason reason) {

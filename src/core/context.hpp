@@ -314,6 +314,7 @@ class Context {
   /// channel is terminal.
   void drain_progress();
   void poll_loop_step();
+  void schedule_poll_step(Nanos delay);
   void park();
 
   /// Channel tx-queue accounting (signed so dequeue/reset can subtract).
@@ -365,6 +366,7 @@ class Context {
   bool loop_running_ = false;
   bool parked_ = false;
   std::uint32_t idle_spins_ = 0;
+  sim::Engine::EventId loop_step_;  // the loop's pending step; ~Context cancels it
 
   Nanos clock_skew_ = 0;
   Nanos clock_offset_estimate_ = 0;

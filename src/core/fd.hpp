@@ -14,6 +14,8 @@ class EventFd {
  public:
   EventFd(sim::Engine& engine, int fd, Nanos wakeup_latency)
       : engine_(engine), fd_(fd), wakeup_latency_(wakeup_latency) {}
+  /// A wake still in flight dies with the fd: its waiter may capture the owner.
+  ~EventFd() { engine_.cancel(wake_); }
 
   int fd() const { return fd_; }
   bool ready() const { return ready_; }
@@ -37,7 +39,7 @@ class EventFd {
   void fire() {
     auto h = std::move(waiter_);
     waiter_ = nullptr;
-    engine_.schedule_after(wakeup_latency_, std::move(h));
+    wake_ = engine_.schedule_after(wakeup_latency_, std::move(h));
   }
 
   sim::Engine& engine_;
@@ -45,6 +47,7 @@ class EventFd {
   Nanos wakeup_latency_;
   bool ready_ = false;
   std::function<void()> waiter_;
+  sim::Engine::EventId wake_;
 };
 
 }  // namespace xrdma::core

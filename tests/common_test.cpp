@@ -2,9 +2,14 @@
 // and their pool, wire header codec, logging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -137,6 +142,165 @@ TEST(Histogram, ZeroAndNegativeClamped) {
   h.record(-5);
   EXPECT_EQ(h.count(), 2u);
   EXPECT_EQ(h.percentile(100), 0);
+}
+
+// The pre-sizing layout, kept as the oracle: 64 rows of 32 buckets, all
+// allocated up front. The sized-on-demand Histogram must answer every query
+// exactly as this does.
+class FixedLayoutHistogram {
+ public:
+  void record(std::int64_t value) {
+    const std::size_t b = bucket_for(value);
+    if (b >= buckets_.size()) return;
+    ++buckets_[b];
+    if (count_ == 0 || value < min_) min_ = value;
+    if (value > max_) max_ = value;
+    ++count_;
+    sum_ += static_cast<double>(value);
+  }
+  std::uint64_t count() const { return count_; }
+  std::int64_t min() const { return count_ ? min_ : 0; }
+  std::int64_t max() const { return max_; }
+  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
+  std::int64_t percentile(double p) const {
+    if (count_ == 0) return 0;
+    if (p <= 0) return min_;
+    if (p >= 100) return max_;
+    const double target = p / 100.0 * static_cast<double>(count_);
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+      seen += buckets_[i];
+      if (static_cast<double>(seen) >= target) return bucket_value(i);
+    }
+    return max_;
+  }
+  std::string summary() const {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "n=%llu mean=%.2f p50=%.2f p99=%.2f p999=%.2f max=%.2f%s",
+                  static_cast<unsigned long long>(count_), mean() * 1e-3,
+                  static_cast<double>(percentile(50)) * 1e-3,
+                  static_cast<double>(percentile(99)) * 1e-3,
+                  static_cast<double>(percentile(99.9)) * 1e-3,
+                  static_cast<double>(max_) * 1e-3, "us");
+    return buf;
+  }
+
+ private:
+  static std::size_t bucket_for(std::int64_t value) {
+    const auto v = static_cast<std::uint64_t>(std::max<std::int64_t>(value, 0));
+    if (v < 32) return static_cast<std::size_t>(v);
+    const int msb = 63 - std::countl_zero(v);
+    return static_cast<std::size_t>(msb - 4) * 32 + ((v >> (msb - 5)) & 31);
+  }
+  static std::int64_t bucket_value(std::size_t index) {
+    const std::size_t exp = index / 32;
+    const std::size_t sub = index % 32;
+    if (exp == 0) return static_cast<std::int64_t>(sub);
+    const std::uint64_t base = (std::uint64_t{32} + sub) << (exp - 1);
+    return static_cast<std::int64_t>(base + ((std::uint64_t{1} << (exp - 1)) / 2));
+  }
+
+  std::vector<std::uint64_t> buckets_ = std::vector<std::uint64_t>(2048, 0);
+  std::uint64_t count_ = 0;
+  double sum_ = 0;
+  std::int64_t min_ = 0;
+  std::int64_t max_ = 0;
+};
+
+template <typename A, typename B>
+void expect_same_answers(const A& a, const B& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(a.mean(), b.mean());
+  for (const double p : {0.0, 0.1, 1.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+    EXPECT_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
+  }
+  EXPECT_EQ(a.summary(), b.summary());
+}
+
+/// Seeded values in [-5, 2^62]: 0, both sides of every power of two (the
+/// row edges), then log-uniform draws so every row sees samples.
+std::vector<std::int64_t> histogram_values(std::uint64_t seed, int draws) {
+  std::vector<std::int64_t> out = {-5, -1, 0, std::int64_t{1} << 62};
+  for (int k = 0; k < 62; ++k) {
+    const std::int64_t edge = std::int64_t{1} << k;
+    out.insert(out.end(), {edge - 1, edge, edge + 1});
+  }
+  Rng rng(seed);
+  for (int i = 0; i < draws; ++i) {
+    const int k = static_cast<int>(rng.next_below(63));
+    out.push_back(rng.uniform(-5, std::int64_t{1} << k));
+  }
+  return out;
+}
+
+TEST(Histogram, AnswersEqualFixedLayoutReference) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    Rng order(seed);
+    std::vector<std::int64_t> values = histogram_values(seed, 5000);
+    // Shuffle so the largest sample arrives at a random point and the
+    // buckets grow in several steps.
+    for (std::size_t i = values.size(); i > 1; --i) {
+      std::swap(values[i - 1], values[order.next_below(i)]);
+    }
+    Histogram h;
+    FixedLayoutHistogram ref;
+    expect_same_answers(h, ref);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      h.record(values[i]);
+      ref.record(values[i]);
+      if (i % 997 == 0) expect_same_answers(h, ref);
+    }
+    expect_same_answers(h, ref);
+  }
+}
+
+TEST(Histogram, MergeInAnyOrderEqualsRecordingTheUnion) {
+  // Sums stay below 2^53, so every order adds them exactly.
+  Histogram empty, small, large, all;
+  for (std::int64_t v = 1; v <= 300; ++v) {
+    small.record(v * 7);
+    large.record(v << 32);
+    all.record(v * 7);
+    all.record(v << 32);
+  }
+  const Histogram* parts[] = {&empty, &small, &large};
+  int perm[] = {0, 1, 2};
+  do {
+    Histogram acc;
+    for (const int i : perm) acc.merge(*parts[i]);
+    expect_same_answers(acc, all);
+    Histogram pair = *parts[perm[0]];
+    pair.merge(*parts[perm[1]]);
+    pair.merge(*parts[perm[2]]);
+    expect_same_answers(pair, all);
+  } while (std::next_permutation(std::begin(perm), std::end(perm)));
+}
+
+TEST(Histogram, ResetThenRecordStartsOver) {
+  Histogram h, fresh;
+  h.record(std::int64_t{1} << 50);
+  h.reset();
+  EXPECT_EQ(h.bucket_count(), 0u);
+  for (const std::int64_t v : {3, 900, 12000}) {
+    h.record(v);
+    fresh.record(v);
+  }
+  expect_same_answers(h, fresh);
+  EXPECT_EQ(h.bucket_count(), fresh.bucket_count());
+}
+
+TEST(Histogram, HoldsOnlyTheRowsItRecorded) {
+  Histogram h;
+  EXPECT_EQ(h.bucket_count(), 0u);  // no sample, no allocation
+  const Histogram copy = h;
+  EXPECT_EQ(copy.bucket_count(), 0u);
+  for (std::int64_t v = 500; v <= 30'000; v += 500) h.record(v);  // <= 30 us
+  EXPECT_GT(h.bucket_count(), 0u);
+  EXPECT_LE(h.bucket_count(), 16u * 32u);  // 16 power-of-two rows
 }
 
 TEST(Rng, DeterministicPerSeed) {
@@ -357,14 +521,18 @@ TEST(WireHeader, TraceBlockOnlyWhenFlagged) {
 
 TEST(Logging, SinksReceiveRecordsAboveMinLevel) {
   Logger& log = Logger::global();
+  EXPECT_FALSE(log.wants(LogLevel::error));  // no sink: nothing to format
   std::vector<LogRecord> got;
   Registration sink =
       log.add_sink([&](const LogRecord& r) { got.push_back(r); });
   log.set_min_level(LogLevel::warn);
+  EXPECT_FALSE(log.wants(LogLevel::info));
+  EXPECT_TRUE(log.wants(LogLevel::warn));
   log.log(micros(5), LogLevel::info, "x", "dropped");
   log.log(micros(6), LogLevel::warn, "x", "kept");
   log.set_min_level(LogLevel::info);
   sink.reset();
+  EXPECT_FALSE(log.wants(LogLevel::error));
   log.log(micros(7), LogLevel::error, "x", "after-removal");
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].message, "kept");

@@ -155,6 +155,54 @@ TEST(Robustness, EventModeDeliversViaFd) {
   EXPECT_GE(t.server.get_event_fd(), 0);
 }
 
+TEST(Robustness, DestroyedContextTakesItsPollStepAlong) {
+  // A context destroyed with its busy loop running must cancel the step it
+  // has pending (ASan reports the use after free otherwise).
+  testbed::Cluster cluster;
+  Config cfg;
+  cfg.poll_mode = core::PollMode::busy;
+  auto ctx = std::make_unique<Context>(cluster.rnic(0), cluster.cm(), cfg);
+  ctx->start_polling_loop();
+  cluster.engine().run_for(micros(10));
+  ASSERT_GT(ctx->stats().polls, 1u);
+  ctx.reset();
+  cluster.engine().run_for(millis(1));
+}
+
+TEST(Robustness, DestroyedParkedContextTakesItsWakeAlong) {
+  // The same for a parked event-mode loop whose event fd has a wake in
+  // flight.
+  testbed::Cluster cluster;
+  Config cfg;
+  cfg.poll_mode = core::PollMode::event;
+  auto ctx = std::make_unique<Context>(cluster.rnic(0), cluster.cm(), cfg);
+  ctx->start_polling_loop();
+  cluster.engine().run_for(micros(10));
+  ASSERT_EQ(ctx->stats().parks, 1u);
+  ctx->event_fd().set_ready();
+  ctx.reset();
+  cluster.engine().run_for(millis(1));
+}
+
+TEST(Robustness, RestartedLoopPollsOncePerInterval) {
+  // Stopping and restarting inside one interval leaves the stopped loop's
+  // step pending; the restart replaces it instead of running a second loop.
+  Config cfg;
+  cfg.keepalive_intv = millis(100);
+  Pair t(cfg);
+  ASSERT_TRUE(t.connect());
+  t.start_polling();
+  t.cluster.engine().run_for(millis(1));
+  t.client.stop_polling_loop();
+  t.client.start_polling_loop();
+  const std::uint64_t before = t.client.stats().polls;
+  constexpr std::uint64_t kIntervals = 100;
+  t.cluster.engine().run_for(static_cast<Nanos>(kIntervals) *
+                             cfg.busy_poll_interval);
+  // The restart polls at once, then once per interval through the end.
+  EXPECT_EQ(t.client.stats().polls - before, kIntervals + 1);
+}
+
 TEST(Robustness, ManualProcessEventDrainsCompletions) {
   Pair t;  // no polling loops at all
   ASSERT_TRUE(t.connect());
